@@ -30,15 +30,20 @@ RACE_PKGS = ./internal/telemetry/ ./internal/omp/ ./internal/obs/ ./internal/ker
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# Full pre-merge gate: formatting, vet, the whole suite, the
+# Full pre-merge gate: formatting, vet, the whole suite, the nested
+# perfbench module (which `./...` at the root skips, so an executor
+# signature change would otherwise only break the benchmark), the
 # differential stress harness, the bench-regression gate (which also
 # smoke-runs the overhead suite), a short fuzz pass over every fuzz
 # target, and the race detector over the concurrent packages.
+PERFBENCH_ENV = GOFLAGS=-mod=mod GOPROXY=off
+
 check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
+	cd perfbench && $(PERFBENCH_ENV) $(GO) vet ./... && $(PERFBENCH_ENV) $(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)
 	$(MAKE) stress
 	$(MAKE) loadtest

@@ -335,7 +335,11 @@ func BenchmarkEngines(b *testing.B) {
 		b.Run(c.name+"/recover-every", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := omp.CollapsedForEvery(res, c.params, 1, sched, func(tid int, idx []int64) {
+				bd, err := res.Unranker.Bind(c.params)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := core.ForRangeEvery(bd, 1, bd.Total(), func(pc int64, idx []int64) {
 					sink += idx[0]
 				}); err != nil {
 					b.Fatal(err)

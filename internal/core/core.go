@@ -222,15 +222,30 @@ func ForRanges(b *unrank.Bound, pcLo, pcHi int64, st *RangeStats,
 	if pcLo > pcHi {
 		return nil
 	}
-	inst := b.Instance()
-	last := inst.Depth() - 1
 	idx := b.Scratch()
 	if err := b.Unrank(pcLo, idx); err != nil {
 		return err
 	}
+	return ForRangesFrom(b, pcLo, pcHi, idx, st, body)
+}
+
+// ForRangesFrom is ForRanges with the recovery already paid: start must
+// be the exact iteration tuple of rank pcLo. start is read, never
+// written (it may be b.Scratch() itself).
+func ForRangesFrom(b *unrank.Bound, pcLo, pcHi int64, start []int64, st *RangeStats,
+	body func(pc int64, prefix []int64, lo, hi int64)) error {
+	if pcLo > pcHi {
+		return nil
+	}
+	idx, err := seed(b, start)
+	if err != nil {
+		return err
+	}
+	inst := b.Instance()
+	last := inst.Depth() - 1
 	pc := pcLo
 	for {
-		// Unrank (and NextRun below) leave idx on a valid tuple, so the
+		// The start tuple (and NextRun below) is a valid tuple, so the
 		// current run is never empty: lo < hi and pc always advances.
 		lo := idx[last]
 		hi := inst.UpperAt(last, idx)
@@ -247,8 +262,7 @@ func ForRanges(b *unrank.Bound, pcLo, pcHi int64, st *RangeStats,
 			return nil
 		}
 		if !inst.NextRun(idx) {
-			return fmt.Errorf("core: iteration space exhausted at pc=%d before reaching %d: %w",
-				pc-1, pcHi, faults.ErrRecoveryDiverged)
+			return exhausted(pc, pcHi)
 		}
 		if st != nil {
 			st.Carries++
@@ -271,50 +285,29 @@ func ForRange(b *unrank.Bound, pcLo, pcHi int64, body func(pc int64, idx []int64
 	if pcLo > pcHi {
 		return nil
 	}
-	inst := b.Instance()
-	last := inst.Depth() - 1
 	idx := b.Scratch()
 	if err := b.Unrank(pcLo, idx); err != nil {
 		return err
 	}
-	pc := pcLo
-	for {
-		hi := inst.UpperAt(last, idx)
-		if rem := pcHi - pc + 1; hi-idx[last] > rem {
-			hi = idx[last] + rem
-		}
-		for i := idx[last]; i < hi; i++ {
-			idx[last] = i
-			body(pc, idx)
-			pc++
-		}
-		if pc > pcHi {
-			return nil
-		}
-		if !inst.NextRun(idx) {
-			return fmt.Errorf("core: iteration space exhausted at pc=%d before reaching %d: %w",
-				pc-1, pcHi, faults.ErrRecoveryDiverged)
-		}
-	}
+	return ForRangeFrom(b, pcLo, pcHi, idx, body)
 }
 
 // ForRangeFrom is ForRange with the recovery already paid: start must be
 // the exact iteration tuple of rank pcLo — typically produced by
 // unrank.Bound.RecoverBatch over the chunk/shard starts of a planned
 // execution — and the driver goes straight to the §V incrementation.
-// start is read, never written.
+// start is read, never written (it may be b.Scratch() itself).
 func ForRangeFrom(b *unrank.Bound, pcLo, pcHi int64, start []int64,
 	body func(pc int64, idx []int64)) error {
 	if pcLo > pcHi {
 		return nil
 	}
+	idx, err := seed(b, start)
+	if err != nil {
+		return err
+	}
 	inst := b.Instance()
 	last := inst.Depth() - 1
-	idx := b.Scratch()
-	if len(start) != len(idx) {
-		return fmt.Errorf("core: start tuple has length %d, want %d", len(start), len(idx))
-	}
-	copy(idx, start)
 	pc := pcLo
 	for {
 		hi := inst.UpperAt(last, idx)
@@ -330,10 +323,27 @@ func ForRangeFrom(b *unrank.Bound, pcLo, pcHi int64, start []int64,
 			return nil
 		}
 		if !inst.NextRun(idx) {
-			return fmt.Errorf("core: iteration space exhausted at pc=%d before reaching %d: %w",
-				pc-1, pcHi, faults.ErrRecoveryDiverged)
+			return exhausted(pc, pcHi)
 		}
 	}
+}
+
+// seed copies a recovered start tuple into b's scratch, the slice the
+// drivers advance in place.
+func seed(b *unrank.Bound, start []int64) ([]int64, error) {
+	idx := b.Scratch()
+	if len(start) != len(idx) {
+		return nil, fmt.Errorf("core: start tuple has length %d, want %d", len(start), len(idx))
+	}
+	copy(idx, start)
+	return idx, nil
+}
+
+// exhausted is the drivers' error for an iteration space that ended
+// before pcHi: the start tuple or the recovery behind it was wrong.
+func exhausted(pc, pcHi int64) error {
+	return fmt.Errorf("core: iteration space exhausted at pc=%d before reaching %d: %w",
+		pc-1, pcHi, faults.ErrRecoveryDiverged)
 }
 
 // ForRangeEvery executes body for every pc in [pcLo, pcHi], performing

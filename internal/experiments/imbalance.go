@@ -68,7 +68,7 @@ func scheduleLabel(s omp.Schedule) string {
 
 // Imbalance runs the collapsed form of the kernel under each schedule
 // kind and reports the per-thread work distribution: iteration counts,
-// busy times, recovery-vs-increment split, and the balance statistics
+// busy and recovery times (measured per chunk), and the balance statistics
 // (max/mean, coefficient of variation).
 func Imbalance(opts ImbalanceOptions) ([]ImbalanceRow, error) {
 	if opts.Threads <= 0 {
@@ -109,7 +109,7 @@ func Imbalance(opts ImbalanceOptions) ([]ImbalanceRow, error) {
 	for _, sched := range imbalanceSchedules() {
 		reset()
 		start := time.Now()
-		cs, err := omp.CollapsedForTelemetry(res, params, opts.Threads, sched,
+		cs, err := omp.CollapsedForChunkTelemetryCtx(nil, res, params, opts.Threads, sched,
 			opts.Telemetry, body)
 		if err != nil {
 			return nil, fmt.Errorf("schedule %s: %w", scheduleLabel(sched), err)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -25,7 +24,7 @@ import (
 // invocation on distinct iterations; the idx slice is reused per worker.
 func CollapsedFor(r *core.Result, params map[string]int64, threads int, sched Schedule,
 	body func(tid int, idx []int64)) error {
-	return collapsedRun(nil, r, params, threads, sched, body, false)
+	return CollapsedForCtx(nil, r, params, threads, sched, body)
 }
 
 // CollapsedForCtx is CollapsedFor with cooperative cancellation: ctx is
@@ -36,74 +35,12 @@ func CollapsedFor(r *core.Result, params map[string]int64, threads int, sched Sc
 // *faults.PanicError; the process survives and the team drains cleanly.
 func CollapsedForCtx(ctx context.Context, r *core.Result, params map[string]int64,
 	threads int, sched Schedule, body func(tid int, idx []int64)) error {
-	return collapsedRun(ctx, r, params, threads, sched, body, false)
-}
-
-// CollapsedForEvery is CollapsedFor with the recovery performed at every
-// iteration (no incrementation) — the maximum-cost mode the paper
-// associates with dynamic scheduling of collapsed loops (§V).
-func CollapsedForEvery(r *core.Result, params map[string]int64, threads int, sched Schedule,
-	body func(tid int, idx []int64)) error {
-	return collapsedRun(nil, r, params, threads, sched, body, true)
-}
-
-// pcEnd returns the exclusive upper bound total+1 of the collapsed pc
-// range [1, total], refusing totals whose +1 would wrap. Bind already
-// rejects counts beyond int64, but the int64 fast path can legitimately
-// produce math.MaxInt64 itself.
-func pcEnd(total int64) (int64, error) {
-	if total >= math.MaxInt64 {
-		return 0, fmt.Errorf("omp: collapsed total %d overflows the pc range: %w",
-			total, faults.ErrOverflow)
-	}
-	return total + 1, nil
-}
-
-// bindTeam privatizes recovery state for a team: the collapse result is
-// bound once (paying bound compilation and the count-polynomial
-// evaluation a single time), then each additional worker receives a
-// Clone sharing the immutable compiled core with only its own mutable
-// scratch.
-func bindTeam(r *core.Result, params map[string]int64, threads int) ([]*unrank.Bound, error) {
-	b0, err := r.Unranker.Bind(params)
-	if err != nil {
-		return nil, err
-	}
-	bounds := make([]*unrank.Bound, threads)
-	bounds[0] = b0
-	for t := 1; t < threads; t++ {
-		bounds[t] = b0.Clone()
-	}
-	return bounds, nil
-}
-
-func collapsedRun(ctx context.Context, r *core.Result, params map[string]int64, threads int,
-	sched Schedule, body func(tid int, idx []int64), every bool) error {
-	if threads < 1 {
-		threads = 1
-	}
-	bounds, err := bindTeam(r, params, threads)
+	e, err := newEngine(r, params, threads, sched)
 	if err != nil {
 		return err
 	}
-	total := bounds[0].Total()
-	if total == 0 {
-		return nil
-	}
-	end, err := pcEnd(total)
-	if err != nil {
-		return err
-	}
-	return ParallelForChunksCtx(ctx, threads, 1, end, sched, func(tid int, clo, chi int64) error {
-		b := bounds[tid]
-		run := core.ForRange
-		if every {
-			run = core.ForRangeEvery
-		}
-		return run(b, clo, chi-1, func(pc int64, idx []int64) {
-			body(tid, idx)
-		})
-	})
+	_, err = e.run(ctx, nil, false, tupleStep(body))
+	return err
 }
 
 // CollapsedForRanges executes the collapsed space with the range-batched
@@ -118,15 +55,11 @@ func collapsedRun(ctx context.Context, r *core.Result, params map[string]int64, 
 // accounting (and therefore scheduling) is exactly that of CollapsedFor.
 func CollapsedForRanges(r *core.Result, params map[string]int64, threads int, sched Schedule,
 	body func(tid int, pc int64, prefix []int64, lo, hi int64)) error {
-	_, err := collapsedRangesRun(nil, r, params, threads, sched, nil, body)
-	return err
-}
-
-// CollapsedForRangesCtx is CollapsedForRanges with cooperative
-// cancellation checked at chunk boundaries (never inside a run).
-func CollapsedForRangesCtx(ctx context.Context, r *core.Result, params map[string]int64,
-	threads int, sched Schedule, body func(tid int, pc int64, prefix []int64, lo, hi int64)) error {
-	_, err := collapsedRangesRun(ctx, r, params, threads, sched, nil, body)
+	e, err := newEngine(r, params, threads, sched)
+	if err != nil {
+		return err
+	}
+	_, err = e.run(nil, nil, false, rangeStep(nil, body))
 	return err
 }
 
@@ -135,77 +68,322 @@ func CollapsedForRangesCtx(ctx context.Context, r *core.Result, params map[strin
 // tel (which may be nil): "omp.range_batches", "omp.range_carries" and
 // "omp.iterations". The counters make the engine's economy observable:
 // batches ≈ carries + threads·chunks, and iterations/batches is the mean
-// flat-run length the body enjoyed.
+// flat-run length the body enjoyed. The run is instrumented at chunk
+// granularity like CollapsedForChunkTelemetryCtx.
 func CollapsedForRangesStats(r *core.Result, params map[string]int64, threads int, sched Schedule,
 	tel *telemetry.Registry, body func(tid int, pc int64, prefix []int64, lo, hi int64)) (core.RangeStats, error) {
-	return collapsedRangesRun(nil, r, params, threads, sched, tel, body)
-}
-
-func collapsedRangesRun(ctx context.Context, r *core.Result, params map[string]int64, threads int,
-	sched Schedule, tel *telemetry.Registry,
-	body func(tid int, pc int64, prefix []int64, lo, hi int64)) (core.RangeStats, error) {
 	var agg core.RangeStats
-	if threads < 1 {
-		threads = 1
-	}
-	bounds, err := bindTeam(r, params, threads)
+	e, err := newEngine(r, params, threads, sched)
 	if err != nil {
 		return agg, err
 	}
-	total := bounds[0].Total()
-	if total == 0 {
-		return agg, nil
+	stats := make([]core.RangeStats, len(e.bounds))
+	_, runErr := e.run(nil, tel, true, rangeStep(stats, body))
+	for _, s := range stats {
+		agg.Add(s)
 	}
-	end, err := pcEnd(total)
-	if err != nil {
-		return agg, err
-	}
-	stats := make([]core.RangeStats, threads)
-	live := newLiveTeam(tel, threads, sched.Kind)
-	tr := tel.Trace()
-	published := make([]unrank.Stats, threads)
-	runErr := ParallelForChunksCtx(ctx, threads, 1, end, sched, func(tid int, clo, chi int64) error {
-		if live == nil {
-			// Uninstrumented hot path: no clock reads, no stats copies.
-			return core.ForRanges(bounds[tid], clo, chi-1, &stats[tid],
-				func(pc int64, prefix []int64, lo, hi int64) {
-					body(tid, pc, prefix, lo, hi)
-				})
-		}
-		live.chunkStart(tid, tr.Now())
-		before := stats[tid].Iterations
-		err := core.ForRanges(bounds[tid], clo, chi-1, &stats[tid],
-			func(pc int64, prefix []int64, lo, hi int64) {
-				body(tid, pc, prefix, lo, hi)
-			})
-		s := bounds[tid].Stats()
-		live.chunkEnd(tid, stats[tid].Iterations-before, s.Sub(published[tid]))
-		published[tid] = s
-		return err
-	})
-	for t := range stats {
-		agg.Add(stats[t])
-	}
-	if tel != nil {
-		tel.Counter("omp.range_batches").Add(agg.Batches)
-		tel.Counter("omp.range_carries").Add(agg.Carries)
-		tel.Counter("omp.iterations").Add(agg.Iterations)
-	}
+	tel.Counter("omp.range_batches").Add(agg.Batches)
+	tel.Counter("omp.range_carries").Add(agg.Carries)
 	return agg, runErr
 }
 
+// CollapsedForChunkTelemetryCtx is the instrumented collapsed executor:
+// it runs the §V scheme like CollapsedForCtx while recording, per chunk,
+// its duration, its recovery time, the live per-worker gauges and the
+// worker's unrank statistics, and returns the per-thread breakdown.
+// Nothing is timed inside a chunk, so the body loop runs at CollapsedFor
+// speed. When tel is non-nil, every chunk additionally becomes a
+// "chunk"-category trace event (named after the schedule kind) and the
+// team-wide counters are published on the registry, including the
+// robustness counters "omp.panics_recovered" (worker panics captured as
+// errors) and "omp.cancellations" (runs stopped by ctx). This is also
+// the executor behind the tuned path, where instrumentation skew would
+// corrupt the very measurements the planner feeds on.
+func CollapsedForChunkTelemetryCtx(ctx context.Context, r *core.Result, params map[string]int64,
+	threads int, sched Schedule, tel *telemetry.Registry,
+	body func(tid int, idx []int64)) (CollapsedStats, error) {
+	e, err := newEngine(r, params, threads, sched)
+	if err != nil {
+		return CollapsedStats{}, err
+	}
+	return e.run(ctx, tel, true, tupleStep(body))
+}
+
+// CollapsedForSIMD executes the collapsed space with the §VI.A
+// vectorization scheme: each thread takes one static chunk, recovers its
+// first tuple once, and fills its thread-private tuple array T[vlength]
+// by lexicographic incrementation; body consumes each full window (and
+// the chunk's final partial one) as the "#pragma omp simd" loop.
+func CollapsedForSIMD(r *core.Result, params map[string]int64, threads, vlength int,
+	body func(tid int, batch [][]int64)) error {
+	if vlength < 1 {
+		vlength = 1
+	}
+	e, err := newEngine(r, params, threads, Schedule{Kind: Static})
+	if err != nil {
+		return err
+	}
+	depth := r.C
+	_, err = e.run(nil, nil, false, func(tid int, b *unrank.Bound, clo, chi int64, idx []int64) error {
+		backing := make([]int64, vlength*depth)
+		batch := make([][]int64, vlength)
+		for v := range batch {
+			batch[v] = backing[v*depth : (v+1)*depth]
+		}
+		n := 0
+		err := core.ForRangeFrom(b, clo, chi-1, idx, func(_ int64, ix []int64) {
+			copy(batch[n], ix)
+			if n++; n == vlength {
+				body(tid, batch)
+				n = 0
+			}
+		})
+		if err == nil && n > 0 {
+			body(tid, batch[:n])
+		}
+		return err
+	})
+	return err
+}
+
+// CollapsedForWarp executes the collapsed space with the §VI.B GPU-warp
+// scheme: W lanes run concurrently; lane w executes iterations pc = w+1,
+// w+1+W, w+1+2W, … Each lane's chunk is its start rank w+1, whose tuple
+// the engine recovers once; the lane then advances by W lexicographic
+// incrementations between iterations, achieving the coalesced-access
+// distribution of the paper.
+func CollapsedForWarp(r *core.Result, params map[string]int64, W int,
+	body func(lane int, pc int64, idx []int64)) error {
+	if W < 1 {
+		W = 1
+	}
+	e, err := newEngine(r, params, W, Schedule{Kind: Static})
+	if err != nil {
+		return err
+	}
+	total, stride := e.hi-1, int64(W)
+	// A static schedule over the first min(W, total) ranks hands lane w
+	// exactly the chunk [w+1, w+2).
+	e.hi = min(e.hi, stride+1)
+	_, err = e.run(nil, nil, false, func(lane int, b *unrank.Bound, pc, _ int64, idx []int64) error {
+		for {
+			body(lane, pc, idx)
+			if pc > total-stride {
+				return nil
+			}
+			for k := 0; k < W; k++ {
+				if !b.Increment(idx) {
+					return fmt.Errorf("omp: warp lane %d: iteration space exhausted after pc=%d: %w",
+						lane, pc, faults.ErrRecoveryDiverged)
+				}
+			}
+			pc += stride
+		}
+	})
+	return err
+}
+
+// chunkStep runs the collapsed ranks [clo, chi) on worker tid once the
+// engine has recovered the tuple of rank clo into idx (b's scratch).
+type chunkStep func(tid int, b *unrank.Bound, clo, chi int64, idx []int64) error
+
+// tupleStep hands body every tuple of the chunk (core.ForRangeFrom).
+func tupleStep(body func(tid int, idx []int64)) chunkStep {
+	return func(tid int, b *unrank.Bound, clo, chi int64, idx []int64) error {
+		return core.ForRangeFrom(b, clo, chi-1, idx, func(_ int64, ix []int64) { body(tid, ix) })
+	}
+}
+
+// rangeStep hands body the chunk's flat innermost runs
+// (core.ForRangesFrom), counting them in stats[tid] when stats is
+// non-nil.
+func rangeStep(stats []core.RangeStats, body func(tid int, pc int64, prefix []int64, lo, hi int64)) chunkStep {
+	return func(tid int, b *unrank.Bound, clo, chi int64, idx []int64) error {
+		var st *core.RangeStats
+		if stats != nil {
+			st = &stats[tid]
+		}
+		return core.ForRangesFrom(b, clo, chi-1, idx, st, func(pc int64, prefix []int64, lo, hi int64) {
+			body(tid, pc, prefix, lo, hi)
+		})
+	}
+}
+
+// engine is the one collapsed executor behind every entry point of this
+// package: the team's recovery state is bound once, the collapsed ranks
+// [lo, hi) are workshared by a single ParallelForChunksCtx, and every
+// chunk recovers its start tuple once before a chunkStep advances
+// through it by lexicographic incrementation (paper §V). Per-tuple and
+// per-range bodies, §VI.A SIMD windows, §VI.B warp lanes and dist shard
+// attempts differ only in their chunkStep.
+type engine struct {
+	bounds []*unrank.Bound // one per worker: the bound and its clones
+	lo, hi int64
+	start  []int64 // optional pre-recovered tuple of rank lo
+	sched  Schedule
+}
+
+// newEngine privatizes recovery state for a team: the collapse result is
+// bound once (paying bound compilation and the count-polynomial
+// evaluation a single time), then each additional worker receives a
+// Clone sharing the immutable compiled core with only its own mutable
+// scratch. The engine covers the whole collapsed range [1, Total].
+func newEngine(r *core.Result, params map[string]int64, threads int, sched Schedule) (*engine, error) {
+	threads = max(threads, 1)
+	b0, err := r.Unranker.Bind(params)
+	if err != nil {
+		return nil, err
+	}
+	end, err := pcEnd(b0.Total())
+	if err != nil {
+		return nil, err
+	}
+	bounds := make([]*unrank.Bound, threads)
+	bounds[0] = b0
+	for t := 1; t < threads; t++ {
+		bounds[t] = b0.Clone()
+	}
+	return &engine{bounds: bounds, lo: 1, hi: end, sched: sched}, nil
+}
+
+// pcEnd returns the exclusive upper bound last+1 of a collapsed pc
+// range ending at last, refusing values whose +1 would wrap. Bind
+// already rejects counts beyond int64, but the int64 fast path can
+// legitimately produce math.MaxInt64 itself.
+func pcEnd(last int64) (int64, error) {
+	if last >= math.MaxInt64 {
+		return 0, fmt.Errorf("omp: collapsed pc range ending at %d overflows int64: %w",
+			last, faults.ErrOverflow)
+	}
+	return last + 1, nil
+}
+
+// startTuple recovers the tuple of rank clo into b's scratch — or copies
+// the pre-recovered start tuple for the first chunk.
+func (e *engine) startTuple(b *unrank.Bound, clo int64) ([]int64, error) {
+	idx := b.Scratch()
+	if clo == e.lo && e.start != nil {
+		copy(idx, e.start)
+		return idx, nil
+	}
+	return idx, b.Unrank(clo, idx)
+}
+
+// run executes step over every chunk. It has two instrumentation states,
+// chosen by the entry point from whether its caller asked for stats or
+// passed a registry: off (metered false) reads no clock at all;
+// chunk-granularity metering records each chunk's duration and recovery
+// time, live gauges, trace events, histograms and robustness counters on
+// tel (which may be nil) and returns the per-thread breakdown.
+func (e *engine) run(ctx context.Context, tel *telemetry.Registry, metered bool,
+	step chunkStep) (CollapsedStats, error) {
+	threads := len(e.bounds)
+	if !metered {
+		err := ParallelForChunksCtx(ctx, threads, e.lo, e.hi, e.sched, func(tid int, clo, chi int64) error {
+			b := e.bounds[tid]
+			idx, err := e.startTuple(b, clo)
+			if err != nil {
+				return err
+			}
+			return step(tid, b, clo, chi, idx)
+		})
+		return CollapsedStats{}, err
+	}
+	cs := CollapsedStats{Threads: threads, Total: e.bounds[0].Total(), PerThread: make([]ThreadStats, threads)}
+	for t := range cs.PerThread {
+		cs.PerThread[t].TID = t
+	}
+	tr := tel.Trace()
+	hist := tel.Histogram("omp.chunk_seconds", nil)
+	recHist := tel.Histogram("omp.recovery_seconds", nil)
+	live := newLiveTeam(tel, threads, e.sched.Kind)
+	published := make([]unrank.Stats, threads)
+	evName := e.sched.Kind.String()
+	runErr := ParallelForChunksCtx(ctx, threads, e.lo, e.hi, e.sched, func(tid int, clo, chi int64) error {
+		b := e.bounds[tid]
+		var startOff time.Duration
+		if tr != nil {
+			startOff = tr.Now()
+		}
+		live.chunkStart(tid, startOff)
+		t0 := time.Now()
+		idx, err := e.startTuple(b, clo)
+		if err != nil {
+			return err
+		}
+		recovery := time.Since(t0)
+		// The per-chunk recovery histogram is the autotuner's measured
+		// cost input: its p50 replaces the calibrated constant when the
+		// planner charges the §V recovery per simulated chunk.
+		recHist.Observe(recovery.Seconds())
+		if err := step(tid, b, clo, chi, idx); err != nil {
+			return err
+		}
+		busy := time.Since(t0)
+		st := &cs.PerThread[tid]
+		st.Chunks++
+		st.Iterations += chi - clo
+		st.Busy += busy
+		st.Recovery += recovery
+		hist.Observe(busy.Seconds())
+		if live != nil {
+			// Live progress: advance the per-worker gauges and publish the
+			// recovery-counter deltas of this chunk, so a mid-run scrape
+			// sees escalations and imbalance as they happen.
+			s := b.Stats()
+			live.chunkEnd(tid, chi-clo, s.Sub(published[tid]))
+			published[tid] = s
+		}
+		if tr != nil {
+			tr.Add(telemetry.Event{
+				Name: evName, Cat: "chunk", TID: tid, Start: startOff, Dur: busy,
+				Args: []telemetry.Arg{
+					{Name: "pc_lo", Value: clo},
+					{Name: "pc_hi", Value: chi},
+					{Name: "iters", Value: chi - clo},
+					{Name: "recovery_ns", Value: recovery.Nanoseconds()},
+				},
+			})
+		}
+		return nil
+	})
+	// The per-chunk path published counter deltas live; here only the
+	// remainder accrued outside chunk boundaries (e.g. during Bind) is
+	// added, so the registry totals match cs.Stats exactly without
+	// double counting. Iterations count completed chunks only, so a
+	// canceled or failed run publishes the work actually done.
+	var remainder unrank.Stats
+	var done int64
+	for t, b := range e.bounds {
+		s := b.Stats()
+		cs.PerThread[t].Unrank = s
+		cs.Stats.Add(s)
+		remainder.Add(s.Sub(published[t]))
+		done += cs.PerThread[t].Iterations
+	}
+	live.publishRemainder(remainder)
+	switch {
+	case runErr == nil:
+	case faults.AsPanic(runErr) != nil:
+		tel.Counter("omp.panics_recovered").Inc()
+	case errors.Is(runErr, faults.ErrCanceled):
+		tel.Counter("omp.cancellations").Inc()
+	}
+	tel.Counter("omp.iterations").Add(done)
+	return cs, runErr
+}
+
 // ThreadStats is the per-thread runtime record of an instrumented
-// collapsed run: how many chunks and iterations the thread executed,
-// how long it was busy, how that time splits between the once-per-chunk
-// closed-form recovery and the per-iteration lexicographic
-// incrementation, and the thread's own unranker counters.
+// collapsed run: how many chunks and iterations the thread completed,
+// how long it was busy (recovery plus incrementation plus body), how
+// much of that was the once-per-chunk closed-form recovery, and the
+// thread's own unranker counters.
 type ThreadStats struct {
 	TID        int
 	Chunks     int64
 	Iterations int64
 	Busy       time.Duration
 	Recovery   time.Duration
-	Increment  time.Duration
 	Unrank     unrank.Stats
 }
 
@@ -234,325 +412,7 @@ func (cs CollapsedStats) ImbalanceReport() telemetry.ImbalanceReport {
 			Iterations: t.Iterations,
 			Busy:       t.Busy,
 			Recovery:   t.Recovery,
-			Increment:  t.Increment,
 		}
 	}
 	return telemetry.NewImbalance(loads)
-}
-
-// RunCollapsedWithStats is CollapsedFor returning the per-thread runtime
-// breakdown and the recovery statistics aggregated across *all* workers'
-// unrankers.
-func RunCollapsedWithStats(r *core.Result, params map[string]int64, threads int, sched Schedule,
-	body func(tid int, idx []int64)) (CollapsedStats, error) {
-	return CollapsedForTelemetry(r, params, threads, sched, nil, body)
-}
-
-// CollapsedForTelemetry is the instrumented collapsed executor: it runs
-// the §V scheme like CollapsedFor while recording a per-thread chunk
-// timeline — chunk bounds, iteration count, recovery time vs increment
-// time — and aggregating each worker's unrank statistics. When tel is
-// non-nil, every chunk additionally becomes a "chunk"-category trace
-// event (named after the schedule kind) suitable for Chrome trace
-// export, and the team-wide counters are published on the registry.
-//
-// The per-iteration timing instrumentation costs two monotonic clock
-// reads per iteration; use CollapsedFor for uninstrumented runs.
-func CollapsedForTelemetry(r *core.Result, params map[string]int64, threads int, sched Schedule,
-	tel *telemetry.Registry, body func(tid int, idx []int64)) (CollapsedStats, error) {
-	return CollapsedForTelemetryCtx(nil, r, params, threads, sched, tel, body)
-}
-
-// CollapsedForTelemetryCtx is CollapsedForTelemetry with cooperative
-// cancellation at chunk boundaries. It additionally publishes the
-// robustness counters on tel: "omp.panics_recovered" (worker panics
-// captured as errors), "omp.cancellations" (runs stopped by ctx), and
-// "unrank.verifies"/"unrank.verify_escalations" (exact re-rank checks
-// and binary-search escalations of verified recovery).
-func CollapsedForTelemetryCtx(ctx context.Context, r *core.Result, params map[string]int64,
-	threads int, sched Schedule, tel *telemetry.Registry,
-	body func(tid int, idx []int64)) (CollapsedStats, error) {
-	return collapsedForInstrumented(ctx, r, params, threads, sched, tel, true, body)
-}
-
-// CollapsedForChunkTelemetryCtx is CollapsedForTelemetryCtx at chunk
-// granularity: chunk durations, recovery times, live gauges, trace
-// events and robustness counters are all still recorded, but the
-// per-iteration busy-vs-increment clock reads are skipped, so the body
-// loop runs at CollapsedFor speed (ThreadStats.Increment stays zero and
-// Busy includes incrementation). This is the executor behind the tuned
-// path, where instrumentation skew would corrupt the very measurements
-// the planner feeds on.
-func CollapsedForChunkTelemetryCtx(ctx context.Context, r *core.Result, params map[string]int64,
-	threads int, sched Schedule, tel *telemetry.Registry,
-	body func(tid int, idx []int64)) (CollapsedStats, error) {
-	return collapsedForInstrumented(ctx, r, params, threads, sched, tel, false, body)
-}
-
-// collapsedForInstrumented is the shared instrumented executor;
-// fineTiming selects per-iteration increment timing (two monotonic
-// clock reads per iteration) versus chunk-granularity timing only.
-func collapsedForInstrumented(ctx context.Context, r *core.Result, params map[string]int64,
-	threads int, sched Schedule, tel *telemetry.Registry, fineTiming bool,
-	body func(tid int, idx []int64)) (CollapsedStats, error) {
-	if threads < 1 {
-		threads = 1
-	}
-	bounds, err := bindTeam(r, params, threads)
-	if err != nil {
-		return CollapsedStats{}, err
-	}
-	total := bounds[0].Total()
-	cs := CollapsedStats{Threads: threads, Total: total, PerThread: make([]ThreadStats, threads)}
-	for t := range cs.PerThread {
-		cs.PerThread[t].TID = t
-	}
-	if total == 0 {
-		return cs, nil
-	}
-	end, err := pcEnd(total)
-	if err != nil {
-		return cs, err
-	}
-	tr := tel.Trace()
-	hist := tel.Histogram("omp.chunk_seconds", nil)
-	recHist := tel.Histogram("omp.recovery_seconds", nil)
-	live := newLiveTeam(tel, threads, sched.Kind)
-	published := make([]unrank.Stats, threads)
-	evName := sched.Kind.String()
-	runErr := ParallelForChunksCtx(ctx, threads, 1, end, sched, func(tid int, clo, chi int64) error {
-		st := &cs.PerThread[tid]
-		b := bounds[tid]
-		idx := b.Scratch()
-		var startOff time.Duration
-		if tr != nil {
-			startOff = tr.Now()
-		}
-		live.chunkStart(tid, startOff)
-		t0 := time.Now()
-		if err := b.Unrank(clo, idx); err != nil {
-			return err
-		}
-		recovery := time.Since(t0)
-		// The per-chunk recovery histogram is the autotuner's measured
-		// cost input: its p50 replaces the calibrated constant when the
-		// planner charges the §V recovery per simulated chunk.
-		recHist.Observe(recovery.Seconds())
-		var incDur time.Duration
-		var done int64
-		var chunkErr error
-		if fineTiming {
-			for pc := clo; pc < chi; pc++ {
-				body(tid, idx)
-				done++
-				if pc+1 >= chi {
-					break
-				}
-				is := time.Now()
-				ok := b.Increment(idx)
-				incDur += time.Since(is)
-				if !ok {
-					chunkErr = fmt.Errorf("omp: iteration space exhausted at pc=%d before reaching %d: %w",
-						pc, chi-1, faults.ErrRecoveryDiverged)
-					break
-				}
-			}
-		} else {
-			// Chunk granularity: hand the already-recovered start tuple to
-			// the range-batched driver — flat innermost runs, bounds
-			// re-evaluated only on outer carries — so the body loop costs
-			// the same as an uninstrumented CollapsedForRanges chunk.
-			chunkErr = core.ForRangeFrom(b, clo, chi-1, idx, func(pc int64, ix []int64) {
-				body(tid, ix)
-				done++
-			})
-		}
-		busy := time.Since(t0)
-		st.Chunks++
-		st.Iterations += done
-		st.Busy += busy
-		st.Recovery += recovery
-		st.Increment += incDur
-		hist.Observe(busy.Seconds())
-		if live != nil {
-			// Live progress: advance the per-worker gauges and publish the
-			// recovery-counter deltas of this chunk, so a mid-run scrape
-			// sees escalations and imbalance as they happen.
-			s := b.Stats()
-			live.chunkEnd(tid, done, s.Sub(published[tid]))
-			published[tid] = s
-		}
-		if tr != nil {
-			tr.Add(telemetry.Event{
-				Name: evName, Cat: "chunk", TID: tid, Start: startOff, Dur: busy,
-				Args: []telemetry.Arg{
-					{Name: "pc_lo", Value: clo},
-					{Name: "pc_hi", Value: chi},
-					{Name: "iters", Value: done},
-					{Name: "recovery_ns", Value: recovery.Nanoseconds()},
-					{Name: "increment_ns", Value: incDur.Nanoseconds()},
-				},
-			})
-		}
-		return chunkErr
-	})
-	// The per-chunk path published counter deltas live; here only the
-	// remainder accrued outside chunk boundaries (e.g. during Bind) is
-	// added, so the registry totals match cs.Stats exactly without
-	// double counting.
-	var remainder unrank.Stats
-	for t, b := range bounds {
-		s := b.Stats()
-		cs.PerThread[t].Unrank = s
-		cs.Stats.Add(s)
-		remainder.Add(s.Sub(published[t]))
-	}
-	live.publishRemainder(remainder)
-	if runErr != nil {
-		switch {
-		case faults.AsPanic(runErr) != nil:
-			tel.Counter("omp.panics_recovered").Inc()
-		case errors.Is(runErr, faults.ErrCanceled):
-			tel.Counter("omp.cancellations").Inc()
-		}
-	}
-	tel.Counter("omp.iterations").Add(total)
-	return cs, runErr
-}
-
-// CollapsedForSIMD executes the collapsed space with the §VI.A
-// vectorization scheme: each thread recovers its first tuple once, then
-// repeatedly materialises batches of up to vlength consecutive tuples
-// through unrank.RecoverBatchSeeded — the batched entry point rides its
-// incrementation fast path for consecutive ranks, so the cost profile is
-// the paper's (one costly recovery per thread, one cheap advance per
-// iteration) while the whole batch lands in the thread-private array T
-// in one call, which body consumes as the "#pragma omp simd" loop.
-func CollapsedForSIMD(r *core.Result, params map[string]int64, threads, vlength int,
-	body func(tid int, batch [][]int64)) error {
-	if vlength < 1 {
-		vlength = 1
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	bounds, err := bindTeam(r, params, threads)
-	if err != nil {
-		return err
-	}
-	total := bounds[0].Total()
-	if total == 0 {
-		return nil
-	}
-	end, err := pcEnd(total)
-	if err != nil {
-		return err
-	}
-	depth := r.C
-	return ParallelForChunksCtx(nil, threads, 1, end, Schedule{Kind: Static},
-		func(tid int, clo, chi int64) error {
-			b := bounds[tid]
-			// Pre-allocate the thread-private tuple array T[vlength].
-			backing := make([]int64, vlength*depth)
-			batch := make([][]int64, vlength)
-			for v := range batch {
-				batch[v] = backing[v*depth : (v+1)*depth]
-			}
-			pcs := make([]int64, vlength)
-			cur := make([]int64, depth)
-			if err := b.Unrank(clo, cur); err != nil {
-				return err
-			}
-			curPC := clo
-			for pc := clo; pc < chi; {
-				nb := 0
-				for v := 0; v < vlength && pc+int64(v) < chi; v++ {
-					pcs[v] = pc + int64(v)
-					nb++
-				}
-				if err := b.RecoverBatchSeeded(curPC, cur, pcs[:nb], batch[:nb]); err != nil {
-					return err
-				}
-				body(tid, batch[:nb])
-				copy(cur, batch[nb-1])
-				curPC = pcs[nb-1]
-				pc += int64(nb)
-			}
-			return nil
-		})
-}
-
-// CollapsedForWarp executes the collapsed space with the §VI.B GPU-warp
-// scheme: W lanes run concurrently; lane w executes iterations pc = w+1,
-// w+1+W, w+1+2W, … The W lane-start tuples are recovered in a single
-// batched pass (consecutive ranks, so the batch costs one full recovery
-// plus W−1 incrementations) before the lanes spawn; each lane then
-// advances by W lexicographic incrementations between iterations,
-// achieving the coalesced-access distribution of the paper.
-func CollapsedForWarp(r *core.Result, params map[string]int64, W int,
-	body func(lane int, pc int64, idx []int64)) error {
-	if W < 1 {
-		W = 1
-	}
-	bounds, err := bindTeam(r, params, W)
-	if err != nil {
-		return err
-	}
-	total := bounds[0].Total()
-	if total > math.MaxInt64-int64(W) {
-		// Lane strides pc += W would wrap past MaxInt64 near the end.
-		return fmt.Errorf("omp: collapsed total %d overflows the warp stride: %w",
-			total, faults.ErrOverflow)
-	}
-	// Batch-recover the W lane starts (pcs 1..W) in one pass before the
-	// lanes spawn: consecutive ranks ride RecoverBatch's incrementation
-	// fast path, so the whole warp pays a single full recovery instead of
-	// one per lane.
-	nlanes := int64(W)
-	if total < nlanes {
-		nlanes = total
-	}
-	startPCs := make([]int64, nlanes)
-	startBacking := make([]int64, int(nlanes)*r.C)
-	starts := make([][]int64, nlanes)
-	for w := range starts {
-		startPCs[w] = int64(w) + 1
-		starts[w] = startBacking[w*r.C : (w+1)*r.C]
-	}
-	if err := bounds[0].RecoverBatch(startPCs, starts); err != nil {
-		return err
-	}
-	var wg sync.WaitGroup
-	var firstErr error
-	var errOnce sync.Once
-	for lane := 0; lane < W; lane++ {
-		wg.Add(1)
-		go func(lane int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errOnce.Do(func() {
-						firstErr = fmt.Errorf("omp: warp lane %d: %w", lane, faults.Recovered(r))
-					})
-				}
-			}()
-			b := bounds[lane]
-			start := int64(lane) + 1
-			if start > total {
-				return
-			}
-			idx := make([]int64, r.C)
-			copy(idx, starts[lane])
-			for pc := start; pc <= total; pc += int64(W) {
-				body(lane, pc, idx)
-				for inc := 0; inc < W && pc+int64(inc) < total; inc++ {
-					if !b.Increment(idx) {
-						break
-					}
-				}
-			}
-		}(lane)
-	}
-	wg.Wait()
-	return firstErr
 }

@@ -1,11 +1,16 @@
 package omp
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/nest"
 	"repro/internal/telemetry"
 	"repro/internal/unrank"
@@ -31,7 +36,7 @@ func TestLiveProgressGauges(t *testing.T) {
 	tel := telemetry.New()
 	res := liveResult(t)
 	threads := 4
-	cs, err := CollapsedForTelemetry(res, map[string]int64{"N": 60}, threads,
+	cs, err := CollapsedForChunkTelemetryCtx(nil, res, map[string]int64{"N": 60}, threads,
 		Schedule{Kind: StaticChunk, Chunk: 37}, tel, func(tid int, idx []int64) {})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +83,7 @@ func TestLiveGaugesMidRun(t *testing.T) {
 	var midIters int64
 	threads := 2
 	sched := StaticChunk.String()
-	_, err := CollapsedForTelemetry(res, map[string]int64{"N": 120}, threads,
+	_, err := CollapsedForChunkTelemetryCtx(nil, res, map[string]int64{"N": 120}, threads,
 		Schedule{Kind: StaticChunk, Chunk: 16}, tel, func(tid int, idx []int64) {
 			if idx[0] > 60 && scraped.CompareAndSwap(false, true) {
 				snap := tel.Snapshot()
@@ -117,5 +122,84 @@ func TestRangesLiveGauges(t *testing.T) {
 	want := snap.Counters["omp.iterations"]
 	if want == 0 || iters != want {
 		t.Errorf("per-worker live iterations %d, want omp.iterations %d (nonzero)", iters, want)
+	}
+}
+
+// TestFailedRunCountsCompletedWork stops metered runs of both chunk
+// steps mid-run — by cancellation and by a body panic — and checks that
+// every iteration counter reports the same completed work:
+// "omp.iterations", the per-thread breakdown and the live
+// omp.worker_iterations series, plus the matching robustness counter.
+func TestFailedRunCountsCompletedWork(t *testing.T) {
+	res := liveResult(t)
+	params := map[string]int64{"N": 60}
+	sched := Schedule{Kind: Dynamic, Chunk: 16}
+	const threads = 2
+	type runner func(ctx context.Context, tel *telemetry.Registry, hit func(n int64)) (CollapsedStats, error)
+	paths := map[string]runner{
+		"tuple": func(ctx context.Context, tel *telemetry.Registry, hit func(int64)) (CollapsedStats, error) {
+			return CollapsedForChunkTelemetryCtx(ctx, res, params, threads, sched, tel,
+				func(int, []int64) { hit(1) })
+		},
+		"ranges": func(ctx context.Context, tel *telemetry.Registry, hit func(int64)) (CollapsedStats, error) {
+			e, err := newEngine(res, params, threads, sched)
+			if err != nil {
+				return CollapsedStats{}, err
+			}
+			return e.run(ctx, tel, true, rangeStep(nil, func(_ int, _ int64, _ []int64, lo, hi int64) {
+				hit(hi - lo)
+			}))
+		},
+	}
+	for name, run := range paths {
+		for _, failure := range []string{"cancel", "panic"} {
+			tel := telemetry.New()
+			ctx, cancel := context.WithCancel(context.Background())
+			var seen atomic.Int64
+			var once sync.Once
+			// Fail once the team is past its first chunk's worth of work.
+			cs, err := run(ctx, tel, func(n int64) {
+				if seen.Add(n) > sched.Chunk {
+					once.Do(func() {
+						if failure == "cancel" {
+							cancel()
+							return
+						}
+						panic("injected body panic")
+					})
+				}
+			})
+			cancel()
+			label := name + "/" + failure
+			counter := "omp.cancellations"
+			if failure == "panic" {
+				counter = "omp.panics_recovered"
+				if faults.AsPanic(err) == nil {
+					t.Fatalf("%s: err = %v, want a panic error", label, err)
+				}
+			} else if !errors.Is(err, faults.ErrCanceled) {
+				t.Fatalf("%s: err = %v, want canceled", label, err)
+			}
+			snap := tel.Snapshot()
+			if got := snap.Counters[counter]; got != 1 {
+				t.Errorf("%s: %s = %d, want 1", label, counter, got)
+			}
+			var perThread, live int64
+			for _, st := range cs.PerThread {
+				perThread += st.Iterations
+			}
+			for k, v := range snap.Counters {
+				if strings.HasPrefix(k, "omp.worker_iterations{") {
+					live += v
+				}
+			}
+			if perThread <= 0 || perThread >= cs.Total {
+				t.Errorf("%s: %d of %d iterations completed, want a strict nonzero prefix", label, perThread, cs.Total)
+			}
+			if got := snap.Counters["omp.iterations"]; got != perThread || live != perThread {
+				t.Errorf("%s: omp.iterations = %d, worker series sum = %d, per-thread sum = %d; want all equal",
+					label, got, live, perThread)
+			}
+		}
 	}
 }

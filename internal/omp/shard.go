@@ -15,12 +15,13 @@ import (
 // trivial bodies, large enough that the §V recovery amortizes.
 const DefaultShardChunk = 4096
 
-// ShardForCtx executes the collapsed ranks [pcLo, pcHi] (inclusive) on
-// the worker-private bound b — the shard-level execution hook the dist
-// coordinator's executors run on. The shard is processed in internal
-// chunks of `chunk` iterations (DefaultShardChunk when <= 0), each chunk
-// driven by the §V engine (one costly recovery per chunk, lexicographic
-// advance within), with three guarantees:
+// ShardForCtxFrom executes the collapsed ranks [pcLo, pcHi] (inclusive)
+// on the worker-private bound b — the shard-level execution hook the
+// dist coordinator's executors run on. The shard is processed by the
+// collapsed engine as a one-worker team over internal chunks of `chunk`
+// iterations (DefaultShardChunk when <= 0), each chunk driven by the §V
+// scheme (one costly recovery per chunk, lexicographic advance within),
+// with three guarantees:
 //
 //   - ctx is checked at every chunk boundary, so a canceled context —
 //     including a lease the coordinator revoked with
@@ -33,25 +34,21 @@ const DefaultShardChunk = 4096
 //     returned as a *faults.PanicError: an executor crash mid-shard
 //     costs the attempt, never the process.
 //
+// When start is non-nil it must be the exact iteration tuple of rank
+// pcLo (typically produced by a coordinator batch-recovering all
+// planned shard starts with unrank.Bound.RecoverBatch), and the first
+// chunk skips its §V recovery entirely — the shard begins at pure
+// incrementation cost. start is read-only.
+//
 // An active fault-injection plan is consulted once per shard
-// (faults.InjectShard) and once per chunk (faults.InjectChunk), so chaos
-// harnesses can kill, stall or fail attempts at exact coordinates.
+// (faults.InjectShard) and once per chunk (faults.InjectChunk, with the
+// team-local worker id 0), so chaos harnesses can kill, stall or fail
+// attempts at exact coordinates.
 //
 // done reports the iterations completed in full before the error (0 on
 // a clean run's completion means an empty shard). Effects of a failed
 // attempt are the caller's to discard: the §V engine has already invoked
 // body for the completed prefix.
-func ShardForCtx(ctx context.Context, worker int, b *unrank.Bound, pcLo, pcHi, chunk int64,
-	progress func(done int64), body func(pc int64, idx []int64)) (done int64, err error) {
-	return ShardForCtxFrom(ctx, worker, b, nil, pcLo, pcHi, chunk, progress, body)
-}
-
-// ShardForCtxFrom is ShardForCtx with a pre-recovered start tuple: when
-// start is non-nil it must be the exact iteration tuple of rank pcLo
-// (typically produced by a coordinator batch-recovering all planned
-// shard starts with unrank.Bound.RecoverBatch), and the first internal
-// chunk skips its §V recovery entirely — the shard begins at pure
-// incrementation cost. A nil start is ShardForCtx. start is read-only.
 func ShardForCtxFrom(ctx context.Context, worker int, b *unrank.Bound, start []int64,
 	pcLo, pcHi, chunk int64,
 	progress func(done int64), body func(pc int64, idx []int64)) (done int64, err error) {
@@ -61,6 +58,13 @@ func ShardForCtxFrom(ctx context.Context, worker int, b *unrank.Bound, start []i
 	if chunk <= 0 {
 		chunk = DefaultShardChunk
 	}
+	end, err := pcEnd(pcHi)
+	if err != nil {
+		return 0, err
+	}
+	if start != nil && len(start) != b.Depth() {
+		return 0, fmt.Errorf("omp: shard start tuple has length %d, want %d", len(start), b.Depth())
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("omp: shard executor %d: %w", worker, faults.Recovered(r))
@@ -69,36 +73,17 @@ func ShardForCtxFrom(ctx context.Context, worker int, b *unrank.Bound, start []i
 	if err := faults.InjectShard(worker, pcLo, pcHi); err != nil {
 		return 0, fmt.Errorf("omp: injected fault at shard [%d,%d]: %w", pcLo, pcHi, err)
 	}
-	for clo := pcLo; ; {
-		if ctx != nil {
-			select {
-			case <-ctx.Done():
-				return done, canceled(ctx)
-			default:
-			}
+	e := &engine{bounds: []*unrank.Bound{b}, lo: pcLo, hi: end, start: start,
+		sched: Schedule{Kind: Dynamic, Chunk: chunk}}
+	_, err = e.run(ctx, nil, false, func(_ int, b *unrank.Bound, clo, chi int64, idx []int64) error {
+		if err := core.ForRangeFrom(b, clo, chi-1, idx, body); err != nil {
+			return err
 		}
-		chi := clo + chunk - 1
-		if chi > pcHi || chi < clo { // clo+chunk overflow saturates at pcHi
-			chi = pcHi
-		}
-		if err := faults.InjectChunk(worker, clo, chi+1); err != nil {
-			return done, fmt.Errorf("omp: injected fault at chunk [%d,%d]: %w", clo, chi, err)
-		}
-		if clo == pcLo && start != nil {
-			err = core.ForRangeFrom(b, clo, chi, start, body)
-		} else {
-			err = core.ForRange(b, clo, chi, body)
-		}
-		if err != nil {
-			return done, err
-		}
-		done += chi - clo + 1
+		done += chi - clo
 		if progress != nil {
 			progress(done)
 		}
-		if chi == pcHi {
-			return done, nil
-		}
-		clo = chi + 1
-	}
+		return nil
+	})
+	return done, err
 }

@@ -321,7 +321,7 @@ func runParallel(res *core.Result, params map[string]int64, threads int,
 	sched omp.Schedule) ([][]int64, omp.CollapsedStats, error) {
 	var mu sync.Mutex
 	var got [][]int64
-	cs, err := omp.RunCollapsedWithStats(res, params, threads, sched, func(tid int, idx []int64) {
+	cs, err := omp.CollapsedForChunkTelemetryCtx(nil, res, params, threads, sched, nil, func(tid int, idx []int64) {
 		cp := append([]int64(nil), idx...)
 		mu.Lock()
 		got = append(got, cp)

@@ -30,32 +30,7 @@ import (
 // in Unrank; copy- and increment-derived tuples are exact by
 // construction and skip the check. Errors follow Unrank's contract
 // (typed validation errors, faults.ErrOverflow, ErrRecoveryDiverged).
-func (b *Bound) RecoverBatch(pcs []int64, out [][]int64) error {
-	return b.recoverBatch(0, nil, pcs, out)
-}
-
-// RecoverBatchSeeded is RecoverBatch continuing from an already
-// recovered tuple: seed must be the exact iteration tuple of rank
-// seedPC (typically the tail of a previous batch), and pcs[0] must not
-// precede seedPC. The first element then rides the same copy /
-// increment / shared-descent fast paths as the rest of the batch
-// instead of paying a full ladder recovery — this is what lets the
-// §VI.A SIMD driver materialise consecutive batches at pure
-// incrementation cost. seed is read, never written.
-func (b *Bound) RecoverBatchSeeded(seedPC int64, seed []int64, pcs []int64, out [][]int64) error {
-	if len(seed) != b.depth {
-		return fmt.Errorf("unrank: batch: seed tuple has length %d, want %d", len(seed), b.depth)
-	}
-	if seedPC < 1 || seedPC > b.total {
-		return fmt.Errorf("unrank: batch: seed pc = %d out of range 1..%d", seedPC, b.total)
-	}
-	if len(pcs) > 0 && pcs[0] < seedPC {
-		return fmt.Errorf("unrank: batch: pcs[0] = %d precedes seed pc %d", pcs[0], seedPC)
-	}
-	return b.recoverBatch(seedPC, seed, pcs, out)
-}
-
-func (b *Bound) recoverBatch(prevPC int64, prev []int64, pcs []int64, out [][]int64) (err error) {
+func (b *Bound) RecoverBatch(pcs []int64, out [][]int64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if e, ok := r.(error); ok && errors.Is(e, faults.ErrOverflow) {
@@ -80,6 +55,8 @@ func (b *Bound) recoverBatch(prevPC int64, prev []int64, pcs []int64, out [][]in
 			return fmt.Errorf("unrank: batch: pcs not ascending at %d (%d after %d)", i, pc, pcs[i-1])
 		}
 	}
+	var prev []int64
+	var prevPC int64
 	for i, pc := range pcs {
 		idx := out[i]
 		if prev == nil {

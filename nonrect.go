@@ -115,7 +115,7 @@ func NewTelemetry() *Telemetry { return telemetry.New() }
 
 // CollapsedStats is the per-run runtime record of an instrumented
 // collapsed execution: team-wide recovery counters plus the per-thread
-// breakdown (chunks, iterations, busy/recovery/increment time).
+// breakdown (chunks, iterations, busy and recovery time).
 type CollapsedStats = omp.CollapsedStats
 
 // ThreadStats is one thread's row of CollapsedStats.PerThread.
@@ -141,8 +141,9 @@ func buildConfig(opts []Option) config {
 
 // WithTelemetry attaches a telemetry registry: Collapse/CollapseAt emit
 // compile-pipeline phase spans, and CollapsedFor/ParallelFor record a
-// per-thread chunk timeline plus recovery counters. A nil registry (or
-// omitting the option) leaves every hot path uninstrumented.
+// per-thread chunk timeline plus recovery counters, timed at chunk
+// granularity only. A nil registry (or omitting the option) leaves
+// every hot path uninstrumented.
 func WithTelemetry(t *Telemetry) Option {
 	return func(c *config) { c.tel = t }
 }
@@ -261,15 +262,11 @@ func CollapseAt(n *Nest, from, c int, opts ...Option) (*Result, error) {
 // CollapsedFor executes the collapsed iteration space on a goroutine
 // team with the §V once-per-chunk recovery scheme. body receives the
 // worker id and the recovered original indices (slice reused per
-// worker).
+// worker). WithTelemetry instruments the run at chunk granularity (see
+// CollapsedForStats); nothing is timed inside a chunk.
 func CollapsedFor(res *Result, params map[string]int64, threads int, sched Schedule,
 	body func(tid int, idx []int64), opts ...Option) error {
-	cfg := buildConfig(opts)
-	if cfg.tel == nil {
-		return omp.CollapsedFor(res, params, threads, sched, body)
-	}
-	_, err := omp.CollapsedForTelemetry(res, params, threads, sched, cfg.tel, body)
-	return err
+	return CollapsedForCtx(nil, res, params, threads, sched, body, opts...)
 }
 
 // CollapsedForCtx is CollapsedFor with cooperative cancellation: ctx is
@@ -283,7 +280,7 @@ func CollapsedForCtx(ctx context.Context, res *Result, params map[string]int64, 
 	if cfg.tel == nil {
 		return omp.CollapsedForCtx(ctx, res, params, threads, sched, body)
 	}
-	_, err := omp.CollapsedForTelemetryCtx(ctx, res, params, threads, sched, cfg.tel, body)
+	_, err := omp.CollapsedForChunkTelemetryCtx(ctx, res, params, threads, sched, cfg.tel, body)
 	return err
 }
 
@@ -392,13 +389,15 @@ func CollapsedForTuned(ctx context.Context, tuner *Tuner, res *Result, params ma
 }
 
 // CollapsedForStats is CollapsedFor returning the per-thread runtime
-// breakdown (chunks, iterations, recovery vs increment time, unrank
-// counters); pass WithTelemetry to additionally record the chunk
-// timeline as trace events.
+// breakdown (chunks, iterations, busy and recovery time, unrank
+// counters), measured at chunk granularity: each chunk's duration and
+// its once-per-chunk recovery are timed, the iterations inside it are
+// not. Pass WithTelemetry to additionally record the chunk timeline as
+// trace events and publish the run's counters.
 func CollapsedForStats(res *Result, params map[string]int64, threads int, sched Schedule,
 	body func(tid int, idx []int64), opts ...Option) (CollapsedStats, error) {
 	cfg := buildConfig(opts)
-	return omp.CollapsedForTelemetry(res, params, threads, sched, cfg.tel, body)
+	return omp.CollapsedForChunkTelemetryCtx(nil, res, params, threads, sched, cfg.tel, body)
 }
 
 // RangeStats is the range-batched engine's event record: flat innermost
@@ -423,13 +422,6 @@ func CollapsedForRanges(res *Result, params map[string]int64, threads int, sched
 	}
 	_, err := omp.CollapsedForRangesStats(res, params, threads, sched, cfg.tel, body)
 	return err
-}
-
-// CollapsedForRangesCtx is CollapsedForRanges with cooperative
-// cancellation checked at chunk boundaries (never inside a run).
-func CollapsedForRangesCtx(ctx context.Context, res *Result, params map[string]int64,
-	threads int, sched Schedule, body func(tid int, pc int64, prefix []int64, lo, hi int64)) error {
-	return omp.CollapsedForRangesCtx(ctx, res, params, threads, sched, body)
 }
 
 // CollapsedForSIMD executes the collapsed space with the §VI.A batch
