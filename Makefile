@@ -6,9 +6,12 @@ GO ?= go
 
 all: build test
 
+# perfbench is a nested module that `./...` skips; it is built here too
+# so an API change that breaks only the benchmark fails the build.
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	cd perfbench && $(PERFBENCH_ENV) $(GO) build -o /dev/null ./...
 
 test:
 	$(GO) test ./...
@@ -164,8 +167,9 @@ autotunegate-baseline:
 	$(GO) run ./cmd/benchfig -fig autotune -json $(AUTOTUNE_BASELINE)
 
 # Differential stress soak: seedable random nests through every
-# schedule and every precision-ladder tier, with fault injection,
-# diffing visit sets against sequential enumeration.
+# schedule and every recovery mode (float64 → exact search, table →
+# exact search, exact search alone), with fault injection, diffing
+# visit sets against sequential enumeration.
 STRESS_SEEDS ?= 12
 
 stress:
@@ -198,7 +202,7 @@ scaling:
 
 # Short fuzzing sessions over every fuzz target: the two parsers, the
 # poly compiler, the whole-pipeline rank/unrank round trip, the
-# generated-nest precision-ladder differential, and the cache signature's
+# generated-nest recovery-mode differential, and the cache signature's
 # alpha-renaming invariance.
 FUZZTIME ?= 10s
 

@@ -25,8 +25,8 @@
 //	           the recovery statistics of the run
 //	-stats     execute the collapsed nest on the goroutine runtime and
 //	           print compile-pipeline phase times, per-thread iteration
-//	           counts, recovery/correction counters (including the
-//	           precision-ladder escalations prec128/prec256 and exact
+//	           counts, recovery/correction counters (float64 radical
+//	           evaluations, fallbacks to exact search, searches and exact
 //	           big-integer evaluation paths), a load-imbalance summary,
 //	           and the collapse-cache record (cold compile vs warm hit
 //	           times, hits/misses counters)

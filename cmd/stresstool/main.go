@@ -1,14 +1,15 @@
 // Command stresstool runs the differential stress harness of
 // internal/stress: it generates seedable random affine nests
 // (rectangular, triangular, shifted) and checks that every parallel
-// execution — all four OpenMP-style schedules, every rung of the
-// unranker's precision ladder, optionally with injected root faults —
-// visits exactly the sequential iteration set.
+// execution — all four OpenMP-style schedules, every recovery mode of
+// the unranker (float64 → exact search, table → exact search, exact
+// search alone), optionally with injected root faults — visits exactly
+// the sequential iteration set.
 //
 //	stresstool -seeds 16 -threads 4 -faults
 //
 // The tool exits non-zero on the first divergence, printing the seed,
-// schedule and tier that produced it; reproduce a failure by rerunning
+// schedule and mode that produced it; reproduce a failure by rerunning
 // with -start set to the reported seed and -seeds 1.
 package main
 

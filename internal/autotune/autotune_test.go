@@ -285,13 +285,20 @@ func TestCollapsedForConcurrent(t *testing.T) {
 
 func TestRecoveryP50OverridesSampling(t *testing.T) {
 	tel := telemetry.New()
-	h := tel.Histogram("omp.recovery_seconds", nil)
-	for i := 0; i < 2*minRecoveryObservations; i++ {
-		h.Observe(1e-5)
+	res := triangular(t)
+	params := map[string]int64{"N": 50}
+	// Fill the histogram the way production does: one instrumented
+	// collapsed run on the same registry, one observation per chunk.
+	sched := omp.Schedule{Kind: omp.Dynamic, Chunk: 8}
+	if _, err := omp.CollapsedForChunkTelemetryCtx(context.Background(), res, params, 2, sched, tel,
+		func(int, []int64) {}); err != nil {
+		t.Fatal(err)
+	}
+	if n := tel.Snapshot().Histograms[omp.RecoverySecondsMetric].Count; n < 2*minRecoveryObservations {
+		t.Fatalf("instrumented run observed %d recoveries, want >= %d", n, 2*minRecoveryObservations)
 	}
 	tuner := New(Options{Registry: tel})
-	res := triangular(t)
-	p, _, err := tuner.Plan(res, map[string]int64{"N": 50})
+	p, _, err := tuner.Plan(res, params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,14 +99,14 @@ func measureRecovery(b *unrank.Bound, c int, total int64) float64 {
 }
 
 // recoveryP50 returns the p50 of the live per-chunk recovery histogram
-// ("omp.recovery_seconds", observed by the instrumented collapsed
-// executors) when it has enough observations, else (0, false).
+// (omp.RecoverySecondsMetric, observed by the instrumented collapsed
+// executor) when it has enough observations, else (0, false).
 func recoveryP50(reg *telemetry.Registry) (float64, bool) {
 	if reg == nil {
 		return 0, false
 	}
 	snap := reg.Snapshot()
-	h, ok := snap.Histograms["omp.recovery_seconds"]
+	h, ok := snap.Histograms[omp.RecoverySecondsMetric]
 	if !ok || h.Count < minRecoveryObservations {
 		return 0, false
 	}

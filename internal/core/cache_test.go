@@ -45,7 +45,7 @@ func TestNestSignatureAlphaInvariance(t *testing.T) {
 		t.Error("different shapes share a signature")
 	}
 	// Explicit defaults and the zero value are the same problem.
-	if s7, _ := NestSignature(correlation3(), 2, unrank.Options{MaxEnum: 4096, MaxCorrection: 8}); s7 != s1 {
+	if s7, _ := NestSignature(correlation3(), 2, unrank.Options{TableMaxEntries: 4096}); s7 != s1 {
 		t.Error("explicit defaults sign differently from the zero value")
 	}
 	// Custom selection samples are not canonicalizable.

@@ -15,8 +15,8 @@ import (
 // α-renaming — parameters become p0, p1, … in declaration order and
 // iterators i0, i1, … outermost-first — after which the bound polynomials
 // render deterministically (poly.String orders monomials canonically).
-// Options that shape the compiled artifact (mode, verification, start
-// tier, correction and enumeration budgets) are part of the signature;
+// Options that shape the compiled artifact (mode, verification, table
+// size cap) are part of the signature, after unrank's own normalization;
 // CompileWorkers is not, because it changes only how the artifact is
 // built, never what is built.
 //
@@ -33,23 +33,7 @@ func NestSignature(n *nest.Nest, c int, opts unrank.Options) (sig string, ok boo
 	if c < 1 || c > n.Depth() {
 		return "", false
 	}
-	// Mirror unrank.New's defaulting so the zero value and the explicit
-	// default produce the same signature.
-	if opts.MaxEnum <= 0 {
-		opts.MaxEnum = 4096
-	}
-	if opts.MaxCorrection <= 0 {
-		opts.MaxCorrection = 8
-	}
-	if opts.TableMaxEntries <= 0 {
-		opts.TableMaxEntries = 4096
-	}
-	if opts.TableMaxEntries < 64 {
-		opts.TableMaxEntries = 64
-	}
-	if opts.TableMaxEntries > 1<<20 {
-		opts.TableMaxEntries = 1 << 20
-	}
+	opts = opts.Normalized()
 	m := make(map[string]string, len(n.Params)+c)
 	for i, p := range n.Params {
 		m[p] = fmt.Sprintf("p%d", i)
@@ -58,9 +42,8 @@ func NestSignature(n *nest.Nest, c int, opts unrank.Options) (sig string, ok boo
 		m[l.Index] = fmt.Sprintf("i%d", i)
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "v2|np=%d|c=%d|mode=%d|verify=%t|tier=%d|corr=%d|enum=%d|tbl=%d",
-		len(n.Params), c, opts.Mode, opts.Verify, opts.StartTier,
-		opts.MaxCorrection, opts.MaxEnum, opts.TableMaxEntries)
+	fmt.Fprintf(&b, "v3|np=%d|c=%d|mode=%d|verify=%t|tbl=%d",
+		len(n.Params), c, opts.Mode, opts.Verify, opts.TableMaxEntries)
 	for _, l := range n.Loops[:c] {
 		b.WriteString("|[")
 		b.WriteString(l.Lower.Rename(m).String())

@@ -87,6 +87,12 @@ func CollapsedForRangesStats(r *core.Result, params map[string]int64, threads in
 	return agg, runErr
 }
 
+// RecoverySecondsMetric names the histogram into which the instrumented
+// collapsed executor observes each chunk's index-recovery time. The
+// autotune planner reads its p50 back as live calibration, so writer
+// and reader share this one name.
+const RecoverySecondsMetric = "omp.recovery_seconds"
+
 // CollapsedForChunkTelemetryCtx is the instrumented collapsed executor:
 // it runs the §V scheme like CollapsedForCtx while recording, per chunk,
 // its duration, its recovery time, the live per-worker gauges and the
@@ -295,7 +301,7 @@ func (e *engine) run(ctx context.Context, tel *telemetry.Registry, metered bool,
 	}
 	tr := tel.Trace()
 	hist := tel.Histogram("omp.chunk_seconds", nil)
-	recHist := tel.Histogram("omp.recovery_seconds", nil)
+	recHist := tel.Histogram(RecoverySecondsMetric, nil)
 	live := newLiveTeam(tel, threads, e.sched.Kind)
 	published := make([]unrank.Stats, threads)
 	evName := e.sched.Kind.String()

@@ -93,8 +93,7 @@ func (l *liveTeam) publishRemainder(d unrank.Stats) {
 // per-chunk publication costs only atomic adds.
 type unrankCounters struct {
 	rootEvals, corrections, fallbacks, searches *telemetry.Counter
-	verifies, escalations                       *telemetry.Counter
-	prec128, prec256, bigint                    *telemetry.Counter
+	verifies, escalations, bigint               *telemetry.Counter
 	tableLookups, tableCorrections, batches     *telemetry.Counter
 }
 
@@ -109,8 +108,6 @@ func newUnrankCounters(tel *telemetry.Registry) *unrankCounters {
 		searches:    tel.Counter("unrank.searches"),
 		verifies:    tel.Counter("unrank.verifies"),
 		escalations: tel.Counter("unrank.verify_escalations"),
-		prec128:     tel.Counter("unrank.escalations_prec128"),
-		prec256:     tel.Counter("unrank.escalations_prec256"),
 		bigint:      tel.Counter("unrank.bigint_paths"),
 
 		tableLookups:     tel.Counter("unrank.table_lookups"),
@@ -131,8 +128,6 @@ func (u *unrankCounters) publish(d unrank.Stats) {
 	u.searches.Add(d.Searches)
 	u.verifies.Add(d.Verifies)
 	u.escalations.Add(d.Escalations)
-	u.prec128.Add(d.EscalationsPrec128)
-	u.prec256.Add(d.EscalationsPrec256)
 	u.bigint.Add(d.BigIntPaths)
 	u.tableLookups.Add(d.TableLookups)
 	u.tableCorrections.Add(d.TableCorrections)

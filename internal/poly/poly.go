@@ -13,8 +13,8 @@
 // per-monomial maps. Coefficient arithmetic takes an overflow-checked
 // int64 fast path when both operands are small integers, which they are
 // for almost every intermediate of Faulhaber summation. The previous
-// string-keyed map representation is preserved verbatim in legacy.go as
-// the differential-testing oracle.
+// string-keyed map representation is preserved verbatim in
+// legacy_test.go as the differential-testing oracle.
 //
 // A Poly is immutable from the caller's point of view: all operations
 // return fresh values.

@@ -2,14 +2,13 @@
 // collapsed-loop pipeline. It generates random affine nests —
 // rectangular, triangular and shifted-triangular shapes like the
 // paper's §VII kernels — and checks that every parallel execution
-// (all four schedules plus the autotuned "auto" path, every rung of
-// the unranker's precision ladder, with and without injected root
-// faults) visits exactly the iteration set of plain sequential
-// enumeration.
+// (all four schedules plus the autotuned "auto" path, every recovery
+// mode of the unranker, with and without injected root faults) visits
+// exactly the iteration set of plain sequential enumeration.
 //
 // The harness is the repository's strongest end-to-end oracle: it does
-// not trust the ranking polynomial, the radical roots, the precision
-// ladder or the scheduler individually, only the final visit sets,
+// not trust the ranking polynomial, the radical roots, the breakpoint
+// tables or the scheduler individually, only the final visit sets,
 // compared exactly.
 package stress
 
@@ -144,36 +143,19 @@ func Schedules() []omp.Schedule {
 	}
 }
 
-// Tiers is the precision-ladder sweep: each run forces recovery to
-// begin at one rung (TierTable recovers from precomputed breakpoint
-// tables; TierExact degenerates to pure binary search).
-func Tiers() []unrank.Tier {
-	return []unrank.Tier{unrank.TierFloat64, unrank.TierPrec128, unrank.TierPrec256,
-		unrank.TierTable, unrank.TierExact}
-}
-
-// Variant is one recovery configuration of the differential sweep.
-type Variant struct {
-	Name string
-	Opts unrank.Options
-}
-
-// Variants is the recovery-configuration sweep: recovery forced to
-// begin at each ladder rung, plus the pure breakpoint-table mode
-// (ModeTable — no symbolic root selection at all, the same compile
-// path CollapsedForAuto retries degree>4 nests on).
-func Variants() []Variant {
-	var vs []Variant
-	for _, t := range Tiers() {
-		vs = append(vs, Variant{Name: fmt.Sprintf("tier=%v", t), Opts: unrank.Options{StartTier: t}})
-	}
-	return append(vs, Variant{Name: "mode=table", Opts: unrank.Options{Mode: unrank.ModeTable}})
+// Modes is the recovery sweep, one run per mode: the float64 radical
+// with exact-search fallback (closed form), the breakpoint table with
+// exact-search fallback (no symbolic root selection at all, the same
+// compile path CollapsedForAuto retries degree>4 nests on), and pure
+// exact search.
+func Modes() []unrank.Mode {
+	return []unrank.Mode{unrank.ModeClosedForm, unrank.ModeTable, unrank.ModeBinarySearch}
 }
 
 // RunStats aggregates a differential sweep.
 type RunStats struct {
 	Cases  int
-	Runs   int // schedule × tier × fault-setting executions compared
+	Runs   int // schedule × mode × fault-setting executions compared
 	Unrank unrank.Stats
 }
 
@@ -182,9 +164,8 @@ func (s RunStats) String() string {
 }
 
 // faultPlan perturbs every closed-form root far beyond the exact ±1
-// correction ladder, so the float64 tier provably mis-recovers and the
-// big.Float rungs (which injection deliberately bypasses) must rescue
-// every recovery.
+// correction budget, so the float64 path provably mis-recovers and exact
+// search must rescue every closed-form recovery.
 func faultPlan() *faults.Plan {
 	return &faults.Plan{
 		PerturbRoot: func(level int, x complex128) complex128 {
@@ -194,10 +175,11 @@ func faultPlan() *faults.Plan {
 }
 
 // RunCase runs the full differential sweep for one case: sequential
-// enumeration is the truth; every schedule × ladder tier must visit
+// enumeration is the truth; every schedule × recovery mode must visit
 // exactly that set. When withFaults is set, an additional sweep runs
 // with every float64 root evaluation perturbed beyond correction
-// range, proving the ladder (not the fast path) carries the result.
+// range, proving the exact-search fallback (not the fast path) carries
+// the result.
 // The fault plan is process-global: RunCase must not run concurrently
 // with other fault-injecting code.
 func RunCase(c *Case, threads int, withFaults bool) (RunStats, error) {
@@ -207,15 +189,15 @@ func RunCase(c *Case, threads int, withFaults bool) (RunStats, error) {
 		return st, err
 	}
 	st.Cases = 1
-	// Compile every recovery variant before any fault plan is active:
+	// Compile every recovery mode before any fault plan is active:
 	// injection targets run-time recovery, not compile-time root
 	// selection (whose sampling also evaluates the roots).
-	variants := Variants()
-	results := make([]*core.Result, len(variants))
-	for i, v := range variants {
-		res, err := core.Collapse(c.Nest, c.C, v.Opts)
+	modes := Modes()
+	results := make([]*core.Result, len(modes))
+	for i, v := range modes {
+		res, err := core.Collapse(c.Nest, c.C, unrank.Options{Mode: v})
 		if err != nil {
-			return st, fmt.Errorf("%s: collapse at %s: %w", c.Name, v.Name, err)
+			return st, fmt.Errorf("%s: collapse at %s: %w", c.Name, v, err)
 		}
 		results[i] = res
 	}
@@ -223,45 +205,45 @@ func RunCase(c *Case, threads int, withFaults bool) (RunStats, error) {
 	// the fault-injected sweep exercises the cached-decision path.
 	tuner := autotune.New(autotune.Options{MaxWorkers: threads})
 	sweep := func() error {
-		for i, v := range variants {
+		for i, v := range modes {
 			res := results[i]
 			for _, sched := range Schedules() {
 				got, cs, err := runParallel(res, c.Params, threads, sched)
 				if err != nil {
-					return fmt.Errorf("%s: %v/%s: %w", c.Name, sched.Kind, v.Name, err)
+					return fmt.Errorf("%s: %v/%s: %w", c.Name, sched.Kind, v, err)
 				}
 				if err := diffVisitSets(truth, got); err != nil {
-					return fmt.Errorf("%s: %v/%s: %w", c.Name, sched.Kind, v.Name, err)
+					return fmt.Errorf("%s: %v/%s: %w", c.Name, sched.Kind, v, err)
 				}
 				st.Runs++
 				st.Unrank.Add(cs.Stats)
 
 				got, rs, err := runParallelRanges(res, c.Params, threads, sched)
 				if err != nil {
-					return fmt.Errorf("%s: %v/%s (ranges): %w", c.Name, sched.Kind, v.Name, err)
+					return fmt.Errorf("%s: %v/%s (ranges): %w", c.Name, sched.Kind, v, err)
 				}
 				if err := diffVisitSets(truth, got); err != nil {
-					return fmt.Errorf("%s: %v/%s (ranges): %w", c.Name, sched.Kind, v.Name, err)
+					return fmt.Errorf("%s: %v/%s (ranges): %w", c.Name, sched.Kind, v, err)
 				}
 				if rs.Iterations != c.Total {
 					return fmt.Errorf("%s: %v/%s (ranges): engine covered %d iterations, want %d",
-						c.Name, sched.Kind, v.Name, rs.Iterations, c.Total)
+						c.Name, sched.Kind, v, rs.Iterations, c.Total)
 				}
 				st.Runs++
 			}
 
 			// The tuned path (schedule "auto"): the planner picks its own
 			// (schedule, chunk, workers) triple, so it runs once per
-			// variant rather than once per schedule. The second sweep
+			// mode rather than once per schedule. The second sweep
 			// (fault injection) recalls the plan from the first through
 			// the tuner's cache — the cached-decision path is part of the
 			// differential surface.
 			got, cs, err := runTuned(tuner, res, c.Params)
 			if err != nil {
-				return fmt.Errorf("%s: auto/%s: %w", c.Name, v.Name, err)
+				return fmt.Errorf("%s: auto/%s: %w", c.Name, v, err)
 			}
 			if err := diffVisitSets(truth, got); err != nil {
-				return fmt.Errorf("%s: auto/%s: %w", c.Name, v.Name, err)
+				return fmt.Errorf("%s: auto/%s: %w", c.Name, v, err)
 			}
 			st.Runs++
 			st.Unrank.Add(cs.Stats)

@@ -62,7 +62,7 @@ func indexOf(s, sub string) int {
 }
 
 // TestDifferentialSweep is the harness's own smoke test: a handful of
-// seeds through every schedule and ladder tier. Fault injection is
+// seeds through every schedule and recovery mode. Fault injection is
 // exercised separately (the plan is process-global) in
 // TestDifferentialWithFaults.
 func TestDifferentialSweep(t *testing.T) {
@@ -70,11 +70,11 @@ func TestDifferentialSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("differential sweep: %v (after %d runs)", err, st.Runs)
 	}
-	// Every schedule × variant cell runs twice — once through the
+	// Every schedule × mode cell runs twice — once through the
 	// per-iteration driver, once through the range-batched engine —
-	// plus one autotuned run per variant (the planner picks its own
-	// schedule, so it is swept per variant, not per schedule).
-	wantRuns := 3 * len(Variants()) * (len(Schedules())*2 + 1)
+	// plus one autotuned run per mode (the planner picks its own
+	// schedule, so it is swept per mode, not per schedule).
+	wantRuns := 3 * len(Modes()) * (len(Schedules())*2 + 1)
 	if st.Runs != wantRuns {
 		t.Fatalf("ran %d differential runs, want %d", st.Runs, wantRuns)
 	}
@@ -86,41 +86,40 @@ func TestDifferentialWithFaults(t *testing.T) {
 		t.Fatalf("faulted sweep: %v", err)
 	}
 	// The fault plan pushes every float64 root far beyond correction
-	// range, so the float64-start runs must have escalated to a big
-	// tier (injection bypasses the big evaluators by design).
-	if st.Unrank.EscalationsPrec128+st.Unrank.EscalationsPrec256 == 0 {
-		t.Fatalf("fault injection never forced a precision escalation: %s", st.Unrank.String())
+	// range, so closed-form runs must have fallen back to exact search;
+	// searches also count the search-mode runs, hence >=.
+	if st.Unrank.Fallbacks == 0 || st.Unrank.Searches < st.Unrank.Fallbacks {
+		t.Fatalf("fault injection never forced an exact-search fallback: %s", st.Unrank.String())
 	}
 }
 
-// TestForcedTiersProduceExpectedCounters checks that StartTier really
-// moves work onto the requested rung.
+// TestForcedTiersProduceExpectedCounters checks that each recovery
+// mode really carries its runs on its own rung.
 func TestForcedTiersProduceExpectedCounters(t *testing.T) {
 	c, err := NewCase(11)
 	if err != nil {
 		t.Fatalf("NewCase: %v", err)
 	}
-	_ = c
-	for _, tier := range []unrank.Tier{unrank.TierPrec128, unrank.TierPrec256} {
-		st, err := runTier(c, tier)
+	for _, tc := range []struct {
+		mode  unrank.Mode
+		count func(unrank.Stats) int64
+	}{
+		{unrank.ModeClosedForm, func(s unrank.Stats) int64 { return s.RootEvals }},
+		{unrank.ModeTable, func(s unrank.Stats) int64 { return s.TableLookups }},
+		{unrank.ModeBinarySearch, func(s unrank.Stats) int64 { return s.Searches }},
+	} {
+		st, err := runMode(c, tc.mode)
 		if err != nil {
-			t.Fatalf("tier %v: %v", tier, err)
+			t.Fatalf("mode %v: %v", tc.mode, err)
 		}
-		switch tier {
-		case unrank.TierPrec128:
-			if st.EscalationsPrec128 == 0 {
-				t.Errorf("StartTier=Prec128 recorded no prec128 escalations: %s", st.String())
-			}
-		case unrank.TierPrec256:
-			if st.EscalationsPrec256 == 0 {
-				t.Errorf("StartTier=Prec256 recorded no prec256 escalations: %s", st.String())
-			}
+		if tc.count(st) == 0 {
+			t.Errorf("mode %v recorded no work on its rung: %s", tc.mode, st.String())
 		}
 	}
 }
 
-func runTier(c *Case, tier unrank.Tier) (unrank.Stats, error) {
-	res, err := core.Collapse(c.Nest, c.C, unrank.Options{StartTier: tier})
+func runMode(c *Case, mode unrank.Mode) (unrank.Stats, error) {
+	res, err := core.Collapse(c.Nest, c.C, unrank.Options{Mode: mode})
 	if err != nil {
 		return unrank.Stats{}, err
 	}

@@ -14,19 +14,19 @@ import (
 // Stats counts recovery events, exposed for the overhead experiments
 // (paper Fig. 10) and for diagnosing floating-point behaviour.
 type Stats struct {
-	RootEvals   int64 // closed-form radical evaluations (float64 tier)
+	RootEvals   int64 // closed-form radical evaluations (float64 path)
 	Corrections int64 // exact ±1 correction steps taken
-	Fallbacks   int64 // float64-tier failures (NaN/Inf or non-convergence)
-	Searches    int64 // binary-search recoveries (ladder exhausted + binary mode)
+	Fallbacks   int64 // float64 failures (NaN/Inf or non-convergence)
+	Searches    int64 // binary-search recoveries (fallbacks + binary mode)
 	Verifies    int64 // exact big.Rat re-rank checks (verify mode)
 	Escalations int64 // verify mismatches escalated to binary search
+	BigIntPaths int64 // exact evaluations taking the big.Int slow path
 
-	// Precision-ladder counters: recoveries completed by the big.Float
-	// escalation tiers (certified floor plus exact correction), and
-	// exact polynomial evaluations that left int64 territory.
-	EscalationsPrec128 int64 // recoveries completed at big.Float(128)
-	EscalationsPrec256 int64 // recoveries completed at big.Float(256)
-	BigIntPaths        int64 // exact evaluations taking the big.Int slow path
+	// EscalationsPrec128 and EscalationsPrec256 are always zero: recovery
+	// has no big.Float tiers. They are kept only because the benchmark
+	// harness still reads them, and are left out of Add, Sub and String.
+	EscalationsPrec128 int64
+	EscalationsPrec256 int64
 
 	// Breakpoint-table counters: levels recovered through the table
 	// tier, exact in-segment/confirmation evaluations spent there, and
@@ -44,8 +44,6 @@ func (s *Stats) Add(o Stats) {
 	s.Searches += o.Searches
 	s.Verifies += o.Verifies
 	s.Escalations += o.Escalations
-	s.EscalationsPrec128 += o.EscalationsPrec128
-	s.EscalationsPrec256 += o.EscalationsPrec256
 	s.BigIntPaths += o.BigIntPaths
 	s.TableLookups += o.TableLookups
 	s.TableCorrections += o.TableCorrections
@@ -58,18 +56,16 @@ func (s *Stats) Add(o Stats) {
 // wants added to its counters at each chunk boundary.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
-		RootEvals:          s.RootEvals - o.RootEvals,
-		Corrections:        s.Corrections - o.Corrections,
-		Fallbacks:          s.Fallbacks - o.Fallbacks,
-		Searches:           s.Searches - o.Searches,
-		Verifies:           s.Verifies - o.Verifies,
-		Escalations:        s.Escalations - o.Escalations,
-		EscalationsPrec128: s.EscalationsPrec128 - o.EscalationsPrec128,
-		EscalationsPrec256: s.EscalationsPrec256 - o.EscalationsPrec256,
-		BigIntPaths:        s.BigIntPaths - o.BigIntPaths,
-		TableLookups:       s.TableLookups - o.TableLookups,
-		TableCorrections:   s.TableCorrections - o.TableCorrections,
-		BatchRecoveries:    s.BatchRecoveries - o.BatchRecoveries,
+		RootEvals:        s.RootEvals - o.RootEvals,
+		Corrections:      s.Corrections - o.Corrections,
+		Fallbacks:        s.Fallbacks - o.Fallbacks,
+		Searches:         s.Searches - o.Searches,
+		Verifies:         s.Verifies - o.Verifies,
+		Escalations:      s.Escalations - o.Escalations,
+		BigIntPaths:      s.BigIntPaths - o.BigIntPaths,
+		TableLookups:     s.TableLookups - o.TableLookups,
+		TableCorrections: s.TableCorrections - o.TableCorrections,
+		BatchRecoveries:  s.BatchRecoveries - o.BatchRecoveries,
 	}
 }
 
@@ -79,9 +75,6 @@ func (s Stats) String() string {
 		s.RootEvals, s.Corrections, s.Fallbacks, s.Searches)
 	if s.Verifies > 0 || s.Escalations > 0 {
 		out += fmt.Sprintf(", verifies %d, escalations %d", s.Verifies, s.Escalations)
-	}
-	if s.EscalationsPrec128 > 0 || s.EscalationsPrec256 > 0 {
-		out += fmt.Sprintf(", prec128 %d, prec256 %d", s.EscalationsPrec128, s.EscalationsPrec256)
 	}
 	if s.BigIntPaths > 0 {
 		out += fmt.Sprintf(", bigint paths %d", s.BigIntPaths)
@@ -110,9 +103,6 @@ type Bound struct {
 	// fvals[k] is the positional float argument vector of level k's
 	// compiled root: [params..., i_0..i_{k-1}, pc].
 	fvals [][]float64
-	// ivals[k] is the positional integer argument vector of level k's
-	// big.Float escalation evaluators (same layout as fvals[k], exact).
-	ivals [][]int64
 	// scratch is the reusable iteration-tuple buffer handed out by
 	// Scratch — per-Bound, so the §V drivers allocate nothing per chunk.
 	scratch []int64
@@ -168,16 +158,12 @@ func (u *Unranker) Bind(params map[string]int64) (b *Bound, err error) {
 		cvals[i] = v
 	}
 	b.fvals = make([][]float64, len(u.levels))
-	b.ivals = make([][]int64, len(u.levels))
 	for k := range u.levels {
 		fv := make([]float64, b.np+k+1)
-		iv := make([]int64, b.np+k+1)
 		for i := range cvals {
 			fv[i] = float64(cvals[i])
-			iv[i] = cvals[i]
 		}
 		b.fvals[k] = fv
-		b.ivals[k] = iv
 	}
 	// The total count goes through the explicitly checked big path: no
 	// silent wraparound, and domains beyond int64 report ErrOverflow
@@ -229,11 +215,9 @@ func (b *Bound) Clone() *Bound {
 		totalBig: b.totalBig,
 		vals:     append([]int64(nil), b.vals...),
 		fvals:    make([][]float64, len(b.fvals)),
-		ivals:    make([][]int64, len(b.ivals)),
 	}
 	for k := range b.fvals {
 		nb.fvals[k] = append([]float64(nil), b.fvals[k]...)
-		nb.ivals[k] = append([]int64(nil), b.ivals[k]...)
 	}
 	if b.tables != nil {
 		nb.tables = b.tables // immutable after Bind, shared
@@ -365,41 +349,20 @@ func (b *Bound) recoverInto(pc int64, idx []int64) error {
 	return b.maybeVerify(pc, idx)
 }
 
-// recoverLevel recovers level k of pc through the precision ladder:
-// float64 radical → certified big.Float tiers → breakpoint-table lookup
-// → exact binary search. The radical tiers exist only in closed-form
-// mode; the table tier only when the strategy built tables at Bind; the
-// binary search is always available and always exact.
+// recoverLevel recovers level k of pc in two rungs: the mode's fast
+// path (the float64 radical in closed-form mode, the breakpoint-table
+// lookup in table mode), then exact binary search, which is always
+// available and always exact. Search mode has no fast path.
 func (b *Bound) recoverLevel(k int, pc int64, idx []int64) int64 {
 	lv := &b.u.levels[k]
 	lo := b.inst.LowerAt(k, idx)
 	hi := b.inst.UpperAt(k, idx)
 	if lv.rootFn != nil {
-		// Precision ladder (§IV.C hardened): the float64 radical is
-		// tried first; a failure escalates to the certified big.Float
-		// tiers before conceding to the exact rungs.
-		if b.u.startTier == TierFloat64 {
-			if ik, ok := b.tryFloat64(lv, k, pc, lo, hi); ok {
-				return ik
-			}
-			b.stats.Fallbacks++
+		if ik, ok := b.tryFloat64(lv, k, pc, lo, hi); ok {
+			return ik
 		}
-		for ti := 0; ti < len(lv.rootBig); ti++ {
-			tier := TierPrec128 + Tier(ti)
-			if b.u.startTier > tier || lv.rootBig[ti] == nil {
-				continue
-			}
-			if ik, ok := b.tryBig(lv, k, ti, pc, lo, hi); ok {
-				if tier == TierPrec128 {
-					b.stats.EscalationsPrec128++
-				} else {
-					b.stats.EscalationsPrec256++
-				}
-				return ik
-			}
-		}
-	}
-	if b.tables != nil && b.u.startTier <= TierTable {
+		b.stats.Fallbacks++
+	} else if b.tables != nil {
 		if ik, ok := b.tryTable(k, pc, lo, hi); ok {
 			return ik
 		}
@@ -429,11 +392,12 @@ func (b *Bound) maybeVerify(pc int64, idx []int64) error {
 	return nil
 }
 
-// tryFloat64 attempts level k's recovery on the float64 tier: evaluate
-// the compiled radical over complex128, floor the real part under the
-// assumed tolerances, then repair with the bounded exact correction.
-// ok is false when the evaluation is non-finite, materially complex, or
-// the correction budget is exhausted — the caller escalates.
+// tryFloat64 attempts level k's recovery on the float64 fast path:
+// evaluate the compiled radical over complex128, floor the real part
+// under the assumed tolerances, then repair with the bounded exact
+// correction. ok is false when the evaluation is non-finite, materially
+// complex, or the correction budget is exhausted — the caller falls back
+// to exact search.
 func (b *Bound) tryFloat64(lv *level, k int, pc, lo, hi int64) (int64, bool) {
 	fv := b.fvals[k]
 	fv[len(fv)-1] = float64(pc)
@@ -449,38 +413,11 @@ func (b *Bound) tryFloat64(lv *level, k int, pc, lo, hi int64) (int64, bool) {
 	return faults.PerturbLevel(k, ik), true
 }
 
-// tryBig attempts level k's recovery on big.Float escalation tier ti
-// (0 = 128-bit, 1 = 256-bit). The floor is taken only when the certified
-// error radius provably clears every integer boundary and the imaginary
-// component is consistent with a real root; the exact correction then
-// confirms it. Fault-injected root perturbations model float64 rounding
-// pathology and deliberately do not apply here — the certified tiers are
-// the trusted escape hatch the injection exists to exercise.
-func (b *Bound) tryBig(lv *level, k, ti int, pc, lo, hi int64) (int64, bool) {
-	iv := b.ivals[k]
-	iv[len(iv)-1] = pc
-	v := lv.rootBig[ti](iv)
-	if !v.ImagNegligible() {
-		return 0, false
-	}
-	fl, ok := v.FloorCertain()
-	if !ok {
-		// A root sitting exactly on an integer boundary can never
-		// certify (the interval straddles it at every precision); a
-		// near-certain floor is still within ±1, which the exact
-		// correction below repairs soundly.
-		fl, ok = v.FloorNear()
-	}
-	if !ok {
-		return 0, false
-	}
-	return b.correct(k, fl, pc, lo, hi)
-}
-
 // correct clamps a candidate index into [lo, hi) and applies the exact
-// monotone correction: walk ik by ±1 (at most maxCorr exact polynomial
-// evaluations) until r_k(ik) <= pc < r_k(ik+1). ok is false when the
-// budget is exhausted, in which case no correction steps are charged.
+// monotone correction: walk ik by ±1 (at most MaxCorrection exact
+// polynomial evaluations) until r_k(ik) <= pc < r_k(ik+1). ok is false
+// when the budget is exhausted, in which case no correction steps are
+// charged.
 func (b *Bound) correct(k int, ik, pc, lo, hi int64) (int64, bool) {
 	if ik < lo {
 		ik = lo
@@ -492,14 +429,14 @@ func (b *Bound) correct(k int, ik, pc, lo, hi int64) (int64, bool) {
 	for b.rkEval(k, ik) > pc {
 		ik--
 		steps++
-		if ik < lo || steps > b.u.maxCorr {
+		if ik < lo || steps > MaxCorrection {
 			return 0, false
 		}
 	}
 	for ik+1 <= hi-1 && b.rkEval(k, ik+1) <= pc {
 		ik++
 		steps++
-		if steps > b.u.maxCorr {
+		if steps > MaxCorrection {
 			return 0, false
 		}
 	}
@@ -514,7 +451,6 @@ func (b *Bound) setLevel(k int, ik int64, idx []int64) {
 	b.vals[b.np+k] = ik
 	for q := k + 1; q < len(b.fvals); q++ {
 		b.fvals[q][b.np+k] = float64(ik)
-		b.ivals[q][b.np+k] = ik
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // triNest is the upper-triangular nest i=0..N-1, j=i..N-1 whose level-0
 // recovery root is N+1/2 - sqrt((N+1/2)^2 - 2pc + ...): near pc = Total
 // the discriminant cancels catastrophically, so for huge N the float64
-// floor error exceeds any reasonable correction budget while the
-// 128-bit tier still certifies the floor exactly.
+// floor error exceeds any reasonable correction budget and exact search
+// must take over.
 func triNest(t *testing.T) *nest.Nest {
 	t.Helper()
 	n, err := nest.New([]string{"N"}, nest.L("i", "0", "N"), nest.L("j", "i", "N"))
@@ -22,20 +22,20 @@ func triNest(t *testing.T) *nest.Nest {
 }
 
 // TestLadderRecoversHugeTriangular is the headline regression for the
-// precision ladder: at N = 2^28 the float64 tier provably mis-recovers
-// ranks near the end of the domain (floor error beyond MaxCorrection),
-// and big.Float(128) must recover every tuple exactly — without ever
-// conceding to binary search. Table-driven over parameter sizes; also
-// run under -race by the concurrency gate (RACE_PKGS includes this
-// package).
+// float64 → exact search ladder: at N = 2^30 the float64 path provably
+// mis-recovers ranks near the end of the domain (floor error beyond
+// MaxCorrection), and exact search must recover every such tuple. Below
+// that size the float64 path plus correction carries every rank alone.
+// Table-driven over parameter sizes; also run under -race by the
+// concurrency gate (RACE_PKGS includes this package).
 func TestLadderRecoversHugeTriangular(t *testing.T) {
 	cases := []struct {
 		name string
 		n    int64
 		// window is how many ranks below Total to sweep.
 		window int64
-		// wantFloat64Fail requires the float64 tier to have failed at
-		// least once (proving the ladder, not the fast path, carried
+		// wantFloat64Fail requires the float64 path to have failed at
+		// least once (proving exact search, not the fast path, carried
 		// the recovery).
 		wantFloat64Fail bool
 	}{
@@ -72,27 +72,21 @@ func TestLadderRecoversHugeTriangular(t *testing.T) {
 			}
 			st := b.Stats()
 			t.Logf("stats: %s", st.String())
-			if st.Searches != 0 {
-				t.Errorf("ladder conceded to binary search %d times", st.Searches)
-			}
 			if tc.wantFloat64Fail {
-				if st.Fallbacks == 0 {
-					t.Errorf("float64 tier never failed; case does not exercise the ladder")
+				if st.Fallbacks == 0 || st.Searches != st.Fallbacks {
+					t.Errorf("want every float64 failure searched exactly once, at least one: %s", st.String())
 				}
-				if st.EscalationsPrec128 == 0 {
-					t.Errorf("no prec128 escalations recorded: %s", st.String())
-				}
-			} else if st.Fallbacks != 0 {
-				t.Errorf("float64 tier failed %d times on a small domain", st.Fallbacks)
+			} else if st.Fallbacks != 0 || st.Searches != 0 {
+				t.Errorf("float64 path failed %d times (%d searches) on a small domain", st.Fallbacks, st.Searches)
 			}
 		})
 	}
 }
 
-// TestLadderRescuesInjectedFaults forces the float64 tier wrong by
+// TestLadderRescuesInjectedFaults forces the float64 path wrong by
 // fault injection (every root perturbed far beyond the correction
-// budget) and requires the certified tiers to recover every rank of a
-// small domain exactly, with the counters proving which rung fired.
+// budget) and requires exact search to recover every rank of a small
+// domain exactly, with the counters proving which rung fired.
 func TestLadderRescuesInjectedFaults(t *testing.T) {
 	u, err := New(triNest(t), Options{})
 	if err != nil {
@@ -117,34 +111,29 @@ func TestLadderRescuesInjectedFaults(t *testing.T) {
 			t.Fatalf("Rank(Unrank(%d)) = %d (idx %v)", pc, got, idx)
 		}
 	}
+	// Clamping into the level's range lets the correction repair a few
+	// ranks near the top row; every rank it cannot repair must be
+	// searched.
 	st := b.Stats()
-	if st.Fallbacks == 0 || st.EscalationsPrec128 == 0 {
-		t.Errorf("injected faults did not exercise the ladder: %s", st.String())
-	}
-	if st.Searches != 0 {
-		t.Errorf("ladder conceded to binary search %d times under injection", st.Searches)
+	if st.Fallbacks == 0 || st.Searches != st.Fallbacks {
+		t.Errorf("exact search did not rescue every injected fault: %s", st.String())
 	}
 }
 
-// TestStartTierForcesRung pins Options.StartTier semantics: each forced
-// rung completes recovery on that rung alone.
-func TestStartTierForcesRung(t *testing.T) {
+// TestModeForcesRung pins each recovery mode to its own fast rung: on
+// a domain small enough for the fast path to never fail, every
+// non-final level is recovered by that rung alone.
+func TestModeForcesRung(t *testing.T) {
 	for _, tc := range []struct {
-		tier Tier
+		mode Mode
 		chk  func(Stats) bool
 	}{
-		{TierFloat64, func(s Stats) bool { return s.RootEvals > 0 && s.Searches == 0 }},
-		{TierPrec128, func(s Stats) bool { return s.RootEvals == 0 && s.EscalationsPrec128 > 0 && s.Searches == 0 }},
-		{TierPrec256, func(s Stats) bool { return s.EscalationsPrec128 == 0 && s.EscalationsPrec256 > 0 && s.Searches == 0 }},
-		{TierTable, func(s Stats) bool {
-			return s.RootEvals == 0 && s.EscalationsPrec256 == 0 && s.TableLookups > 0 && s.Searches == 0
-		}},
-		{TierExact, func(s Stats) bool {
-			return s.RootEvals == 0 && s.EscalationsPrec128 == 0 && s.EscalationsPrec256 == 0 && s.Searches > 0
-		}},
+		{ModeClosedForm, func(s Stats) bool { return s.RootEvals > 0 && s.TableLookups == 0 && s.Searches == 0 }},
+		{ModeTable, func(s Stats) bool { return s.RootEvals == 0 && s.TableLookups > 0 && s.Searches == 0 }},
+		{ModeBinarySearch, func(s Stats) bool { return s.RootEvals == 0 && s.TableLookups == 0 && s.Searches > 0 }},
 	} {
-		t.Run(tc.tier.String(), func(t *testing.T) {
-			u, err := New(triNest(t), Options{StartTier: tc.tier})
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			u, err := New(triNest(t), Options{Mode: tc.mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +151,7 @@ func TestStartTierForcesRung(t *testing.T) {
 				}
 			}
 			if st := b.Stats(); !tc.chk(st) {
-				t.Errorf("tier %v counters off: %s", tc.tier, st.String())
+				t.Errorf("mode %v counters off: %s", tc.mode, st.String())
 			}
 		})
 	}

@@ -40,7 +40,9 @@ type Mode int
 
 const (
 	// ModeClosedForm uses the paper's radical formulas with exact
-	// correction (the contribution under evaluation).
+	// correction (the contribution under evaluation), falling back to
+	// exact binary search per level when the float64 floor cannot be
+	// repaired.
 	ModeClosedForm Mode = iota
 	// ModeBinarySearch uses only exact binary search on the monotone
 	// ranking polynomial. It needs no symbolic solving and serves as the
@@ -85,68 +87,22 @@ func ParseMode(s string) (Mode, error) {
 		s, faults.ErrUnknownMode)
 }
 
-// Tier identifies a rung of the adaptive-precision recovery ladder:
-//
-//	float64 → big.Float(128) → big.Float(256) → breakpoint table → exact
-//
-// The float64 tier is the paper's §IV.C fast path. When its floor cannot
-// be repaired within MaxCorrection exact ±1 steps (or evaluates to
-// NaN/Inf), recovery escalates tier by tier: each big.Float tier
-// re-evaluates the same radical formula at higher precision with a
-// certified error radius and only trusts the floor when the radius
-// provably clears every integer boundary. Below the float tiers sits the
-// breakpoint-table tier — a pure-integer table lookup over the
-// precomputed per-level inversion tables (built when the strategy
-// requests them: ModeTable, or StartTier == TierTable) — and the final
-// rung is the exact binary search over the monotone ranking polynomial,
-// which needs no floating point at all.
-type Tier int
-
+// Recovery budgets. The float64 radical's floor is repaired by at most
+// MaxCorrection exact ±1 steps before the level falls back to exact
+// binary search; root selection enumerates at most MaxEnum iterations
+// of each sample binding.
 const (
-	// TierFloat64 is the complex128 fast path.
-	TierFloat64 Tier = iota
-	// TierPrec128 evaluates the radical at 128-bit big.Float precision.
-	TierPrec128
-	// TierPrec256 evaluates the radical at 256-bit big.Float precision.
-	TierPrec256
-	// TierTable is the breakpoint-table lookup with exact correction.
-	TierTable
-	// TierExact is exact binary search (no closed form).
-	TierExact
+	MaxCorrection = 8
+	MaxEnum       = 4096
 )
 
-// String names the tier for reports and stress-harness output.
-func (t Tier) String() string {
-	switch t {
-	case TierFloat64:
-		return "float64"
-	case TierPrec128:
-		return "prec128"
-	case TierPrec256:
-		return "prec256"
-	case TierTable:
-		return "table"
-	case TierExact:
-		return "exact"
-	}
-	return fmt.Sprintf("Tier(%d)", int(t))
-}
-
-// Ladder precisions (bits of big.Float mantissa) of the escalation tiers.
-const (
-	ladderPrec128 = 128
-	ladderPrec256 = 256
-)
-
-// Numerical tolerances of the float64 fast path. The float64 tier has no
-// computed error certificate, so these constants *assume* a radius: a
+// Numerical tolerances of the float64 fast path. The float64 radical has
+// no computed error certificate, so these constants *assume* a radius: a
 // radical formula evaluated over complex128 is trusted to land within
 // FloorNudge of the exact root absolutely and within RootImagTolRel of
-// the real axis relative to its magnitude. The big.Float tiers replace
-// both assumptions with the certified radius computed by
-// roots.CompileBig; the exact correction step makes the assumption safe
-// on the float64 tier (a violated assumption costs an escalation, never
-// a wrong tuple).
+// the real axis relative to its magnitude. The exact correction step
+// makes the assumption safe (a violated assumption costs a fallback to
+// exact binary search, never a wrong tuple).
 const (
 	// RootImagTolRel bounds the acceptable imaginary component of a
 	// closed-form root relative to its magnitude: |Im x| must be at most
@@ -162,12 +118,12 @@ const (
 )
 
 // imagNegligible reports whether x is consistent with a real root under
-// the float64 tier's assumed radius.
+// the float64 path's assumed radius.
 func imagNegligible(x complex128) bool {
 	return math.Abs(imag(x)) <= RootImagTolRel*(1+math.Abs(real(x)))
 }
 
-// floorReal floors the real part under the float64 tier's assumed
+// floorReal floors the real part under the float64 path's assumed
 // radius.
 func floorReal(x complex128) int64 {
 	return int64(math.Floor(real(x) + FloorNudge))
@@ -181,12 +137,6 @@ type Options struct {
 	// root by validation against ground truth (a stronger version of the
 	// paper's ⌊x(1)⌋ = lexmin test). When nil, small defaults are used.
 	SampleParams []map[string]int64
-	// MaxEnum caps the number of iterations enumerated per sample during
-	// root selection. Defaults to 4096.
-	MaxEnum int64
-	// MaxCorrection bounds the ±1 exact-correction steps before falling
-	// back to binary search. Defaults to 8.
-	MaxCorrection int
 	// Verify enables verified recovery: after each Unrank the recovered
 	// tuple is exactly re-ranked with big.Rat arithmetic and compared to
 	// pc; on mismatch every level is recomputed by exact binary search,
@@ -195,19 +145,12 @@ type Options struct {
 	// the cost of one exact polynomial evaluation per recovery (per
 	// chunk under the §V scheme, not per iteration).
 	Verify bool
-	// StartTier skips the lower rungs of the precision ladder: recovery
-	// begins at this tier instead of TierFloat64. The default (zero
-	// value) is the full ladder; the stress harness and fuzz targets use
-	// higher start tiers to exercise each rung in isolation. TierExact
-	// behaves like ModeBinarySearch at recovery time while still
-	// performing the symbolic solve.
-	StartTier Tier
 	// TableMaxEntries caps the per-level breakpoint-table size. Levels
 	// whose index range fits under the cap get a dense (stride-1) table
 	// — recovery is then a pure int64 binary search over the table with
 	// zero polynomial evaluations; wider levels get geometrically ramped
 	// breakpoints up to a uniform stride, with a short exact in-segment
-	// search. Defaults to 4096; clamped to [64, 1<<20].
+	// search. Defaults to 4096; clamped to [64, 1<<20] (see Normalized).
 	TableMaxEntries int
 	// CompileWorkers bounds the goroutines used for the per-level
 	// compile fan-out (ranking restriction, radical solving, root
@@ -223,6 +166,22 @@ type Options struct {
 	Telemetry *telemetry.Registry
 }
 
+// Normalized returns o with every defaulted or clamped setting resolved
+// to the value New actually uses, so two Options that build the same
+// Unranker normalize equal (the collapse cache's signature relies on
+// this).
+func (o Options) Normalized() Options {
+	switch {
+	case o.TableMaxEntries <= 0:
+		o.TableMaxEntries = 4096
+	case o.TableMaxEntries < 64:
+		o.TableMaxEntries = 64
+	case o.TableMaxEntries > 1<<20:
+		o.TableMaxEntries = 1 << 20
+	}
+	return o
+}
+
 // level holds the recovery machinery for one non-final loop level.
 type level struct {
 	varName    string
@@ -234,11 +193,6 @@ type level struct {
 	rk         *poly.Compiled
 	// rk evaluates r(i_0..i_{k-1}, x, lexmin tail) exactly over the
 	// variable order [params..., i_0..i_{k-1}, x].
-
-	// rootBig holds the escalation evaluators of the precision ladder:
-	// the same selected root compiled at 128- and 256-bit big.Float
-	// precision with certified error radii (nil in binary-search mode).
-	rootBig [2]roots.BigEvalFunc
 
 	// gComp is the separable x-part of the restricted ranking
 	// polynomial: rk = B(prefix) + g(x) with B = rk|_{x=0} and
@@ -253,14 +207,12 @@ type level struct {
 // Unranker is the symbolic (parameter-independent) part of the inverse
 // ranking function for a nest.
 type Unranker struct {
-	nest      *nest.Nest
-	ranking   *poly.Poly
-	count     *poly.Poly
-	mode      Mode
-	maxCorr   int
-	verify    bool
-	startTier Tier
-	tableMax  int
+	nest     *nest.Nest
+	ranking  *poly.Poly
+	count    *poly.Poly
+	mode     Mode
+	verify   bool
+	tableMax int
 
 	order    []string // params..., all indices...
 	rankComp *poly.Compiled
@@ -277,21 +229,7 @@ func New(n *nest.Nest, opts Options) (*Unranker, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.MaxEnum <= 0 {
-		opts.MaxEnum = 4096
-	}
-	if opts.MaxCorrection <= 0 {
-		opts.MaxCorrection = 8
-	}
-	if opts.TableMaxEntries <= 0 {
-		opts.TableMaxEntries = 4096
-	}
-	if opts.TableMaxEntries < 64 {
-		opts.TableMaxEntries = 64
-	}
-	if opts.TableMaxEntries > 1<<20 {
-		opts.TableMaxEntries = 1 << 20
-	}
+	opts = opts.Normalized()
 	tel := opts.Telemetry
 	spNew := tel.StartSpan("compile", "unrank.New", 0)
 	defer spNew.End()
@@ -306,14 +244,12 @@ func New(n *nest.Nest, opts Options) (*Unranker, error) {
 		}
 	}
 	u := &Unranker{
-		nest:      n,
-		ranking:   ranking,
-		count:     count,
-		mode:      opts.Mode,
-		maxCorr:   opts.MaxCorrection,
-		verify:    opts.Verify,
-		startTier: opts.StartTier,
-		tableMax:  opts.TableMaxEntries,
+		nest:     n,
+		ranking:  ranking,
+		count:    count,
+		mode:     opts.Mode,
+		verify:   opts.Verify,
+		tableMax: opts.TableMaxEntries,
 	}
 	u.order = append(append([]string(nil), n.Params...), n.Indices()...)
 	spPoly := tel.StartSpan("compile", "poly.Compile", 0)
@@ -421,42 +357,22 @@ func New(n *nest.Nest, opts Options) (*Unranker, error) {
 			return nil, err
 		}
 		// The selected root's float64 evaluator was already compiled for
-		// selection; only the big.Float escalation tiers remain. They
-		// share the symbolic tree, so the extra compile cost is two more
-		// tree walks per level, paid once per nest — and the levels are
-		// independent, so they go through the same fan-out.
-		spComp := tel.StartSpan("compile", "roots.Compile", 0)
-		err = fanOut(workers, len(u.levels), func(k int) error {
+		// selection; drop the other candidates' closures to keep them out
+		// of the cache footprint.
+		for k := range u.levels {
 			lv := &u.levels[k]
 			lv.rootFn = lv.candFns[lv.rootIdx]
-			vars := append(append([]string(nil), u.order[:len(n.Params)+k]...), "pc")
-			for ti, prec := range []uint{ladderPrec128, ladderPrec256} {
-				bfn, err := roots.CompileBig(lv.root, vars, prec)
-				if err != nil {
-					return err
-				}
-				lv.rootBig[ti] = bfn
-			}
-			lv.candFns = nil // selection-time artifacts; keep the compiled set out of the cache footprint
-			return nil
-		})
-		spComp.End()
-		if err != nil {
-			return nil, err
+			lv.candFns = nil
 		}
 	}
 	return u, nil
 }
 
 // tablesEnabled reports whether this unranker's strategy uses the
-// breakpoint-table tier: the dedicated ModeTable, or a ladder whose
-// StartTier lands exactly on TierTable. Tables are built eagerly at Bind
-// time only when enabled, so the default closed-form path (which almost
-// never escalates past the big.Float tiers) pays nothing, and the
+// breakpoint tables (ModeTable). Tables are built eagerly at Bind time
+// only when enabled, so the closed-form path pays nothing and the
 // binary-search oracle stays pure.
-func (u *Unranker) tablesEnabled() bool {
-	return u.mode == ModeTable || (u.mode != ModeBinarySearch && u.startTier == TierTable)
-}
+func (u *Unranker) tablesEnabled() bool { return u.mode == ModeTable }
 
 // isParam reports whether v names a parameter of n.
 func isParam(n *nest.Nest, v string) bool {
@@ -670,7 +586,7 @@ func (u *Unranker) selectRoots(opts Options) error {
 		inst.Enumerate(func(idx []int64) bool {
 			pc++
 			count++
-			if count > opts.MaxEnum {
+			if count > MaxEnum {
 				return false
 			}
 			for k := range u.levels {
