@@ -37,7 +37,9 @@
 //	           "auto" hands the choice of (schedule, chunk, workers) to
 //	           the autotuner — a simulator-backed planner over the
 //	           nest's measured work vector — and the report prints the
-//	           chosen triple with predicted-vs-actual makespan
+//	           chosen triple with predicted-vs-actual makespan and the
+//	           calibration behind it (dequeue, recovery — live p50 or
+//	           sampled — and unit cost)
 //	-shards S  with -stats: run the collapsed pc-range under the
 //	           fault-tolerant shard coordinator (internal/dist) with S
 //	           shards — leases, retries, shard splitting, uncollapsed
@@ -486,7 +488,8 @@ func runStats(res *core.Result, prog *cparse.Program, o options,
 // runTunedStats is the -sched auto form of runStats: the autotuner
 // plans (schedule, chunk, workers) by simulation against the measured
 // cost model, the run executes under the chosen triple, and the report
-// leads with the decision and its predicted-vs-actual makespan.
+// leads with the decision, its predicted-vs-actual makespan and the
+// calibration the plan in effect was derived from.
 func runTunedStats(ctx context.Context, res *core.Result, params map[string]int64,
 	o options, tel *telemetry.Registry) error {
 	tuner := autotune.New(autotune.Options{Registry: tel, MaxWorkers: o.threads})
@@ -502,6 +505,12 @@ func runTunedStats(ctx context.Context, res *core.Result, params map[string]int6
 	fmt.Printf("  predicted makespan %.3fms, actual %.3fms\n",
 		d.PredictedSec*1e3, run.Actual.Seconds()*1e3)
 	fmt.Printf("  plan cached: %v, replanned after run: %v\n", run.Cached, run.Replanned)
+	recovery := "sampled"
+	if run.Plan.Cal.RecoveryMeasured {
+		recovery = "live p50"
+	}
+	fmt.Printf("  calibration: dequeue %.1fns, recovery %.1fns (%s), unit cost %.1fns\n",
+		run.Plan.Cal.Dequeue*1e9, run.Plan.Cal.Recovery*1e9, recovery, run.Plan.UnitSec*1e9)
 	fmt.Printf("\nload imbalance:\n%s", run.Stats.ImbalanceReport())
 	fmt.Printf("\nrecovery stats (all threads): %s\n", run.Stats.Stats)
 	fmt.Printf("\n%s", tel.Report())

@@ -333,10 +333,15 @@ func TestRunStatsSchedAuto(t *testing.T) {
 		"autotune decision: schedule",
 		"predicted makespan",
 		"actual",
+		"calibration: dequeue",
+		"unit cost",
 		"load imbalance:",
 	} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("auto stats output missing %q:\n%s", frag, out)
 		}
+	}
+	if !strings.Contains(out, "(sampled)") && !strings.Contains(out, "(live p50)") {
+		t.Errorf("auto stats output does not say where the recovery cost came from:\n%s", out)
 	}
 }

@@ -5,17 +5,17 @@
 // The planner builds a work vector for the nest — exact per-unit inner
 // trip counts from the Ehrhart count polynomial of the non-collapsed
 // sub-nest, compressed to a bounded number of cells — calibrates the
-// §V recovery and dynamic-dequeue overheads on first contact (replaced
-// by the live omp.recovery_seconds histogram p50 once real runs have
-// been observed), and scores every candidate triple with the
-// internal/schedsim engine under a multi-objective fitness (makespan,
-// p99 latency under the configured arrival process, imbalance).
+// §V recovery and dynamic-dequeue overheads with fixed-count probes (the
+// dequeue cost once per process, the recovery cost per plan until the
+// live omp.recovery_seconds histogram p50 replaces it), and scores every
+// candidate triple with the internal/schedsim engine: simulated makespan
+// plus a penalty for thread-load imbalance.
 //
 // Decisions are cached in the CollapseCache plan side-table keyed by
 // NestSignature × params bucket × core count, so a plan invalidates
 // implicitly when the problem size leaves its bucket or GOMAXPROCS
 // changes. Observed makespans feed back: when a run deviates more than
-// ReplanDeviation from the prediction, the per-unit cost estimate is
+// replanDeviation from the prediction, the per-unit cost estimate is
 // rescaled and the triple re-planned — self-tuning hot nests converge
 // to their measured behaviour without ever running probe bodies (the
 // tuned path visits exactly the multiset of iterations the static path
@@ -29,7 +29,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -45,7 +44,6 @@ type Decision struct {
 	Schedule     omp.Schedule // concrete kind (never ScheduleAuto) + chunk
 	Workers      int          // team size
 	PredictedSec float64      // simulated makespan of the chosen triple
-	Score        float64      // fitness (lower is better) under the Objective
 }
 
 // String renders the triple the way the CLI -sched flag spells it.
@@ -80,19 +78,41 @@ type Plan struct {
 // (0 for a first-contact plan).
 func (p *Plan) Replans() int { return p.replans }
 
-// Workload describes the request stream the planner optimizes for.
-// The zero value means single-shot: one request, pure makespan.
-type Workload struct {
-	Arrivals schedsim.Arrivals
-	Requests int
-}
+// Counter names the tuner publishes on Options.Registry.
+const (
+	PlansMetric     = "autotune.plans"      // plans computed (cache misses)
+	ReplansMetric   = "autotune.replans"    // refinements after a deviating run
+	CacheHitsMetric = "autotune.cache_hits" // plans served from the cache
+)
+
+// Planner constants.
+const (
+	// maxUnits bounds the compressed work vector.
+	maxUnits = 4096
+	// replanDeviation is the relative |actual-predicted|/predicted above
+	// which Observe refines the plan.
+	replanDeviation = 0.25
+	// defaultUnitSec seeds the per-unit cost before any observation: a
+	// handful of arithmetic ops per innermost iteration.
+	defaultUnitSec = 50e-9
+)
+
+// Score weights. A candidate's score, in milliseconds, is its simulated
+// makespan weighted wMakespan + wP99 (for a single run the p99 latency
+// is the makespan) plus wImbalance times the excess max/mean thread
+// load times the makespan.
+const (
+	wMakespan  = 1
+	wP99       = 0.25
+	wImbalance = 0.1
+)
 
 // Options configures a Tuner. The zero value works: plans are cached
-// in a private cache, telemetry is dropped, workers default to
-// GOMAXPROCS, and the objective to schedsim.DefaultObjective.
+// in a private cache, telemetry is dropped, and workers default to
+// GOMAXPROCS.
 type Options struct {
-	// Registry receives autotune.plans / autotune.replans /
-	// autotune.cache_hits counters and is consulted for the measured
+	// Registry receives the PlansMetric / ReplansMetric /
+	// CacheHitsMetric counters and is consulted for the measured
 	// omp.recovery_seconds histogram. Nil drops telemetry.
 	Registry *telemetry.Registry
 	// Cache stores plans alongside compiled artifacts. Nil allocates a
@@ -100,20 +120,6 @@ type Options struct {
 	Cache *core.CollapseCache
 	// MaxWorkers caps the candidate team sizes. <=0 means GOMAXPROCS.
 	MaxWorkers int
-	// MaxUnits bounds the compressed work vector. <=0 means 4096 cells.
-	MaxUnits int
-	// Objective weights the fitness terms. Zero value means
-	// schedsim.DefaultObjective.
-	Objective schedsim.Objective
-	// Workload is the arrival process candidates are scored under.
-	// Zero value means single-shot.
-	Workload Workload
-	// ReplanDeviation is the relative |actual-predicted|/predicted above
-	// which Observe refines the plan. <=0 means 0.25.
-	ReplanDeviation float64
-	// UnitSec seeds the per-unit cost before any observation. <=0 means
-	// 50ns (a handful of arithmetic ops per innermost iteration).
-	UnitSec float64
 }
 
 func (o Options) fill() Options {
@@ -123,33 +129,18 @@ func (o Options) fill() Options {
 	if o.MaxWorkers <= 0 {
 		o.MaxWorkers = runtime.GOMAXPROCS(0)
 	}
-	if o.MaxUnits <= 0 {
-		o.MaxUnits = 4096
-	}
-	o.Objective = o.Objective.Normalized()
-	if o.Workload.Requests < 1 {
-		o.Workload.Requests = 1
-	}
-	if o.ReplanDeviation <= 0 {
-		o.ReplanDeviation = 0.25
-	}
-	if o.UnitSec <= 0 {
-		o.UnitSec = 50e-9
-	}
 	return o
 }
 
 // Tuner plans and refines schedules. Safe for concurrent use.
 type Tuner struct {
-	opts Options
-
-	dequeueOnce sync.Once
-	dequeueSec  float64
+	opts    Options
+	unitSec float64 // per-unit cost of a first-contact plan
 }
 
 // New returns a Tuner with opts' defaults filled in.
 func New(opts Options) *Tuner {
-	return &Tuner{opts: opts.fill()}
+	return &Tuner{opts: opts.fill(), unitSec: defaultUnitSec}
 }
 
 // Cache exposes the plan/artifact cache the tuner stores decisions in.
@@ -199,33 +190,31 @@ func (t *Tuner) Plan(res *core.Result, params map[string]int64) (plan *Plan, cac
 	cores := runtime.GOMAXPROCS(0)
 	key := planKey(res, params, cores)
 	if v, ok := t.opts.Cache.GetPlan(key); ok {
-		t.opts.Registry.Counter("autotune.cache_hits").Add(1)
+		t.opts.Registry.Counter(CacheHitsMetric).Add(1)
 		return v.(*Plan), true, nil
 	}
 	b, err := res.Unranker.Bind(params)
 	if err != nil {
 		return nil, false, err
 	}
-	model := buildWorkModel(res, b, params, t.opts.MaxUnits)
-	cal := t.calibrate(b, res.C, model.total)
-	plan = t.plan(key, model, cal, t.opts.UnitSec, 0)
+	model := buildWorkModel(res, b, params, maxUnits)
+	plan = t.plan(key, model, t.calibrate(b), t.unitSec, 0)
 	t.opts.Cache.PutPlan(key, plan)
-	t.opts.Registry.Counter("autotune.plans").Add(1)
+	t.opts.Registry.Counter(PlansMetric).Add(1)
 	return plan, false, nil
 }
 
 // calibrate assembles the cost model for one plan: the per-process
 // dequeue constant plus the recovery cost — live histogram p50 when
 // the nest has run enough, else sampled from the bound's own unranker.
-func (t *Tuner) calibrate(b *unrank.Bound, c int, total int64) Calibration {
-	t.dequeueOnce.Do(func() { t.dequeueSec = measureDequeue() })
-	cal := Calibration{Dequeue: t.dequeueSec}
+func (t *Tuner) calibrate(b *unrank.Bound) Calibration {
+	cal := Calibration{Dequeue: DequeueSec()}
 	if p50, ok := recoveryP50(t.opts.Registry); ok {
 		cal.Recovery = p50
 		cal.RecoveryMeasured = true
 		return cal
 	}
-	cal.Recovery = measureRecovery(b, c, total)
+	cal.Recovery = RecoverySec(b)
 	return cal
 }
 
@@ -241,14 +230,13 @@ func (t *Tuner) plan(key string, model workModel, cal Calibration, unitSec float
 	}
 	for _, workers := range candidateWorkers(t.opts.MaxWorkers) {
 		for _, pol := range candidatePolicies(model.total, workers) {
-			ms, score := t.score(workSec, model, cal, workers, pol)
+			ms, score := evaluate(workSec, model, cal, workers, pol)
 			if score < bestScore {
 				bestScore = score
 				best = Decision{
 					Schedule:     policySchedule(pol),
 					Workers:      workers,
 					PredictedSec: ms,
-					Score:        score,
 				}
 			}
 		}
@@ -263,13 +251,13 @@ func (t *Tuner) plan(key string, model workModel, cal Calibration, unitSec float
 	}
 }
 
-// score simulates one candidate triple over the configured workload.
+// evaluate simulates one run of a candidate triple and scores it.
 // Chunks are expressed in pcs but the work vector is in cells of G pcs,
 // so the chunk and the per-chunk overhead are rescaled to cell space:
 // cellChunk = max(1, chunk/G) cells, and the overhead per simulated
 // cell-chunk is scaled by cellChunk*G/chunk so the total overhead
 // charged across the run is preserved.
-func (t *Tuner) score(workSec []float64, model workModel, cal Calibration, workers int, pol schedsim.Policy) (makespanSec, score float64) {
+func evaluate(workSec []float64, model workModel, cal Calibration, workers int, pol schedsim.Policy) (makespanSec, score float64) {
 	g := model.cellPCs
 	if g < 1 {
 		g = 1
@@ -290,27 +278,9 @@ func (t *Tuner) score(workSec []float64, model workModel, cal Calibration, worke
 		cm.PerChunk = cal.Recovery // one recovery per contiguous block
 		cm.PerDequeue = 0
 	}
-
-	if t.opts.Workload.Requests <= 1 {
-		ms, loads := schedsim.Simulate(workSec, workers, cellPol, cm)
-		imb := schedsim.Imbalance(loads)
-		obj := t.opts.Objective
-		score = obj.WMakespan*ms*1e3 + obj.WP99*ms*1e3 + obj.WImbalance*math.Max(0, imb-1)*ms*1e3
-		return ms, score
-	}
-
-	// Trace-based scoring: replay the arrival process against copies of
-	// this work vector (all requests share the shape; mixed-shape traces
-	// are the experiment suite's domain, not the per-nest planner's).
-	tr := schedsim.GenTrace(schedsim.TraceOptions{
-		Arrivals: t.opts.Workload.Arrivals,
-		Requests: t.opts.Workload.Requests,
-		Shapes:   []schedsim.Shape{{Name: "nest", Work: workSec, Weight: 1}},
-		Seed:     1,
-	})
-	resTr := schedsim.SimulateTrace(tr, workers, cellPol, cm)
-	score = t.opts.Objective.Score(resTr)
-	return resTr.MeanMakespan(), score
+	ms, loads := schedsim.Simulate(workSec, workers, cellPol, cm)
+	imb := schedsim.Imbalance(loads)
+	return ms, wMakespan*ms*1e3 + wP99*ms*1e3 + wImbalance*math.Max(0, imb-1)*ms*1e3
 }
 
 // defaultChunkPCs mirrors omp's implicit chunking so simulation charges
@@ -395,7 +365,7 @@ func candidatePolicies(total int64, workers int) []schedsim.Policy {
 
 // Observe feeds an actual measured makespan back into the tuner. When
 // the observation deviates from the plan's prediction by more than
-// ReplanDeviation (and exceeds a noise floor), the per-unit cost is
+// replanDeviation (and exceeds a noise floor), the per-unit cost is
 // rescaled by actual/predicted, the candidates re-simulated against
 // the stored work model, and the refreshed plan cached. Returns the
 // plan now in effect and whether a re-plan happened.
@@ -409,7 +379,7 @@ func (t *Tuner) Observe(plan *Plan, actualSec float64) (*Plan, bool) {
 		return plan, false
 	}
 	dev := math.Abs(actualSec-pred) / pred
-	if dev <= t.opts.ReplanDeviation || math.Abs(actualSec-pred) < noiseFloorSec {
+	if dev <= replanDeviation || math.Abs(actualSec-pred) < noiseFloorSec {
 		return plan, false
 	}
 	// The simulated makespan is (work + overhead); attribute the full
@@ -426,7 +396,7 @@ func (t *Tuner) Observe(plan *Plan, actualSec float64) (*Plan, bool) {
 	}
 	next := t.plan(plan.Key, plan.model, cal, unit, plan.replans+1)
 	t.opts.Cache.PutPlan(plan.Key, next)
-	t.opts.Registry.Counter("autotune.replans").Add(1)
+	t.opts.Registry.Counter(ReplansMetric).Add(1)
 	return next, true
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/nest"
 	"repro/internal/omp"
-	"repro/internal/schedsim"
 	"repro/internal/telemetry"
 	"repro/internal/unrank"
 )
@@ -89,7 +88,8 @@ func TestWorkModelSeesPartialCollapseImbalance(t *testing.T) {
 
 func TestPlanCachesAndCounts(t *testing.T) {
 	tel := telemetry.New()
-	tuner := New(Options{Registry: tel, UnitSec: 1e-6})
+	tuner := New(Options{Registry: tel})
+	tuner.unitSec = 1e-6
 	res := triangular(t)
 	params := map[string]int64{"N": 80}
 
@@ -127,17 +127,18 @@ func TestPlanCachesAndCounts(t *testing.T) {
 	}
 
 	snap := tel.Snapshot()
-	if got := snap.Counters["autotune.plans"]; got != 2 {
-		t.Errorf("autotune.plans = %d, want 2", got)
+	if got := snap.Counters[PlansMetric]; got != 2 {
+		t.Errorf("%s = %d, want 2", PlansMetric, got)
 	}
-	if got := snap.Counters["autotune.cache_hits"]; got != 2 {
-		t.Errorf("autotune.cache_hits = %d, want 2", got)
+	if got := snap.Counters[CacheHitsMetric]; got != 2 {
+		t.Errorf("%s = %d, want 2", CacheHitsMetric, got)
 	}
 }
 
 func TestObserveReplansOnDeviation(t *testing.T) {
 	tel := telemetry.New()
-	tuner := New(Options{Registry: tel, UnitSec: 1e-6})
+	tuner := New(Options{Registry: tel})
+	tuner.unitSec = 1e-6
 	res := triangular(t)
 	params := map[string]int64{"N": 80}
 	p1, _, err := tuner.Plan(res, params)
@@ -170,13 +171,14 @@ func TestObserveReplansOnDeviation(t *testing.T) {
 	if !cached || p3 != p2 {
 		t.Fatal("cache still serves the stale plan after refinement")
 	}
-	if got := tel.Snapshot().Counters["autotune.replans"]; got != 1 {
-		t.Errorf("autotune.replans = %d, want 1", got)
+	if got := tel.Snapshot().Counters[ReplansMetric]; got != 1 {
+		t.Errorf("%s = %d, want 1", ReplansMetric, got)
 	}
 }
 
 func TestObserveNoiseFloor(t *testing.T) {
-	tuner := New(Options{UnitSec: 1e-9})
+	tuner := New(Options{})
+	tuner.unitSec = 1e-9
 	res := triangular(t)
 	p, _, err := tuner.Plan(res, map[string]int64{"N": 4})
 	if err != nil {
@@ -192,7 +194,8 @@ func TestPlannerPrefersChunkedOnImbalancedWork(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs >= 2 cores")
 	}
-	tuner := New(Options{UnitSec: 1e-6, MaxWorkers: 4})
+	tuner := New(Options{MaxWorkers: 4})
+	tuner.unitSec = 1e-6
 	res := partialCollapse(t)
 	p, _, err := tuner.Plan(res, map[string]int64{"N": 4096})
 	if err != nil {
@@ -318,24 +321,6 @@ func TestDecisionString(t *testing.T) {
 	d = Decision{Schedule: omp.Schedule{Kind: omp.Static}, Workers: 2}
 	if got := d.String(); got != "static x2" {
 		t.Fatalf("Decision.String() = %q", got)
-	}
-}
-
-func TestWorkloadTraceScoring(t *testing.T) {
-	tuner := New(Options{
-		UnitSec: 1e-6,
-		Workload: Workload{
-			Arrivals: schedsim.Arrivals{Kind: schedsim.Poisson, Rate: 100},
-			Requests: 32,
-		},
-	})
-	res := triangular(t)
-	p, _, err := tuner.Plan(res, map[string]int64{"N": 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Decision.PredictedSec <= 0 || p.Decision.Score <= 0 {
-		t.Fatalf("trace-scored plan has empty prediction: %+v", p.Decision)
 	}
 }
 

@@ -1,7 +1,9 @@
 package autotune
 
 import (
+	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/omp"
@@ -11,10 +13,10 @@ import (
 
 // Calibration holds the overhead costs (seconds) the planner charges
 // per simulated scheduling event. Both are measured, never guessed:
-// the dequeue cost on first contact with the process (empty dynamic
-// minus empty static loop), the recovery cost per plan from the nest's
-// own unranker — then overridden by the live telemetry histogram's p50
-// as soon as real chunk recoveries have been observed.
+// the dequeue cost once per process (empty dynamic minus empty static
+// loop on a two-thread team), the recovery cost per plan from the
+// nest's own unranker — then overridden by the live telemetry
+// histogram's p50 as soon as real chunk recoveries have been observed.
 type Calibration struct {
 	// Dequeue is the shared-counter grab plus dispatch of the dynamic
 	// and guided schedules.
@@ -32,70 +34,78 @@ type Calibration struct {
 // planner requires before trusting the p50 over its own sampling pass.
 const minRecoveryObservations = 32
 
-// timeIt measures f, repeating until the total elapsed time exceeds
-// minDuration, and returns seconds per call.
-func timeIt(minDuration time.Duration, f func()) float64 {
-	reps := 1
-	for {
+// Probe sizes. Every probe runs a fixed amount of work a fixed number
+// of times and keeps the fastest pass, so its cost is bounded (well
+// under a millisecond) and a pass that a preemption or GC landed in is
+// discarded rather than averaged in.
+const (
+	probePasses = 4
+	// dequeueThreads is the team size of the dequeue probe: with one
+	// thread the engine takes its serial path, which has no shared
+	// counter to grab.
+	dequeueThreads = 2
+	dequeueChunks  = 1 << 12
+	recoveryRanks  = 64
+)
+
+// MinPassSec runs f passes times and returns the fastest pass in
+// seconds.
+func MinPassSec(passes int, f func()) float64 {
+	best := math.Inf(1)
+	for p := 0; p < passes; p++ {
 		start := time.Now()
-		for r := 0; r < reps; r++ {
-			f()
+		f()
+		if s := time.Since(start).Seconds(); s < best {
+			best = s
 		}
-		el := time.Since(start)
-		if el >= minDuration || reps >= 1<<28 {
-			return el.Seconds() / float64(reps)
-		}
-		if el <= 0 {
-			reps *= 64
-			continue
-		}
-		grow := int(float64(minDuration)/float64(el)) + 1
-		if grow > 64 {
-			grow = 64
-		}
-		reps *= grow
 	}
+	return best
 }
 
-// measureDequeue calibrates the per-chunk overhead of the dynamic
-// schedule: an empty-body dynamic loop on one thread minus an empty
-// static loop. Measured once per Tuner (first contact), the budget is
-// deliberately small — the constant only tie-breaks chunk sizes.
-func measureDequeue() float64 {
-	const n = 1 << 15
-	dyn := timeIt(4*time.Millisecond, func() {
-		omp.ParallelFor(1, 0, n, omp.Schedule{Kind: omp.Dynamic}, func(int, int64) {})
+var (
+	dequeueOnce sync.Once
+	dequeueSec  float64
+)
+
+// DequeueSec returns the per-chunk cost of the dynamic schedule,
+// probed on first call and shared by every caller in the process: an
+// empty dynamic,1 loop minus an empty static loop over dequeueChunks
+// iterations, on the multi-thread engine.
+func DequeueSec() float64 {
+	dequeueOnce.Do(func() {
+		loop := func(sched omp.Schedule) float64 {
+			return MinPassSec(probePasses, func() {
+				omp.ParallelForChunks(dequeueThreads, 0, dequeueChunks, sched, func(int, int64, int64) {})
+			})
+		}
+		dyn := loop(omp.Schedule{Kind: omp.Dynamic, Chunk: 1})
+		stat := loop(omp.Schedule{Kind: omp.Static})
+		// Floor: an atomic RMW is never free.
+		dequeueSec = math.Max((dyn-stat)/dequeueChunks, 1e-9)
 	})
-	stat := timeIt(4*time.Millisecond, func() {
-		omp.ParallelFor(1, 0, n, omp.Schedule{Kind: omp.Static}, func(int, int64) {})
-	})
-	per := (dyn - stat) / n
-	if per < 1e-9 {
-		per = 1e-9 // floor: an atomic RMW is never free
-	}
-	return per
+	return dequeueSec
 }
 
-// measureRecovery samples one closed-form recovery over random ranks of
-// the bound space (the first-contact pass; the live histogram takes
+// RecoverySec samples one closed-form recovery on b: recoveryRanks
+// random ranks of the bound space, unranked once per pass, fastest
+// pass per rank (the first-contact value; the live histogram takes
 // over once the nest has actually run).
-func measureRecovery(b *unrank.Bound, c int, total int64) float64 {
+func RecoverySec(b *unrank.Bound) float64 {
+	total := b.Total()
 	if total <= 0 {
 		return 0
 	}
 	rnd := rand.New(rand.NewSource(11))
-	const nPCs = 64
-	pcs := make([]int64, nPCs)
+	pcs := make([]int64, recoveryRanks)
 	for i := range pcs {
 		pcs[i] = 1 + rnd.Int63n(total)
 	}
-	idx := make([]int64, c)
-	sec := timeIt(2*time.Millisecond, func() {
+	idx := make([]int64, b.Depth())
+	return MinPassSec(probePasses, func() {
 		for _, pc := range pcs {
 			_ = b.Unrank(pc, idx)
 		}
-	})
-	return sec / nPCs
+	}) / recoveryRanks
 }
 
 // recoveryP50 returns the p50 of the live per-chunk recovery histogram

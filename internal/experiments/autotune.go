@@ -275,9 +275,9 @@ func Autotune(opts AutotuneOptions) (*AutotuneReport, error) {
 	}
 
 	snap := reg.Snapshot()
-	rep.Plans = snap.Counters["autotune.plans"]
-	rep.Replans = snap.Counters["autotune.replans"]
-	rep.CacheHits = snap.Counters["autotune.cache_hits"]
+	rep.Plans = snap.Counters[autotune.PlansMetric]
+	rep.Replans = snap.Counters[autotune.ReplansMetric]
+	rep.CacheHits = snap.Counters[autotune.CacheHitsMetric]
 	return rep, nil
 }
 

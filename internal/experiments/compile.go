@@ -105,7 +105,7 @@ func Compile(opts CompileOptions) (*CompileReport, error) {
 	best := func(f func()) float64 {
 		b := -1.0
 		for r := 0; r < opts.Reps; r++ {
-			if s := timeIt(opts.MinTime, f); b < 0 || s < b {
+			if s := secPerCallOver(opts.MinTime, f); b < 0 || s < b {
 				b = s
 			}
 		}

@@ -107,9 +107,11 @@ func TestFig9BenchShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Notes on the dynamic comparison: our goroutine dynamic baseline has
-	// a measured dequeue cost of a few nanoseconds — far cheaper than
-	// libgomp's contended dispatch on the paper's 12-core machine — so
-	// "gain vs dynamic" here is conservative relative to the paper.
+	// a dequeue cost measured on a two-thread team through the
+	// multi-thread engine (the autotune probe; about 6ns per chunk on a
+	// 2-vCPU VM) — far cheaper than libgomp's contended dispatch on the
+	// paper's 12-core machine — so "gain vs dynamic" here is
+	// conservative relative to the paper.
 	// The robust shape claims: collapsing beats static everywhere; it
 	// clearly beats dynamic on the tiled kernels (incomplete tiles); it
 	// is within noise of dynamic on most others; and it clearly loses to

@@ -259,7 +259,7 @@ func invertChunk(bS, bT *unrank.Bound, total, chunk int64, opts InvertOptions) (
 		best := -1.0
 		for r := 0; r < opts.Reps; r++ {
 			var ferr error
-			s := timeIt(opts.MinTime, func() {
+			s := secPerCallOver(opts.MinTime, func() {
 				if err := f(); err != nil && ferr == nil {
 					ferr = err
 				}

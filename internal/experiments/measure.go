@@ -19,19 +19,18 @@
 package experiments
 
 import (
-	"math/rand"
 	"time"
 
+	"repro/internal/autotune"
 	"repro/internal/core"
 	"repro/internal/kernels"
-	"repro/internal/omp"
 	"repro/internal/unrank"
 )
 
 // Calibration holds host-measured unit costs (seconds).
 type Calibration struct {
 	// Dequeue is the per-chunk cost of dynamic scheduling (one atomic
-	// fetch-add plus dispatch).
+	// fetch-add plus dispatch), measured on a two-thread team.
 	Dequeue float64
 	// Recovery is the cost of one full closed-form index recovery
 	// (Unrank) for the given collapse result.
@@ -40,9 +39,11 @@ type Calibration struct {
 	Increment float64
 }
 
-// timeIt measures f, repeating until the total elapsed time exceeds
-// minDuration, and returns seconds per call.
-func timeIt(minDuration time.Duration, f func()) float64 {
+// secPerCallOver measures f, repeating until the total elapsed time
+// exceeds minDuration, and returns seconds per call. It times the
+// overhead, compile and invert suites, whose MinTime option sets the
+// duration; the calibration probes below run fixed pass counts.
+func secPerCallOver(minDuration time.Duration, f func()) float64 {
 	reps := 1
 	for {
 		start := time.Now()
@@ -65,88 +66,44 @@ func timeIt(minDuration time.Duration, f func()) float64 {
 	}
 }
 
-// MeasureDequeue calibrates the per-chunk overhead of the dynamic
-// schedule by running an empty-body dynamic loop on one thread and
-// subtracting a static empty loop.
-func MeasureDequeue() float64 {
-	const n = 1 << 17
-	dyn := timeIt(20*time.Millisecond, func() {
-		omp.ParallelFor(1, 0, n, omp.Schedule{Kind: omp.Dynamic}, func(int, int64) {})
-	})
-	stat := timeIt(20*time.Millisecond, func() {
-		omp.ParallelFor(1, 0, n, omp.Schedule{Kind: omp.Static}, func(int, int64) {})
-	})
-	per := (dyn - stat) / n
-	if per < 1e-9 {
-		per = 1e-9 // floor: an atomic RMW is never free
-	}
-	return per
-}
+// Increment probe size: up to incrementSteps increments from the first
+// tuple per pass, fastest of incrementPasses passes.
+const (
+	incrementSteps  = 1 << 15
+	incrementPasses = 4
+)
 
-// MeasureRecovery calibrates one closed-form recovery (Unrank) averaged
-// over random ranks of the collapsed space.
-func MeasureRecovery(res *core.Result, params map[string]int64) (float64, error) {
-	b, err := res.Unranker.Bind(params)
-	if err != nil {
-		return 0, err
-	}
-	total := b.Total()
-	if total == 0 {
-		return 0, nil
-	}
-	rnd := rand.New(rand.NewSource(7))
-	const nPCs = 256
-	pcs := make([]int64, nPCs)
-	for i := range pcs {
-		pcs[i] = 1 + rnd.Int63n(total)
-	}
-	idx := make([]int64, res.C)
-	sec := timeIt(10*time.Millisecond, func() {
-		for _, pc := range pcs {
-			_ = b.Unrank(pc, idx)
-		}
-	})
-	return sec / nPCs, nil
-}
-
-// MeasureIncrement calibrates one lexicographic incrementation.
-func MeasureIncrement(res *core.Result, params map[string]int64) (float64, error) {
-	b, err := res.Unranker.Bind(params)
-	if err != nil {
-		return 0, err
-	}
+// measureIncrement calibrates one lexicographic incrementation.
+func measureIncrement(b *unrank.Bound) float64 {
 	total := b.Total()
 	if total < 2 {
-		return 0, nil
+		return 0
 	}
-	idx := make([]int64, res.C)
-	span := total - 1
-	if span > 1<<15 {
-		span = 1 << 15
-	}
-	sec := timeIt(10*time.Millisecond, func() {
+	idx := make([]int64, b.Depth())
+	span := min(total-1, incrementSteps)
+	return autotune.MinPassSec(incrementPasses, func() {
 		if err := b.Unrank(1, idx); err != nil {
 			return
 		}
 		for s := int64(0); s < span; s++ {
 			b.Increment(idx)
 		}
-	})
-	return sec / float64(span), nil
+	}) / float64(span)
 }
 
-// Calibrate performs all host measurements for a collapse result.
+// Calibrate performs all host measurements for a collapse result. The
+// dequeue and recovery costs come from the autotune planner's probes,
+// so the figures and the planner share one calibration.
 func Calibrate(res *core.Result, params map[string]int64) (Calibration, error) {
-	var c Calibration
-	c.Dequeue = MeasureDequeue()
-	var err error
-	if c.Recovery, err = MeasureRecovery(res, params); err != nil {
-		return c, err
+	b, err := res.Unranker.Bind(params)
+	if err != nil {
+		return Calibration{}, err
 	}
-	if c.Increment, err = MeasureIncrement(res, params); err != nil {
-		return c, err
-	}
-	return c, nil
+	return Calibration{
+		Dequeue:   autotune.DequeueSec(),
+		Recovery:  autotune.RecoverySec(b),
+		Increment: measureIncrement(b),
+	}, nil
 }
 
 // MeasureSerial times one full sequential execution of a kernel instance

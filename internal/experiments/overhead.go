@@ -173,12 +173,12 @@ func Overhead(opts OverheadOptions) (*OverheadReport, error) {
 	return rep, nil
 }
 
-// bestOfReps times f Reps times with timeIt and keeps the minimum
+// bestOfReps times f Reps times with secPerCallOver and keeps the minimum
 // seconds per call.
 func bestOfReps(opts OverheadOptions, f func()) float64 {
 	best := -1.0
 	for r := 0; r < opts.Reps; r++ {
-		if s := timeIt(opts.MinTime, f); best < 0 || s < best {
+		if s := secPerCallOver(opts.MinTime, f); best < 0 || s < best {
 			best = s
 		}
 	}

@@ -136,6 +136,13 @@ func newLtmpInst(n int64) *ltmpInst {
 
 func (in *ltmpInst) OuterRange() (int64, int64) { return 0, in.n }
 
+// cell is kept out of line so the original nest (RunOuter) and the
+// collapsed program (RunCollapsed) run the same machine code for the
+// k reduction. When the compiler inlined it into both, the two copies
+// differed only in code placement, yet RunOuter ran ~1.45× slower on
+// a 2-vCPU AMD EPYC VM, which hid the Fig. 9 ltmp anomaly.
+//
+//go:noinline
 func (in *ltmpInst) cell(i, j int64) {
 	n := in.n
 	acc := 0.0

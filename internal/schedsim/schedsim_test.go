@@ -197,3 +197,75 @@ func TestEmptyWork(t *testing.T) {
 		t.Error("LowerBound(nil) != 0")
 	}
 }
+
+// The satellite property: every simulated makespan is at least the
+// trivial lower bound max(total/P, max unit), across randomized work
+// vectors, thread counts, chunk sizes and cost models, for every
+// policy. Overheads can only add time, so the bound holds with or
+// without them.
+func TestSimulateMakespanAtLeastLowerBound(t *testing.T) {
+	pols := []PolicyKind{PolicyStatic, PolicyStaticChunk, PolicyDynamic, PolicyGuided}
+	f := func(seed int64, p8, c8 uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		P := int(p8%16) + 1
+		n := r.Intn(200)
+		work := make([]float64, n)
+		for i := range work {
+			work[i] = r.Float64() * 100
+		}
+		lb := LowerBound(work, P)
+		chunk := int(c8%64) + 1
+		cm := CostModel{PerChunk: r.Float64() * 5, PerDequeue: r.Float64() * 2}
+		for _, k := range pols {
+			for _, m := range []CostModel{{}, cm} {
+				ms, loads := Simulate(work, P, Policy{Kind: k, Chunk: chunk}, m)
+				if ms < lb-1e-9 {
+					return false
+				}
+				// The makespan is the max per-thread load, and loads
+				// conserve the total work (plus nonnegative overheads).
+				var sum, maxL float64
+				for _, l := range loads {
+					sum += l
+					if l > maxL {
+						maxL = l
+					}
+				}
+				if math.Abs(maxL-ms) > 1e-9 || sum < Total(work)-1e-6 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The fix the planner relies on: dynamic/guided pay the measured
+// per-chunk recovery on every grab, so chunk-1 dynamic on a collapsed
+// loop is penalized by recovery x iterations, exactly the §V cost the
+// legacy constant-only simulation missed.
+func TestDynamicChargesPerChunkRecovery(t *testing.T) {
+	work := make([]float64, 1000)
+	for i := range work {
+		work[i] = 1
+	}
+	cm := CostModel{PerChunk: 10, PerDequeue: 0.5}
+	small := Makespan(work, 4, Policy{Kind: PolicyDynamic, Chunk: 1}, cm)
+	big := Makespan(work, 4, Policy{Kind: PolicyDynamic, Chunk: 100}, cm)
+	if small <= big {
+		t.Fatalf("chunk-1 dynamic %g not worse than chunk-100 %g under recovery cost", small, big)
+	}
+	// 1000 chunks across 4 threads, 10.5 overhead each: >= 250*10.5.
+	if small < 250*10.5 {
+		t.Fatalf("chunk-1 dynamic %g does not reflect per-chunk recovery", small)
+	}
+	// Legacy Dynamic (dequeue only) must still match the engine with
+	// PerChunk = 0.
+	if got, want := Dynamic(work, 4, 7, 0.5),
+		Makespan(work, 4, Policy{Kind: PolicyDynamic, Chunk: 7}, CostModel{PerDequeue: 0.5}); got != want {
+		t.Fatalf("legacy Dynamic %g != engine %g", got, want)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/autotune"
 	"repro/internal/omp"
 	"repro/internal/telemetry"
 )
@@ -50,10 +51,10 @@ func TestExecuteAutoSchedule(t *testing.T) {
 		t.Fatalf("second run checksum %d, want %d", ex2.Checksum, checksum)
 	}
 	snap := reg.Snapshot()
-	if snap.Counters["autotune.plans"] < 1 {
-		t.Error("autotune.plans counter never incremented")
+	if snap.Counters[autotune.PlansMetric] < 1 {
+		t.Errorf("%s counter never incremented", autotune.PlansMetric)
 	}
-	if snap.Counters["autotune.cache_hits"] < 1 {
+	if snap.Counters[autotune.CacheHitsMetric] < 1 {
 		t.Error("second auto request did not hit the plan cache")
 	}
 }

@@ -345,7 +345,10 @@ func CollapsedForAuto(ctx context.Context, n *Nest, c int, params map[string]int
 // observed makespans.
 type Tuner = autotune.Tuner
 
-// TunerOptions configure a Tuner; the zero value works.
+// TunerOptions configure a Tuner: the telemetry registry it counts
+// plans on and reads the live recovery histogram from, the cache its
+// plans live in, and the largest team it may pick. The zero value
+// works: no telemetry, a private cache, GOMAXPROCS workers.
 type TunerOptions = autotune.Options
 
 // TunedRun records one autotuned execution: the plan in effect, whether
