@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race check cover bench bench-json benchgate benchgate-baseline servegate servegate-baseline distchaos distgate distgate-baseline invertgate invertgate-baseline autotunegate autotunegate-baseline loadtest figures ablation scaling fuzz stress clean
+.PHONY: all build test test-short race check cover bench bench-json distchaos loadtest figures ablation scaling fuzz stress clean
 
 all: build test
 
@@ -35,10 +35,11 @@ race:
 
 # Full pre-merge gate: formatting, vet, the whole suite, the nested
 # perfbench module (which `./...` at the root skips, so an executor
-# signature change would otherwise only break the benchmark), the
-# differential stress harness, the bench-regression gate (which also
-# smoke-runs the overhead suite), a short fuzz pass over every fuzz
-# target, and the race detector over the concurrent packages.
+# signature change would otherwise only break the benchmark), the race
+# detector over the concurrent packages, the differential stress
+# harness, the daemon smoke and shard-chaos soaks, the overhead, invert
+# and autotune regression gates (which also smoke-run those suites),
+# and a short fuzz pass over every fuzz target.
 PERFBENCH_ENV = GOFLAGS=-mod=mod GOPROXY=off
 
 check:
@@ -51,9 +52,9 @@ check:
 	$(MAKE) stress
 	$(MAKE) loadtest
 	$(MAKE) distchaos
-	$(MAKE) benchgate
-	$(MAKE) invertgate
-	$(MAKE) autotunegate
+	$(MAKE) gate-overhead
+	$(MAKE) gate-invert
+	$(MAKE) gate-autotune
 	$(MAKE) fuzz FUZZTIME=5s
 
 # Daemon smoke soak: an in-process collapsed instance driven at 2x its
@@ -63,45 +64,66 @@ check:
 loadtest:
 	$(GO) run ./cmd/loadgen -smoke -quick
 
-# Bench-regression gate: one quick overhead run diffed against the
-# committed BENCH_GATE.json baseline with cmd/benchdiff, exiting
-# non-zero on regression. Only the machine-independent speedup ratios
-# are gated (absolute ns/iter depend on the host the baseline was taken
-# on) with a generous threshold sized for quick-mode noise; the full
-# direction-aware per-metric diff is available manually, e.g.
+# Bench-regression gates, one rule for every legacy suite (they all
+# write the same row document, experiments.BenchDoc): `make
+# gate-<suite>` runs the suite's producer once and diffs the rows its
+# metric filter selects against the committed baseline with
+# cmd/benchdiff, failing on any row worse by more than GATE_THRESHOLD
+# percent; `make gate-baseline-<suite>` re-records the baseline after
+# an intentional change. Any two documents diff manually, e.g.
 #   go run ./cmd/benchdiff -old BENCH_PR4.json -new BENCH_NEW.json
-# Refresh the baseline with `make benchgate-baseline` after intentional
-# engine changes.
-GATE_BASELINE = BENCH_GATE.json
-GATE_FLAGS = -metrics speedup -threshold 75
+#
+# The table, per suite: GATE_RUN the producer (the output path follows
+# -json), GATE_ARGS extra flags for gate runs only, GATE_BASE the
+# baseline, GATE_METRICS the gated filter. Only machine-independent
+# rows are gated, at a threshold sized for quick-mode noise:
+#
+#   overhead  range-batched vs per-iteration speedups (quick sizes)
+#   serve     achieved QPS of a loadgen trajectory; gate and baseline
+#             share flags so the per-phase target_qps params line up
+#   dist      shard throughput of every distfor -bench scenario (the
+#             overhead_pct rows are not gated)
+#   invert    breakpoint-table and closed-form recovery vs per-pc search
+#   autotune  auto_vs_best (lower is better) and worst_vs_auto
+#
+# make check runs gate-overhead, gate-invert and gate-autotune.
+GATE_SUITES = overhead serve dist invert autotune
+GATE_THRESHOLD = 75
 
-benchgate:
-	@if [ ! -f $(GATE_BASELINE) ]; then echo "no $(GATE_BASELINE); run 'make benchgate-baseline' first"; exit 1; fi
-	$(GO) run ./cmd/benchfig -fig overhead -quick -reps 1 -json .bench_gate_new.json >/dev/null
-	$(GO) run ./cmd/benchdiff -old $(GATE_BASELINE) -new .bench_gate_new.json $(GATE_FLAGS)
-	@rm -f .bench_gate_new.json
+GATE_RUN_overhead = $(GO) run ./cmd/benchfig -fig overhead -quick -reps 1
+GATE_BASE_overhead = BENCH_GATE.json
+GATE_METRICS_overhead = speedup
 
-benchgate-baseline:
-	$(GO) run ./cmd/benchfig -fig overhead -quick -reps 1 -json $(GATE_BASELINE)
+GATE_RUN_serve = $(GO) run ./cmd/loadgen -quick -qps 200 -phases 0.5,1,2 -seed 1
+GATE_BASE_serve = BENCH_PR7.json
+GATE_METRICS_serve = achieved_qps
 
-# Serving-trajectory regression gate: one quick loadgen run against an
-# in-process daemon, diffed against the committed BENCH_PR7.json
-# baseline. Only achieved_qps is gated (latency quantiles and shed rate
-# depend on the host and on scheduler noise at 1s phases); the threshold
-# is sized accordingly. Baseline and gate runs must share SERVE_FLAGS so
-# the per-phase target_qps params line up.
-SERVE_BASELINE = BENCH_PR7.json
-SERVE_FLAGS = -quick -qps 200 -phases 0.5,1,2 -seed 1
-SERVE_GATE_FLAGS = -metrics achieved_qps -threshold 75
+GATE_RUN_dist = $(GO) run ./cmd/distfor -bench -quick
+GATE_BASE_dist = BENCH_PR8.json
+GATE_METRICS_dist = miter_per_sec
 
-servegate:
-	@if [ ! -f $(SERVE_BASELINE) ]; then echo "no $(SERVE_BASELINE); run 'make servegate-baseline' first"; exit 1; fi
-	$(GO) run ./cmd/loadgen $(SERVE_FLAGS) -json .bench_serve_new.json >/dev/null
-	$(GO) run ./cmd/benchdiff -old $(SERVE_BASELINE) -new .bench_serve_new.json $(SERVE_GATE_FLAGS)
-	@rm -f .bench_serve_new.json
+GATE_RUN_invert = $(GO) run ./cmd/benchfig -fig invert
+GATE_ARGS_invert = -reps 1
+GATE_BASE_invert = BENCH_PR9.json
+GATE_METRICS_invert = speedup
 
-servegate-baseline:
-	$(GO) run ./cmd/loadgen $(SERVE_FLAGS) -json $(SERVE_BASELINE)
+GATE_RUN_autotune = $(GO) run ./cmd/benchfig -fig autotune
+GATE_ARGS_autotune = -reps 1
+GATE_BASE_autotune = BENCH_PR10.json
+GATE_METRICS_autotune = vs_best,vs_auto
+
+GATES = $(addprefix gate-,$(GATE_SUITES))
+GATE_BASELINES = $(addprefix gate-baseline-,$(GATE_SUITES))
+.PHONY: $(GATES) $(GATE_BASELINES)
+
+$(GATES): gate-%:
+	@if [ ! -f $(GATE_BASE_$*) ]; then echo "no $(GATE_BASE_$*); run 'make gate-baseline-$*' first"; exit 1; fi
+	$(GATE_RUN_$*) $(GATE_ARGS_$*) -json .bench_$*_new.json >/dev/null
+	$(GO) run ./cmd/benchdiff -old $(GATE_BASE_$*) -new .bench_$*_new.json -metrics $(GATE_METRICS_$*) -threshold $(GATE_THRESHOLD)
+	@rm -f .bench_$*_new.json
+
+$(GATE_BASELINES): gate-baseline-%:
+	$(GATE_RUN_$*) -json $(GATE_BASE_$*)
 
 # Sharded-execution chaos gate: an execute-heavy loadgen run against an
 # in-process daemon in sharded mode, with every Nth in-flight shard
@@ -110,61 +132,6 @@ servegate-baseline:
 # check against sequential enumeration).
 distchaos:
 	$(GO) run ./cmd/loadgen -quick -qps 60 -phases 1 -mix execute=1 -p N=120 -chaos-kill-shard-every 5
-
-# Shard-coordination regression gate: one quick distfor bench run diffed
-# against the committed BENCH_PR8.json baseline. Only the clean-run
-# throughput is gated (chaos/resume rows have injected failures whose
-# cost is noise-dominated at quick sizes); the threshold is sized for
-# quick-mode noise on a loaded host. Refresh with `make
-# distgate-baseline` after intentional coordinator changes.
-DIST_BASELINE = BENCH_PR8.json
-DIST_GATE_FLAGS = -metrics miter_per_sec -threshold 75
-
-distgate:
-	@if [ ! -f $(DIST_BASELINE) ]; then echo "no $(DIST_BASELINE); run 'make distgate-baseline' first"; exit 1; fi
-	$(GO) run ./cmd/distfor -bench -quick -json .bench_dist_new.json >/dev/null
-	$(GO) run ./cmd/benchdiff -old $(DIST_BASELINE) -new .bench_dist_new.json $(DIST_GATE_FLAGS)
-	@rm -f .bench_dist_new.json
-
-distgate-baseline:
-	$(GO) run ./cmd/distfor -bench -quick -json $(DIST_BASELINE)
-
-# Inversion-throughput regression gate: one quick invert-suite run
-# diffed against the committed BENCH_PR9.json baseline. Only the
-# machine-independent speedup ratios (breakpoint-table and batched
-# recovery vs per-pc binary search) are gated; absolute ns/recovery
-# depend on the host. Refresh with `make invertgate-baseline` after
-# intentional recovery-engine changes.
-INVERT_BASELINE = BENCH_PR9.json
-INVERT_GATE_FLAGS = -metrics speedup -threshold 75
-
-invertgate:
-	@if [ ! -f $(INVERT_BASELINE) ]; then echo "no $(INVERT_BASELINE); run 'make invertgate-baseline' first"; exit 1; fi
-	$(GO) run ./cmd/benchfig -fig invert -reps 1 -json .bench_invert_new.json >/dev/null
-	$(GO) run ./cmd/benchdiff -old $(INVERT_BASELINE) -new .bench_invert_new.json $(INVERT_GATE_FLAGS)
-	@rm -f .bench_invert_new.json
-
-invertgate-baseline:
-	$(GO) run ./cmd/benchfig -fig invert -json $(INVERT_BASELINE)
-
-# Autotuning regression gate: one quick autotune-suite run diffed
-# against the committed BENCH_PR10.json baseline. Only the
-# machine-independent ratios are gated — the planner's pick vs the best
-# hand-picked schedule (auto_vs_best, lower is better) and the worst
-# hand pick vs the planner (worst_vs_auto, higher is better); absolute
-# wall times depend on the host. Refresh with `make
-# autotunegate-baseline` after intentional planner/cost-model changes.
-AUTOTUNE_BASELINE = BENCH_PR10.json
-AUTOTUNE_GATE_FLAGS = -metrics vs_best,vs_auto -threshold 75
-
-autotunegate:
-	@if [ ! -f $(AUTOTUNE_BASELINE) ]; then echo "no $(AUTOTUNE_BASELINE); run 'make autotunegate-baseline' first"; exit 1; fi
-	$(GO) run ./cmd/benchfig -fig autotune -reps 1 -json .bench_autotune_new.json >/dev/null
-	$(GO) run ./cmd/benchdiff -old $(AUTOTUNE_BASELINE) -new .bench_autotune_new.json $(AUTOTUNE_GATE_FLAGS)
-	@rm -f .bench_autotune_new.json
-
-autotunegate-baseline:
-	$(GO) run ./cmd/benchfig -fig autotune -json $(AUTOTUNE_BASELINE)
 
 # Differential stress soak: seedable random nests through every
 # schedule and every recovery mode (float64 → exact search, table →
@@ -181,11 +148,12 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable engine overhead report (fixed protocol: bench sizes,
-# best of 3 reps, 1 thread): original nest vs per-iteration vs
+# Machine-readable engine overhead document (fixed protocol: bench
+# sizes, best of 3 reps, 1 thread): original nest vs per-iteration vs
 # range-batched vs recover-every, per kernel × schedule. The compile
 # suite records the compile-path throughput (cold serial vs parallel
-# fan-out vs cached) per kernel.
+# fan-out vs cached) per kernel. Both write the flat row document
+# (experiments.BenchDoc) that cmd/benchdiff reads.
 bench-json:
 	$(GO) run ./cmd/benchfig -fig overhead -reps 3 -json BENCH_PR4.json
 	$(GO) run ./cmd/benchfig -fig compile -reps 3 -json BENCH_PR5.json

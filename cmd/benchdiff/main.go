@@ -1,25 +1,22 @@
-// Command benchdiff compares two BENCH_*.json benchmark documents
-// (written by `benchfig -fig overhead -json` / `-fig compile -json`)
-// and exits non-zero when any per-kernel metric regresses beyond a
-// threshold. It is the engine of `make benchgate`.
+// Command benchdiff compares two BENCH_*.json benchmark documents of
+// one suite (written by `benchfig -json`, `loadgen -json` or
+// `distfor -bench -json`) and exits non-zero when any row regresses
+// beyond a threshold. It is the engine of the `make gate-<suite>`
+// targets.
 //
 //	benchdiff -old BENCH_PR4.json -new BENCH_NEW.json
 //	benchdiff -old a.json -new b.json -threshold 10
-//	benchdiff -old a.json -new b.json -kernel correlation=35,syrk=10
 //	benchdiff -old a.json -new b.json -metrics speedup   # ratio-only gate
 //
-// Comparisons are direction-aware (ns costs regress up, speedups
-// regress down) and kernels whose problem parameters differ between
-// the runs are skipped with a note rather than compared. Both the
-// schema-v1 document layout (no meta block) and schema v2 (with one)
-// are accepted, on either side.
+// Rows pair by (case, metric) and compare in their own direction (costs
+// regress up, ratios and throughputs down); rows whose params differ
+// between the runs are skipped with a note rather than compared.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/benchcmp"
@@ -29,9 +26,7 @@ type options struct {
 	oldPath   string
 	newPath   string
 	threshold float64
-	kernels   string // per-kernel overrides: name=pct,name=pct
 	metrics   string // comma-separated metric-name substrings
-	quiet     bool
 }
 
 func main() {
@@ -39,9 +34,7 @@ func main() {
 	flag.StringVar(&o.oldPath, "old", "", "baseline BENCH_*.json")
 	flag.StringVar(&o.newPath, "new", "", "candidate BENCH_*.json")
 	flag.Float64Var(&o.threshold, "threshold", 20, "allowed worsening percent before a metric counts as a regression")
-	flag.StringVar(&o.kernels, "kernel", "", "per-kernel threshold overrides, name=pct[,name=pct...]")
 	flag.StringVar(&o.metrics, "metrics", "", "only compare metrics whose name contains one of these comma-separated substrings")
-	flag.BoolVar(&o.quiet, "q", false, "print only regressions and the verdict")
 	flag.Parse()
 
 	code, err := run(o)
@@ -58,10 +51,6 @@ func run(o options) (int, error) {
 	if o.oldPath == "" || o.newPath == "" {
 		return 0, fmt.Errorf("both -old and -new are required")
 	}
-	overrides, err := parseKernelOverrides(o.kernels)
-	if err != nil {
-		return 0, err
-	}
 	oldRun, err := benchcmp.Load(o.oldPath)
 	if err != nil {
 		return 0, err
@@ -70,10 +59,7 @@ func run(o options) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	opts := benchcmp.Options{
-		ThresholdPct:       o.threshold,
-		KernelThresholdPct: overrides,
-	}
+	opts := benchcmp.Options{ThresholdPct: o.threshold}
 	if o.metrics != "" {
 		opts.MetricFilter = strings.Split(o.metrics, ",")
 	}
@@ -81,38 +67,11 @@ func run(o options) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if o.quiet {
-		for _, d := range rep.Regressions() {
-			fmt.Printf("REGRESSION %s/%s: %.4g -> %.4g (%.1f%% worse, threshold %g%%)\n",
-				d.Kernel, d.Metric, d.Old, d.New, d.WorsePct, d.ThresholdPct)
-		}
-	} else {
-		benchcmp.Render(os.Stdout, rep)
-	}
+	benchcmp.Render(os.Stdout, rep)
 	if n := len(rep.Regressions()); n > 0 {
 		fmt.Printf("benchdiff: FAIL — %d metric(s) regressed beyond threshold\n", n)
 		return 1, nil
 	}
 	fmt.Println("benchdiff: OK")
 	return 0, nil
-}
-
-// parseKernelOverrides parses "name=pct,name=pct".
-func parseKernelOverrides(s string) (map[string]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := map[string]float64{}
-	for _, part := range strings.Split(s, ",") {
-		name, pctStr, ok := strings.Cut(part, "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("bad -kernel entry %q (want name=pct)", part)
-		}
-		pct, err := strconv.ParseFloat(pctStr, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -kernel threshold %q: %v", part, err)
-		}
-		out[name] = pct
-	}
-	return out, nil
 }

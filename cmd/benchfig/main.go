@@ -16,7 +16,7 @@
 //	                         kernel; -json writes BENCH_PR5.json
 //	benchfig -fig invert     recovery throughput at chunk starts: per-pc
 //	                         binary search vs breakpoint-table lookup vs
-//	                         batched recovery; -json writes BENCH_PR9.json
+//	                         the closed form; -json writes BENCH_PR9.json
 //	benchfig -fig autotune   schedule autotuning: the measured-cost
 //	                         planner's pick vs a hand-picked
 //	                         (schedule, chunk) panel per kernel;
@@ -269,19 +269,8 @@ func run(o options) error {
 		}
 		fmt.Print(experiments.RenderCompile(rep))
 		fmt.Println()
-		if o.jsonOut != "" {
-			f, err := os.Create(o.jsonOut)
-			if err != nil {
-				return err
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "compile report written to %s\n", o.jsonOut)
+		if err := writeDoc(o.jsonOut, rep.Doc()); err != nil {
+			return err
 		}
 	}
 	if o.fig == "overhead" {
@@ -297,19 +286,8 @@ func run(o options) error {
 		}
 		fmt.Print(experiments.RenderOverhead(rep))
 		fmt.Println()
-		if o.jsonOut != "" {
-			f, err := os.Create(o.jsonOut)
-			if err != nil {
-				return err
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "overhead report written to %s\n", o.jsonOut)
+		if err := writeDoc(o.jsonOut, rep.Doc()); err != nil {
+			return err
 		}
 	}
 	if o.fig == "invert" {
@@ -325,19 +303,8 @@ func run(o options) error {
 		}
 		fmt.Print(experiments.RenderInvert(rep))
 		fmt.Println()
-		if o.jsonOut != "" {
-			f, err := os.Create(o.jsonOut)
-			if err != nil {
-				return err
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "invert report written to %s\n", o.jsonOut)
+		if err := writeDoc(o.jsonOut, rep.Doc()); err != nil {
+			return err
 		}
 	}
 	if o.fig == "autotune" {
@@ -353,21 +320,22 @@ func run(o options) error {
 		}
 		fmt.Print(experiments.RenderAutotune(rep))
 		fmt.Println()
-		if o.jsonOut != "" {
-			f, err := os.Create(o.jsonOut)
-			if err != nil {
-				return err
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "autotune report written to %s\n", o.jsonOut)
+		if err := writeDoc(o.jsonOut, rep.Doc()); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// writeDoc writes a suite's BenchDoc to path, when one was asked for.
+func writeDoc(path string, d experiments.BenchDoc) error {
+	if path == "" {
+		return nil
+	}
+	if err := experiments.WriteDoc(path, d); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "%s report written to %s\n", d.Suite, path)
 	return nil
 }
 

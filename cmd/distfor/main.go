@@ -43,7 +43,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -233,11 +232,7 @@ func runBench(o options) error {
 	}
 	fmt.Print(experiments.RenderDist(rep))
 	if o.jsonOut != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.jsonOut, append(data, '\n'), 0o644); err != nil {
+		if err := experiments.WriteDoc(o.jsonOut, rep.Doc()); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "distfor: wrote %s\n", o.jsonOut)

@@ -34,7 +34,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -231,10 +230,8 @@ func (orc *oracle) request() *serve.Request {
 
 // phaseStats aggregates one phase's outcomes.
 type phaseStats struct {
-	sent, ok, r429, e4xx, e5xx atomic.Int64
-	wrong                      atomic.Int64
-	degraded                   atomic.Int64
-	sharded                    atomic.Int64
+	sent, ok, r429, e5xx atomic.Int64
+	wrong, sharded       atomic.Int64
 
 	mu   sync.Mutex
 	lats []time.Duration // successful answers only
@@ -357,12 +354,7 @@ func run(o *options) error {
 			o.chaosPanic, o.chaosRoots, o.chaosKill)
 	}
 
-	report := experiments.ServeReport{
-		Suite: "serve",
-		Meta:  experiments.NewBenchMeta(),
-		Nest:  o.nestSpec,
-		Mix:   o.mix,
-	}
+	report := experiments.ServeReport{Nest: o.nestSpec, Mix: o.mix}
 	var totalWrong, total5xx, total429, totalSharded int64
 	for _, ph := range strings.Split(o.phases, ",") {
 		mult, err := strconv.ParseFloat(strings.TrimSpace(ph), 64)
@@ -371,7 +363,7 @@ func run(o *options) error {
 		}
 		target := o.qps * mult
 		row := runPhase(o, orc, client, mix, target, strings.TrimSpace(ph)+"x")
-		report.Rows = append(report.Rows, row.row)
+		report.Phases = append(report.Phases, row.row)
 		totalWrong += row.wrong
 		total5xx += row.row.Errors5xx
 		total429 += row.row.Rejected429
@@ -391,17 +383,7 @@ func run(o *options) error {
 	}
 
 	if o.jsonOut != "" {
-		f, err := os.Create(o.jsonOut)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := experiments.WriteDoc(o.jsonOut, report.Doc()); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "loadgen: trajectory written to %s\n", o.jsonOut)
@@ -479,16 +461,10 @@ func runPhase(o *options, orc *oracle, client *serve.Client, mix []mixEntry,
 		TargetQPS:   targetQPS,
 		OfferedQPS:  float64(sent) / elapsed,
 		AchievedQPS: float64(ps.ok.Load()) / elapsed,
-		DurationS:   elapsed,
-		Sent:        sent,
-		OK:          ps.ok.Load(),
 		Rejected429: ps.r429.Load(),
-		Errors4xx:   ps.e4xx.Load(),
 		Errors5xx:   ps.e5xx.Load(),
 		P50Ms:       ps.quantile(0.50),
-		P95Ms:       ps.quantile(0.95),
 		P99Ms:       ps.quantile(0.99),
-		Degraded:    ps.degraded.Load(),
 	}
 	if sent > 0 {
 		row.ShedRate = float64(row.Rejected429) / float64(sent)
@@ -530,9 +506,6 @@ func fire(ctx context.Context, o *options, orc *oracle, client *serve.Client,
 			if o.verify {
 				wrong = resp.Iterations != orc.total || resp.Checksum != orc.checksum
 			}
-			if resp.Degraded {
-				ps.degraded.Add(1)
-			}
 			if resp.Sharded {
 				ps.sharded.Add(1)
 			}
@@ -558,9 +531,8 @@ func fire(ctx context.Context, o *options, orc *oracle, client *serve.Client,
 			ps.e5xx.Add(1)
 		case ae.Status == 503:
 			ps.r429.Add(1) // drain/shed answers count as shed, not failures
-		default:
-			ps.e4xx.Add(1)
 		}
+		// Other 4xx answers are neither shed nor daemon failures.
 		return
 	}
 	ps.e5xx.Add(1) // transport error: the daemon failed us

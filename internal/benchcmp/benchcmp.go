@@ -1,14 +1,13 @@
-// Package benchcmp compares two BENCH_*.json benchmark documents
-// (the overhead and compile suites of internal/experiments) and flags
-// per-kernel regressions beyond a threshold. It is the engine behind
-// cmd/benchdiff and the `make benchgate` regression gate.
+// Package benchcmp compares two BENCH_*.json documents of the same
+// suite and flags regressions beyond a threshold. It is the engine
+// behind cmd/benchdiff and the `make gate-<suite>` regression gates.
 //
-// Comparisons are direction-aware: ns-per-iteration and microsecond
-// costs regress when they go UP, speedup ratios regress when they go
-// DOWN. Kernels whose problem parameters differ between the two runs
-// are skipped with a note instead of producing apples-to-oranges
-// deltas. Both schema v1 documents (no meta block) and schema v2
-// documents (with one) load.
+// Every suite writes one flat document shape, experiments.BenchDoc.
+// Rows pair by (case, metric); a pair whose params differ is skipped
+// with a note instead of producing an apples-to-oranges delta. Each row
+// carries its own direction: costs regress when they go up, ratios and
+// throughputs when they go down. Only documents of the current
+// experiments.BenchSchemaVersion load.
 package benchcmp
 
 import (
@@ -22,291 +21,75 @@ import (
 	"repro/internal/experiments"
 )
 
-// Metric is one named measurement of one kernel.
-type Metric struct {
-	Name  string
-	Value float64
-	// HigherIsBetter flips the regression direction (speedups vs costs).
-	HigherIsBetter bool
-}
-
-// Kernel is one kernel's measurements in one run.
-type Kernel struct {
-	Name    string
-	Params  map[string]int64
-	Metrics []Metric
-}
-
-// Run is a loaded benchmark document, normalized across suites.
-type Run struct {
-	Suite         string
-	SchemaVersion int
-	Meta          experiments.BenchMeta
-	Kernels       []Kernel
-}
-
-// Kernel returns the named kernel, or nil.
-func (r *Run) Kernel(name string) *Kernel {
-	for i := range r.Kernels {
-		if r.Kernels[i].Name == name {
-			return &r.Kernels[i]
-		}
-	}
-	return nil
-}
-
-// metric returns the named metric, or nil.
-func (k *Kernel) metric(name string) *Metric {
-	for i := range k.Metrics {
-		if k.Metrics[i].Name == name {
-			return &k.Metrics[i]
-		}
-	}
-	return nil
-}
-
 // Load reads and decodes one benchmark document from path.
-func Load(path string) (*Run, error) {
+func Load(path string) (*experiments.BenchDoc, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	run, err := Decode(f)
+	doc, err := Decode(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return run, nil
+	return doc, nil
 }
 
-// Decode decodes one benchmark document, sniffing the suite field.
-func Decode(r io.Reader) (*Run, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	var head struct {
-		Suite string                `json:"suite"`
-		Meta  experiments.BenchMeta `json:"meta"`
-	}
-	if err := json.Unmarshal(data, &head); err != nil {
+// Decode decodes one benchmark document, refusing other schema
+// versions and rows without a direction.
+func Decode(r io.Reader) (*experiments.BenchDoc, error) {
+	var doc experiments.BenchDoc
+	if err := json.NewDecoder(r).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("not a benchmark document: %w", err)
 	}
-	run := &Run{Suite: head.Suite, Meta: head.Meta, SchemaVersion: head.Meta.SchemaVersion}
-	if run.SchemaVersion == 0 {
-		run.SchemaVersion = 1 // pre-meta documents
-	}
-	switch head.Suite {
-	case "overhead":
-		var rep experiments.OverheadReport
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return nil, err
-		}
-		if run.SchemaVersion == 1 {
-			// Backfill what v1 carried at the top level.
-			run.Meta.GoVersion = rep.GoVersion
-			run.Meta.GOMAXPROCS = rep.GOMAXPROCS
-		}
-		for _, row := range rep.Rows {
-			run.Kernels = append(run.Kernels, overheadKernel(row))
-		}
-	case "compile":
-		var rep experiments.CompileReport
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return nil, err
-		}
-		if run.SchemaVersion == 1 {
-			run.Meta.GoVersion = rep.GoVersion
-			run.Meta.GOMAXPROCS = rep.GOMAXPROCS
-		}
-		for _, row := range rep.Rows {
-			run.Kernels = append(run.Kernels, compileKernel(row))
-		}
-	case "serve":
-		var rep experiments.ServeReport
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return nil, err
-		}
-		for _, row := range rep.Rows {
-			run.Kernels = append(run.Kernels, serveKernel(row))
-		}
-	case "dist":
-		var rep experiments.DistReport
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return nil, err
-		}
-		for _, row := range rep.Rows {
-			run.Kernels = append(run.Kernels, distKernel(row))
-		}
-	case "invert":
-		var rep experiments.InvertReport
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return nil, err
-		}
-		for _, row := range rep.Rows {
-			run.Kernels = append(run.Kernels, invertKernels(row)...)
-		}
-	case "autotune":
-		var rep experiments.AutotuneReport
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return nil, err
-		}
-		for _, row := range rep.Rows {
-			run.Kernels = append(run.Kernels, autotuneKernel(row))
-		}
-	case "":
+	if doc.Suite == "" {
 		return nil, fmt.Errorf("document has no suite field")
-	default:
-		return nil, fmt.Errorf("unknown suite %q", head.Suite)
 	}
-	return run, nil
-}
-
-// overheadKernel flattens one overhead row into named metrics.
-func overheadKernel(row experiments.OverheadRow) Kernel {
-	k := Kernel{Name: row.Kernel, Params: row.Params}
-	add := func(name string, v float64, higher bool) {
-		k.Metrics = append(k.Metrics, Metric{Name: name, Value: v, HigherIsBetter: higher})
-	}
-	add("original_ns_per_iter", row.OriginalNsPerIter, false)
-	add("recover_every_ns_per_iter", row.RecoverEveryNsPerIter, false)
-	for _, s := range row.Schedules {
-		add("per_iter_ns["+s.Schedule+"]", s.PerIter.NsPerIter, false)
-		add("ranges_ns["+s.Schedule+"]", s.Ranges.NsPerIter, false)
-		add("speedup_ranges["+s.Schedule+"]", s.SpeedupRanges, true)
-	}
-	return k
-}
-
-// compileKernel flattens one compile row into named metrics. Compile
-// rows have no params map; depth and collapse count stand in as the
-// comparability key.
-func compileKernel(row experiments.CompileRow) Kernel {
-	k := Kernel{
-		Name:   row.Kernel,
-		Params: map[string]int64{"depth": int64(row.Depth), "collapse": int64(row.C)},
-	}
-	add := func(name string, v float64, higher bool) {
-		k.Metrics = append(k.Metrics, Metric{Name: name, Value: v, HigherIsBetter: higher})
-	}
-	add("cold_serial_us", row.ColdSerialUs, false)
-	add("cold_parallel_us", row.ColdParallelUs, false)
-	add("cached_us", row.CachedUs, false)
-	add("speedup_parallel_vs_serial", row.SpeedupParallel, true)
-	add("speedup_cached_vs_cold", row.SpeedupCached, true)
-	return k
-}
-
-// serveKernel flattens one serving-trajectory phase into named metrics.
-// The target QPS stands in as the comparability key: two runs are only
-// apples-to-apples at the same offered load.
-func serveKernel(row experiments.ServeRow) Kernel {
-	k := Kernel{
-		Name:   "phase:" + row.Phase,
-		Params: map[string]int64{"target_qps": int64(row.TargetQPS)},
-	}
-	add := func(name string, v float64, higher bool) {
-		k.Metrics = append(k.Metrics, Metric{Name: name, Value: v, HigherIsBetter: higher})
-	}
-	add("achieved_qps", row.AchievedQPS, true)
-	add("p50_ms", row.P50Ms, false)
-	add("p99_ms", row.P99Ms, false)
-	// More shedding at the same offered load means less served capacity.
-	add("shed_rate", row.ShedRate, false)
-	return k
-}
-
-// invertKernels flattens one invert row into one comparison unit per
-// chunk size: nest shape and chunk name the unit (kernel pairing is by
-// name), problem size is the comparability key. Throughput is
-// higher-is-better; the gated machine-independent ratios are the
-// speedups over per-pc search.
-func invertKernels(row experiments.InvertRow) []Kernel {
-	var ks []Kernel
-	for _, c := range row.Chunks {
-		k := Kernel{
-			Name:   fmt.Sprintf("invert:%s/chunk=%d", row.Nest, c.ChunkPC),
-			Params: row.Params,
+	if v := doc.Meta.SchemaVersion; v != experiments.BenchSchemaVersion {
+		if v == 0 {
+			v = 1 // version 1 documents had no meta block
 		}
-		add := func(name string, v float64, higher bool) {
-			k.Metrics = append(k.Metrics, Metric{Name: name, Value: v, HigherIsBetter: higher})
+		return nil, fmt.Errorf("schema version %d is not supported (want %d): re-record the baseline",
+			v, experiments.BenchSchemaVersion)
+	}
+	for _, row := range doc.Rows {
+		if row.Better != experiments.Lower && row.Better != experiments.Higher {
+			return nil, fmt.Errorf("%s/%s: direction %q is neither %q nor %q",
+				row.Case, row.Metric, row.Better, experiments.Lower, experiments.Higher)
 		}
-		add("search_recoveries_per_sec", c.SearchRecPerSec, true)
-		add("table_recoveries_per_sec", c.TableRecPerSec, true)
-		add("batch_recoveries_per_sec", c.BatchRecPerSec, true)
-		add("speedup_table_vs_search", c.SpeedupTable, true)
-		add("speedup_batch_vs_search", c.SpeedupBatch, true)
-		ks = append(ks, k)
 	}
-	return ks
-}
-
-// autotuneKernel flattens one autotune row into named metrics. Absolute
-// wall times are host-dependent; the gated machine-independent metrics
-// are the two ratios — auto over the best hand-picked choice (lower is
-// better, 1.0 = the planner matched the optimum) and the worst choice
-// over auto (higher is better, what guessing wrong costs).
-func autotuneKernel(row experiments.AutotuneRow) Kernel {
-	k := Kernel{Name: "autotune:" + row.Kernel, Params: row.Params}
-	add := func(name string, v float64, higher bool) {
-		k.Metrics = append(k.Metrics, Metric{Name: name, Value: v, HigherIsBetter: higher})
-	}
-	add("auto_sec", row.AutoSec, false)
-	add("best_sec", row.BestSec, false)
-	add("auto_vs_best", row.AutoVsBest, false)
-	add("worst_vs_auto", row.WorstVsAuto, true)
-	return k
-}
-
-// distKernel flattens one sharded-execution scenario into named
-// metrics. Worker count and problem size are the comparability key.
-func distKernel(row experiments.DistRow) Kernel {
-	k := Kernel{
-		Name:   "dist:" + row.Scenario,
-		Params: map[string]int64{"workers": int64(row.Workers), "total": row.Total},
-	}
-	add := func(name string, v float64, higher bool) {
-		k.Metrics = append(k.Metrics, Metric{Name: name, Value: v, HigherIsBetter: higher})
-	}
-	add("miter_per_sec", row.MIterPerSec, true)
-	// Recovery/journal overhead versus the clean run at the same worker
-	// count (absent on the clean rows themselves; a non-positive old
-	// value is skipped by Compare).
-	add("overhead_pct", row.OverheadPct, false)
-	return k
+	return &doc, nil
 }
 
 // Options configure a comparison.
 type Options struct {
-	// ThresholdPct is the default allowed worsening, percent (20 = a
-	// metric may be up to 20% worse before it counts as a regression).
+	// ThresholdPct is the allowed worsening, percent (20 = a metric may
+	// be up to 20% worse before it counts as a regression).
 	ThresholdPct float64
-	// KernelThresholdPct overrides the threshold per kernel name.
-	KernelThresholdPct map[string]float64
 	// MetricFilter, when non-empty, restricts the comparison to metric
 	// names containing any of these substrings (e.g. only "speedup"
 	// metrics for a machine-independent gate).
 	MetricFilter []string
 }
 
-// Delta is one metric's old-vs-new comparison. WorsePct is the signed
+// Delta is one row's old-vs-new comparison. WorsePct is the signed
 // worsening in percent — positive means the new run is worse in the
-// metric's bad direction, regardless of which direction that is.
+// row's bad direction, regardless of which direction that is.
 type Delta struct {
-	Kernel         string
-	Metric         string
-	Old, New       float64
-	WorsePct       float64
-	ThresholdPct   float64
-	HigherIsBetter bool
-	Regression     bool
+	Case         string
+	Metric       string
+	Old, New     float64
+	WorsePct     float64
+	ThresholdPct float64
+	Better       string
+	Regression   bool
 }
 
 // Report is the outcome of one comparison.
 type Report struct {
 	Suite   string
 	Deltas  []Delta
-	Skipped []string // kernels or metrics not compared, with reasons
+	Skipped []string // rows not compared, with reasons
 }
 
 // Regressions returns only the deltas beyond threshold.
@@ -320,64 +103,54 @@ func (r *Report) Regressions() []Delta {
 	return out
 }
 
-// Compare diffs two runs of the same suite.
-func Compare(oldRun, newRun *Run, opts Options) (*Report, error) {
-	if oldRun.Suite != newRun.Suite {
-		return nil, fmt.Errorf("suite mismatch: %q vs %q", oldRun.Suite, newRun.Suite)
+// Compare diffs the selected rows of two documents of the same suite.
+func Compare(oldDoc, newDoc *experiments.BenchDoc, opts Options) (*Report, error) {
+	if oldDoc.Suite != newDoc.Suite {
+		return nil, fmt.Errorf("suite mismatch: %q vs %q", oldDoc.Suite, newDoc.Suite)
 	}
 	if opts.ThresholdPct <= 0 {
 		opts.ThresholdPct = 20
 	}
-	rep := &Report{Suite: oldRun.Suite}
-	for _, ok := range oldRun.Kernels {
-		nk := newRun.Kernel(ok.Name)
-		if nk == nil {
-			rep.Skipped = append(rep.Skipped, fmt.Sprintf("%s: absent from new run", ok.Name))
+	type key struct{ c, m string }
+	cur := make(map[key]experiments.BenchRow, len(newDoc.Rows))
+	for _, r := range newDoc.Rows {
+		cur[key{r.Case, r.Metric}] = r
+	}
+	rep := &Report{Suite: oldDoc.Suite}
+	skip := func(r experiments.BenchRow, format string, args ...interface{}) {
+		rep.Skipped = append(rep.Skipped, r.Case+"/"+r.Metric+": "+fmt.Sprintf(format, args...))
+	}
+	baseline := make(map[key]bool, len(oldDoc.Rows))
+	for _, o := range oldDoc.Rows {
+		baseline[key{o.Case, o.Metric}] = true
+		if !metricSelected(o.Metric, opts.MetricFilter) {
 			continue
 		}
-		if !sameParams(ok.Params, nk.Params) {
-			rep.Skipped = append(rep.Skipped,
-				fmt.Sprintf("%s: params differ (%s vs %s) — not comparable",
-					ok.Name, renderParams(ok.Params), renderParams(nk.Params)))
-			continue
-		}
-		threshold := opts.ThresholdPct
-		if t, has := opts.KernelThresholdPct[ok.Name]; has {
-			threshold = t
-		}
-		for _, om := range ok.Metrics {
-			if !metricSelected(om.Name, opts.MetricFilter) {
-				continue
-			}
-			nm := nk.metric(om.Name)
-			if nm == nil {
-				rep.Skipped = append(rep.Skipped,
-					fmt.Sprintf("%s/%s: absent from new run", ok.Name, om.Name))
-				continue
-			}
-			if om.Value <= 0 {
-				rep.Skipped = append(rep.Skipped,
-					fmt.Sprintf("%s/%s: old value %g not comparable", ok.Name, om.Name, om.Value))
-				continue
-			}
-			d := Delta{
-				Kernel: ok.Name, Metric: om.Name,
-				Old: om.Value, New: nm.Value,
-				ThresholdPct:   threshold,
-				HigherIsBetter: om.HigherIsBetter,
-			}
-			if om.HigherIsBetter {
-				d.WorsePct = (om.Value - nm.Value) / om.Value * 100
+		n, ok := cur[key{o.Case, o.Metric}]
+		switch {
+		case !ok:
+			skip(o, "absent from new run")
+		case !sameParams(o.Params, n.Params):
+			skip(o, "params differ (%s vs %s) — not comparable", renderParams(o.Params), renderParams(n.Params))
+		case o.Better != n.Better:
+			skip(o, "direction differs (%s vs %s) — not comparable", o.Better, n.Better)
+		case o.Value <= 0:
+			skip(o, "old value %g not comparable", o.Value)
+		default:
+			d := Delta{Case: o.Case, Metric: o.Metric, Old: o.Value, New: n.Value,
+				ThresholdPct: opts.ThresholdPct, Better: o.Better}
+			if o.Better == experiments.Higher {
+				d.WorsePct = (o.Value - n.Value) / o.Value * 100
 			} else {
-				d.WorsePct = (nm.Value - om.Value) / om.Value * 100
+				d.WorsePct = (n.Value - o.Value) / o.Value * 100
 			}
-			d.Regression = d.WorsePct > threshold
+			d.Regression = d.WorsePct > opts.ThresholdPct
 			rep.Deltas = append(rep.Deltas, d)
 		}
 	}
-	for _, nk := range newRun.Kernels {
-		if oldRun.Kernel(nk.Name) == nil {
-			rep.Skipped = append(rep.Skipped, fmt.Sprintf("%s: new kernel, no baseline", nk.Name))
+	for _, n := range newDoc.Rows {
+		if !baseline[key{n.Case, n.Metric}] && metricSelected(n.Metric, opts.MetricFilter) {
+			skip(n, "new row, no baseline")
 		}
 	}
 	return rep, nil
@@ -400,7 +173,7 @@ func sameParams(a, b map[string]int64) bool {
 		return false
 	}
 	for k, v := range a {
-		if b[k] != v {
+		if w, ok := b[k]; !ok || w != v {
 			return false
 		}
 	}
@@ -420,21 +193,21 @@ func renderParams(p map[string]int64) string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-// Render writes the report as an aligned table: every compared metric
+// Render writes the report as an aligned table: every compared row
 // with its worsening percentage, regressions flagged, skips listed.
 func Render(w io.Writer, rep *Report) {
 	fmt.Fprintf(w, "benchdiff: suite %s, %d comparisons, %d regressions\n",
 		rep.Suite, len(rep.Deltas), len(rep.Regressions()))
 	if len(rep.Deltas) > 0 {
-		fmt.Fprintf(w, "%-18s %-28s %12s %12s %9s %s\n",
-			"kernel", "metric", "old", "new", "worse%", "")
+		fmt.Fprintf(w, "%-32s %-28s %12s %12s %9s %s\n",
+			"case", "metric", "old", "new", "worse%", "")
 		for _, d := range rep.Deltas {
 			flag := ""
 			if d.Regression {
 				flag = fmt.Sprintf("REGRESSION (>%g%%)", d.ThresholdPct)
 			}
-			fmt.Fprintf(w, "%-18s %-28s %12.4g %12.4g %+8.1f%% %s\n",
-				d.Kernel, d.Metric, d.Old, d.New, d.WorsePct, flag)
+			fmt.Fprintf(w, "%-32s %-28s %12.4g %12.4g %+8.1f%% %s\n",
+				d.Case, d.Metric, d.Old, d.New, d.WorsePct, flag)
 		}
 	}
 	for _, s := range rep.Skipped {

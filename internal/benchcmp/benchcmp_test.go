@@ -3,59 +3,64 @@ package benchcmp
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
 )
 
-// syntheticOverhead builds an overhead report whose ns metrics are
-// scaled by nsScale (>1 = slower) for the named kernels only.
-func syntheticOverhead(nsScale float64, scaled ...string) *experiments.OverheadReport {
-	isScaled := func(k string) float64 {
+// synthetic builds an overhead-style document whose ns rows are scaled
+// by nsScale (>1 = slower) and whose speedup rows shrink by the same
+// factor, for the named cases only.
+func synthetic(nsScale float64, scaled ...string) *experiments.BenchDoc {
+	doc := &experiments.BenchDoc{Suite: "overhead", Meta: experiments.NewBenchMeta()}
+	for _, c := range []string{"correlation", "syrk"} {
+		f := 1.0
 		for _, s := range scaled {
-			if s == k {
-				return nsScale
+			if s == c {
+				f = nsScale
 			}
 		}
-		return 1
+		p := map[string]int64{"N": 100}
+		doc.Rows = append(doc.Rows,
+			experiments.BenchRow{Case: c, Params: p, Metric: "original_ns_per_iter", Better: experiments.Lower, Value: 1.5 * f},
+			experiments.BenchRow{Case: c, Params: p, Metric: "per_iter_ns[static]", Better: experiments.Lower, Value: 12 * f},
+			experiments.BenchRow{Case: c, Params: p, Metric: "ranges_ns[static]", Better: experiments.Lower, Value: 3 * f},
+			experiments.BenchRow{Case: c, Params: p, Metric: "speedup_ranges[static]", Better: experiments.Higher, Value: 4 / f})
 	}
-	rep := &experiments.OverheadReport{Suite: "overhead", Meta: experiments.NewBenchMeta()}
-	for _, k := range []string{"correlation", "syrk"} {
-		f := isScaled(k)
-		rep.Rows = append(rep.Rows, experiments.OverheadRow{
-			Kernel:                k,
-			Params:                map[string]int64{"N": 100},
-			OriginalNsPerIter:     1.5 * f,
-			RecoverEveryNsPerIter: 80 * f,
-			Schedules: []experiments.OverheadSched{{
-				Schedule:      "static",
-				PerIter:       experiments.OverheadEngine{NsPerIter: 12 * f},
-				Ranges:        experiments.OverheadEngine{NsPerIter: 3 * f},
-				SpeedupRanges: 4 / f,
-			}},
-		})
-	}
-	return rep
+	return doc
 }
 
-func decode(t *testing.T, rep *experiments.OverheadReport) *Run {
+// decode round-trips doc through its JSON form.
+func decode(t *testing.T, doc *experiments.BenchDoc) *experiments.BenchDoc {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	run, err := Decode(&buf)
+	data, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return run
+	back, err := Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
+// row returns the named row of doc, or nil.
+func row(doc *experiments.BenchDoc, c, metric string) *experiments.BenchRow {
+	for i := range doc.Rows {
+		if doc.Rows[i].Case == c && doc.Rows[i].Metric == metric {
+			return &doc.Rows[i]
+		}
+	}
+	return nil
 }
 
 func TestIdenticalRunsNoRegression(t *testing.T) {
-	old := decode(t, syntheticOverhead(1))
-	cur := decode(t, syntheticOverhead(1))
+	old := decode(t, synthetic(1))
+	cur := decode(t, synthetic(1))
 	rep, err := Compare(old, cur, Options{ThresholdPct: 20})
 	if err != nil {
 		t.Fatal(err)
@@ -63,8 +68,8 @@ func TestIdenticalRunsNoRegression(t *testing.T) {
 	if regs := rep.Regressions(); len(regs) != 0 {
 		t.Errorf("identical runs produced regressions: %v", regs)
 	}
-	if len(rep.Deltas) == 0 {
-		t.Error("identical runs produced no comparisons at all")
+	if len(rep.Deltas) != len(old.Rows) {
+		t.Errorf("identical runs compared %d of %d rows", len(rep.Deltas), len(old.Rows))
 	}
 	if len(rep.Skipped) != 0 {
 		t.Errorf("identical runs skipped: %v", rep.Skipped)
@@ -72,8 +77,8 @@ func TestIdenticalRunsNoRegression(t *testing.T) {
 }
 
 func TestInjectedRegressionFlagged(t *testing.T) {
-	old := decode(t, syntheticOverhead(1))
-	cur := decode(t, syntheticOverhead(1.25, "syrk")) // 25% slower syrk
+	old := decode(t, synthetic(1))
+	cur := decode(t, synthetic(1.25, "syrk")) // 25% slower syrk
 	rep, err := Compare(old, cur, Options{ThresholdPct: 20})
 	if err != nil {
 		t.Fatal(err)
@@ -83,25 +88,25 @@ func TestInjectedRegressionFlagged(t *testing.T) {
 		t.Fatal("25% regression with 20% threshold not flagged")
 	}
 	for _, d := range regs {
-		if d.Kernel != "syrk" {
-			t.Errorf("regression attributed to %s/%s, only syrk was degraded", d.Kernel, d.Metric)
+		if d.Case != "syrk" {
+			t.Errorf("regression attributed to %s/%s, only syrk was degraded", d.Case, d.Metric)
 		}
 		if d.WorsePct <= 20 {
-			t.Errorf("%s/%s WorsePct = %.1f, want > 20", d.Kernel, d.Metric, d.WorsePct)
+			t.Errorf("%s/%s WorsePct = %.1f, want > 20", d.Case, d.Metric, d.WorsePct)
 		}
 	}
 	// The degraded speedup (4 -> 3.2, 20% down) sits exactly at the
-	// threshold, so the flagged metrics are the ns ones (25% up).
+	// threshold, so the flagged rows are the ns ones (25% up).
 	for _, d := range rep.Deltas {
-		if d.Kernel == "correlation" && d.Regression {
-			t.Errorf("untouched kernel flagged: %+v", d)
+		if d.Case == "correlation" && d.Regression {
+			t.Errorf("untouched case flagged: %+v", d)
 		}
 	}
 }
 
 func TestBelowThresholdPasses(t *testing.T) {
-	old := decode(t, syntheticOverhead(1))
-	cur := decode(t, syntheticOverhead(1.10, "syrk")) // 10% slower
+	old := decode(t, synthetic(1))
+	cur := decode(t, synthetic(1.10, "syrk")) // 10% slower
 	rep, err := Compare(old, cur, Options{ThresholdPct: 20})
 	if err != nil {
 		t.Fatal(err)
@@ -112,38 +117,43 @@ func TestBelowThresholdPasses(t *testing.T) {
 }
 
 func TestSpeedupDirection(t *testing.T) {
-	// Speedups regress when they go DOWN; improvements must not flag.
-	oldRep := syntheticOverhead(1)
-	curRep := syntheticOverhead(1)
-	curRep.Rows[0].Schedules[0].SpeedupRanges = 2 // was 4: halved
-	curRep.Rows[1].Schedules[0].SpeedupRanges = 9 // was 4: better
-	rep, err := Compare(decode(t, oldRep), decode(t, curRep), Options{ThresholdPct: 20})
+	// Higher-is-better rows regress when they go DOWN; improvements
+	// must not flag.
+	old := synthetic(1)
+	cur := synthetic(1)
+	row(cur, "correlation", "speedup_ranges[static]").Value = 2 // was 4: halved
+	row(cur, "syrk", "speedup_ranges[static]").Value = 9        // was 4: better
+	rep, err := Compare(decode(t, old), decode(t, cur), Options{ThresholdPct: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var flagged []string
 	for _, d := range rep.Regressions() {
-		flagged = append(flagged, d.Kernel+"/"+d.Metric)
+		flagged = append(flagged, d.Case+"/"+d.Metric)
 	}
-	if len(flagged) != 1 || !strings.Contains(flagged[0], "correlation/speedup_ranges") {
+	if len(flagged) != 1 || flagged[0] != "correlation/speedup_ranges[static]" {
 		t.Errorf("flagged = %v, want exactly correlation's halved speedup", flagged)
 	}
 }
 
 func TestParamsMismatchSkipped(t *testing.T) {
-	oldRep := syntheticOverhead(1)
-	curRep := syntheticOverhead(3, "syrk") // would be a huge regression...
-	curRep.Rows[1].Params = map[string]int64{"N": 500}
-	rep, err := Compare(decode(t, oldRep), decode(t, curRep), Options{})
+	old := synthetic(1)
+	cur := synthetic(3, "syrk") // would be a huge regression...
+	for i := range cur.Rows {
+		if cur.Rows[i].Case == "syrk" {
+			cur.Rows[i].Params = map[string]int64{"N": 500}
+		}
+	}
+	rep, err := Compare(decode(t, old), decode(t, cur), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if regs := rep.Regressions(); len(regs) != 0 {
-		t.Errorf("param-mismatched kernel compared anyway: %v", regs)
+		t.Errorf("param-mismatched rows compared anyway: %v", regs)
 	}
 	found := false
 	for _, s := range rep.Skipped {
-		if strings.Contains(s, "syrk") && strings.Contains(s, "params differ") {
+		if strings.HasPrefix(s, "syrk/") && strings.Contains(s, "params differ") {
 			found = true
 		}
 	}
@@ -152,24 +162,11 @@ func TestParamsMismatchSkipped(t *testing.T) {
 	}
 }
 
-func TestKernelThresholdOverride(t *testing.T) {
-	old := decode(t, syntheticOverhead(1))
-	cur := decode(t, syntheticOverhead(1.25, "syrk"))
-	rep, err := Compare(old, cur, Options{
-		ThresholdPct:       20,
-		KernelThresholdPct: map[string]float64{"syrk": 50},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs := rep.Regressions(); len(regs) != 0 {
-		t.Errorf("override to 50%% still flagged: %v", regs)
-	}
-}
-
 func TestMetricFilter(t *testing.T) {
-	old := decode(t, syntheticOverhead(1))
-	cur := decode(t, syntheticOverhead(1.25, "syrk"))
+	old := decode(t, synthetic(1))
+	cur := decode(t, synthetic(1.25, "syrk"))
+	cur.Rows = append(cur.Rows, experiments.BenchRow{Case: "syrk", Params: map[string]int64{"N": 100},
+		Metric: "speedup_new", Better: experiments.Higher, Value: 1})
 	rep, err := Compare(old, cur, Options{ThresholdPct: 20, MetricFilter: []string{"speedup"}})
 	if err != nil {
 		t.Fatal(err)
@@ -179,213 +176,41 @@ func TestMetricFilter(t *testing.T) {
 			t.Errorf("filter leaked metric %s", d.Metric)
 		}
 	}
-	if len(rep.Deltas) == 0 {
-		t.Error("filter matched nothing")
+	if len(rep.Deltas) != 2 {
+		t.Errorf("filter matched %d rows, want the 2 speedups", len(rep.Deltas))
+	}
+	// A selected row with no baseline is noted as new, not compared.
+	if len(rep.Skipped) != 1 || !strings.Contains(rep.Skipped[0], "syrk/speedup_new: new row") {
+		t.Errorf("skipped = %v, want only the new speedup row", rep.Skipped)
 	}
 }
 
-// TestSchemaV1Document: a pre-meta (v1) document loads, reports
-// schema version 1, and backfills meta from the legacy top-level
-// fields — and a v1 baseline compares cleanly against a v2 candidate.
+// TestSchemaV1Document: a pre-meta (v1) document is refused with an
+// error naming its version.
 func TestSchemaV1Document(t *testing.T) {
-	v1 := `{
-		"suite": "overhead",
-		"go_version": "go1.21.0",
-		"gomaxprocs": 8,
-		"threads": 1,
-		"quick": false,
-		"reps": 3,
-		"kernels": [{
-			"kernel": "correlation",
-			"params": {"N": 100},
-			"iterations": 4950,
-			"original_ns_per_iter": 1.5,
-			"recover_every_ns_per_iter": 80,
-			"ranges_overhead_vs_original_pct": 5,
-			"schedules": [{
-				"schedule": "static",
-				"per_iteration": {"ns_per_iter": 12},
-				"range_batched": {"ns_per_iter": 3},
-				"speedup_ranges_vs_per_iter": 4
-			}]
-		}]
-	}`
-	run, err := Decode(strings.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.SchemaVersion != 1 {
-		t.Errorf("SchemaVersion = %d, want 1", run.SchemaVersion)
-	}
-	if run.Meta.GoVersion != "go1.21.0" || run.Meta.GOMAXPROCS != 8 {
-		t.Errorf("v1 meta backfill = %+v", run.Meta)
-	}
-	v2 := decode(t, syntheticOverhead(1))
-	if v2.SchemaVersion != experiments.BenchSchemaVersion {
-		t.Errorf("v2 SchemaVersion = %d, want %d", v2.SchemaVersion, experiments.BenchSchemaVersion)
-	}
-	rep, err := Compare(run, v2, Options{ThresholdPct: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs := rep.Regressions(); len(regs) != 0 {
-		t.Errorf("v1-vs-v2 of equal numbers regressed: %v", regs)
-	}
-	// syrk exists only in the v2 run: noted, not compared.
-	found := false
-	for _, s := range rep.Skipped {
-		if strings.Contains(s, "syrk") && strings.Contains(s, "no baseline") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("new kernel not noted; skipped = %v", rep.Skipped)
+	v1 := `{"suite": "overhead", "go_version": "go1.21.0", "gomaxprocs": 8,
+		"kernels": [{"kernel": "correlation", "params": {"N": 100}, "original_ns_per_iter": 1.5}]}`
+	_, err := Decode(strings.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "schema version 1") {
+		t.Errorf("v1 document: err = %v, want a refusal naming version 1", err)
 	}
 }
 
-func TestCompileSuite(t *testing.T) {
-	rep := &experiments.CompileReport{
-		Suite: "compile",
-		Meta:  experiments.NewBenchMeta(),
-		Rows: []experiments.CompileRow{{
-			Kernel: "correlation", Depth: 3, C: 2,
-			ColdSerialUs: 100, ColdParallelUs: 40, CachedUs: 5,
-			SpeedupParallel: 2.5, SpeedupCached: 8,
-		}},
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	run, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := run.Kernel("correlation")
-	if k == nil {
-		t.Fatal("compile kernel missing")
-	}
-	m := k.metric("speedup_cached_vs_cold")
-	if m == nil || m.Value != 8 || !m.HigherIsBetter {
-		t.Errorf("speedup_cached_vs_cold = %+v", m)
-	}
-	if m := k.metric("cached_us"); m == nil || m.HigherIsBetter {
-		t.Errorf("cached_us direction wrong: %+v", m)
-	}
-}
-
-// syntheticServe builds a serving-trajectory report with the given p99
-// and achieved-QPS scaling (scale > 1 = slower and slower-serving runs
-// diverge in opposite directions per metric sign).
-func syntheticServe(p99Scale, qpsScale float64) *experiments.ServeReport {
-	rep := &experiments.ServeReport{
-		Suite: "serve",
-		Meta:  experiments.NewBenchMeta(),
-		Nest:  "i=0:N-1; j=i+1:N",
-		Mix:   "rank=3,unrank=3,count=1",
-	}
-	for _, ph := range []struct {
-		name string
-		qps  float64
-	}{{"0.5x", 200}, {"1x", 400}, {"2x", 800}} {
-		rep.Rows = append(rep.Rows, experiments.ServeRow{
-			Phase:       ph.name,
-			TargetQPS:   ph.qps,
-			OfferedQPS:  ph.qps,
-			AchievedQPS: ph.qps * 0.9 * qpsScale,
-			DurationS:   3,
-			Sent:        int64(ph.qps * 3),
-			OK:          int64(ph.qps * 2.7),
-			P50Ms:       0.4 * p99Scale,
-			P95Ms:       1.1 * p99Scale,
-			P99Ms:       2.5 * p99Scale,
-			ShedRate:    0.05,
-		})
-	}
-	return rep
-}
-
-func decodeServe(t *testing.T, rep *experiments.ServeReport) *Run {
-	t.Helper()
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := Decode(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return run
-}
-
-// TestServeSuite checks the BENCH_PR7-style serving trajectory loads,
-// keys phases by target QPS, and diffs direction-aware: p99 regresses
-// upward, achieved QPS regresses downward.
-func TestServeSuite(t *testing.T) {
-	run := decodeServe(t, syntheticServe(1, 1))
-	if run.Suite != "serve" || len(run.Kernels) != 3 {
-		t.Fatalf("decoded run: suite %q, %d kernels", run.Suite, len(run.Kernels))
-	}
-	k := run.Kernel("phase:2x")
-	if k == nil {
-		t.Fatal("phase:2x kernel missing")
-	}
-	if k.Params["target_qps"] != 800 {
-		t.Fatalf("phase:2x params = %v", k.Params)
-	}
-	if m := k.metric("achieved_qps"); m == nil || !m.HigherIsBetter {
-		t.Fatalf("achieved_qps direction wrong: %+v", m)
-	}
-	if m := k.metric("p99_ms"); m == nil || m.HigherIsBetter {
-		t.Fatalf("p99_ms direction wrong: %+v", m)
-	}
-
-	// Identical runs: no regression.
-	rep, err := Compare(run, decodeServe(t, syntheticServe(1, 1)), Options{ThresholdPct: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs := rep.Regressions(); len(regs) != 0 {
-		t.Fatalf("identical serve runs regressed: %v", regs)
-	}
-
-	// p99 doubled: latency metrics regress in every phase.
-	rep, err = Compare(run, decodeServe(t, syntheticServe(2, 1)), Options{ThresholdPct: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, d := range rep.Regressions() {
-		if d.Metric == "p99_ms" {
-			found = true
-		}
-		if d.Metric == "achieved_qps" {
-			t.Fatalf("unchanged achieved_qps flagged: %+v", d)
-		}
-	}
-	if !found {
-		t.Fatalf("doubled p99 not flagged; deltas = %+v", rep.Deltas)
-	}
-
-	// Achieved QPS halved: throughput regresses (direction flipped).
-	rep, err = Compare(run, decodeServe(t, syntheticServe(1, 0.5)), Options{ThresholdPct: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found = false
-	for _, d := range rep.Regressions() {
-		if d.Metric == "achieved_qps" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("halved QPS not flagged; deltas = %+v", rep.Deltas)
+// TestSchemaV2DocumentRefused: a schema v2 document (meta block, but
+// the suite's own nested shape) is refused with an error naming its
+// version, even though its suite and meta parse.
+func TestSchemaV2DocumentRefused(t *testing.T) {
+	v2 := `{"suite": "invert", "meta": {"schema_version": 2, "go_version": "go1.24.0"},
+		"nests": [{"nest": "triangular2", "params": {"N": 4096}, "chunks": []}]}`
+	_, err := Decode(strings.NewReader(v2))
+	if err == nil || !strings.Contains(err.Error(), "schema version 2") {
+		t.Errorf("v2 document: err = %v, want a refusal naming version 2", err)
 	}
 }
 
 func TestSuiteMismatch(t *testing.T) {
-	o := decode(t, syntheticOverhead(1))
-	c := &Run{Suite: "compile"}
+	o := decode(t, synthetic(1))
+	c := &experiments.BenchDoc{Suite: "compile"}
 	if _, err := Compare(o, c, Options{}); err == nil {
 		t.Error("suite mismatch not rejected")
 	}
@@ -395,17 +220,19 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := Decode(strings.NewReader(`{"no":"suite"}`)); err == nil {
 		t.Error("suiteless document accepted")
 	}
-	if _, err := Decode(strings.NewReader(`{"suite":"mystery"}`)); err == nil {
-		t.Error("unknown suite accepted")
-	}
 	if _, err := Decode(strings.NewReader(`not json`)); err == nil {
 		t.Error("non-JSON accepted")
+	}
+	noDir := `{"suite": "overhead", "meta": {"schema_version": 3},
+		"rows": [{"case": "syrk", "metric": "x", "better": "up", "value": 1}]}`
+	if _, err := Decode(strings.NewReader(noDir)); err == nil {
+		t.Error("row without a valid direction accepted")
 	}
 }
 
 func TestRender(t *testing.T) {
-	old := decode(t, syntheticOverhead(1))
-	cur := decode(t, syntheticOverhead(1.5, "syrk"))
+	old := decode(t, synthetic(1))
+	cur := decode(t, synthetic(1.5, "syrk"))
 	rep, err := Compare(old, cur, Options{ThresholdPct: 20})
 	if err != nil {
 		t.Fatal(err)
@@ -418,237 +245,131 @@ func TestRender(t *testing.T) {
 	}
 }
 
-// syntheticDist builds a dist document with throughput scaled by
-// mitersScale and recovery overhead scaled by overScale.
-func syntheticDist(mitersScale, overScale float64) *experiments.DistReport {
-	rep := &experiments.DistReport{
-		Suite: "dist",
-		Meta:  experiments.NewBenchMeta(),
-		Nest:  "triangle",
-	}
-	for _, w := range []int{1, 2, 4} {
-		rep.Rows = append(rep.Rows, experiments.DistRow{
-			Scenario: fmt.Sprintf("clean/w=%d", w), Workers: w, Shards: 8 * w,
-			Total: 100000, Seconds: 0.1,
-			MIterPerSec: float64(w) * 10 * mitersScale,
-		})
-	}
-	rep.Rows = append(rep.Rows, experiments.DistRow{
-		Scenario: "chaos-kill", Workers: 4, Shards: 32,
-		Total: 100000, Seconds: 0.15,
-		MIterPerSec: 30 * mitersScale,
-		OverheadPct: 50 * overScale,
-		Retries:     7,
-	})
-	return rep
-}
-
-func decodeDist(t *testing.T, rep *experiments.DistReport) *Run {
+// gateTable reads the Makefile's gate table: per gated suite, its
+// committed baseline and its metric filter.
+func gateTable(t *testing.T) (bases, filters map[string]string) {
 	t.Helper()
-	data, err := json.Marshal(rep)
+	mk, err := os.ReadFile("../../Makefile")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := Decode(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
+	column := func(name string) map[string]string {
+		out := map[string]string{}
+		re := regexp.MustCompile(`(?m)^GATE_` + name + `_(\w+)\s*=\s*(\S+)\s*$`)
+		for _, m := range re.FindAllStringSubmatch(string(mk), -1) {
+			out[m[1]] = m[2]
+		}
+		return out
 	}
-	return run
+	return column("BASE"), column("METRICS")
 }
 
-// TestDistSuite checks the BENCH_PR8-style sharded-execution document
-// loads, keys scenarios by worker count and problem size, and diffs
-// direction-aware: throughput regresses downward, recovery overhead
-// regresses upward.
-func TestDistSuite(t *testing.T) {
-	run := decodeDist(t, syntheticDist(1, 1))
-	if run.Suite != "dist" || len(run.Kernels) != 4 {
-		t.Fatalf("decoded run: suite %q, %d kernels", run.Suite, len(run.Kernels))
+// TestCommittedBaselines loads every committed BENCH_*.json and, for
+// each suite of the Makefile's gate table, checks that the gate's
+// metric filter selects at least one row of its baseline — so a
+// baseline that silently lost its gated rows fails here, not as a
+// vacuous "0 comparisons" gate.
+func TestCommittedBaselines(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed baselines found (err %v)", err)
 	}
-	k := run.Kernel("dist:clean/w=4")
-	if k == nil {
-		t.Fatal("dist:clean/w=4 kernel missing")
-	}
-	if k.Params["workers"] != 4 || k.Params["total"] != 100000 {
-		t.Fatalf("clean/w=4 params = %v", k.Params)
-	}
-	if m := k.metric("miter_per_sec"); m == nil || !m.HigherIsBetter {
-		t.Fatalf("miter_per_sec direction wrong: %+v", m)
-	}
-	if m := run.Kernel("dist:chaos-kill").metric("overhead_pct"); m == nil || m.HigherIsBetter {
-		t.Fatalf("overhead_pct direction wrong: %+v", m)
-	}
-
-	rep, err := Compare(run, decodeDist(t, syntheticDist(1, 1)), Options{ThresholdPct: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs := rep.Regressions(); len(regs) != 0 {
-		t.Fatalf("identical dist runs regressed: %v", regs)
-	}
-
-	// Throughput halved: every scenario's miter_per_sec regresses.
-	rep, err = Compare(run, decodeDist(t, syntheticDist(0.5, 1)), Options{ThresholdPct: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, d := range rep.Regressions() {
-		if d.Metric == "miter_per_sec" {
-			found = true
+	docs := map[string]*experiments.BenchDoc{}
+	for _, p := range paths {
+		doc, err := Load(p)
+		if err != nil {
+			t.Errorf("%v", err)
+			continue
 		}
-	}
-	if !found {
-		t.Fatalf("halved throughput not flagged; deltas = %+v", rep.Deltas)
-	}
-
-	// Recovery overhead doubled: chaos scenario regresses; the clean
-	// rows (overhead 0, not comparable) stay skipped, not flagged.
-	rep, err = Compare(run, decodeDist(t, syntheticDist(1, 2)), Options{ThresholdPct: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found = false
-	for _, d := range rep.Regressions() {
-		if d.Metric == "overhead_pct" && d.Kernel == "dist:chaos-kill" {
-			found = true
+		if len(doc.Rows) == 0 {
+			t.Errorf("%s: no rows", p)
 		}
+		docs[filepath.Base(p)] = doc
 	}
-	if !found {
-		t.Fatalf("doubled recovery overhead not flagged; deltas = %+v", rep.Deltas)
+	bases, filters := gateTable(t)
+	if len(bases) < 5 {
+		t.Fatalf("Makefile gate table lists %d baselines, want every gated suite: %v", len(bases), bases)
+	}
+	for suite, base := range bases {
+		doc := docs[base]
+		if doc == nil {
+			t.Errorf("gate-%s: baseline %s not loaded", suite, base)
+			continue
+		}
+		if doc.Suite != suite {
+			t.Errorf("gate-%s: baseline %s holds suite %q", suite, base, doc.Suite)
+		}
+		filter, ok := filters[suite]
+		if !ok {
+			t.Errorf("gate-%s: no metric filter", suite)
+			continue
+		}
+		selected := 0
+		for _, r := range doc.Rows {
+			if metricSelected(r.Metric, strings.Split(filter, ",")) {
+				selected++
+			}
+		}
+		if selected == 0 {
+			t.Errorf("gate-%s: filter %q selects no row of %s", suite, filter, base)
+		}
 	}
 }
 
-// syntheticInvert builds an invert report whose speedups are scaled by
-// spScale (<1 = the table tier lost ground).
-func syntheticInvert(spScale float64) *experiments.InvertReport {
-	rep := &experiments.InvertReport{
-		Suite: "invert",
-		Meta:  experiments.NewBenchMeta(),
-	}
-	for _, n := range []string{"triangular2", "simplex5-deg5"} {
-		row := experiments.InvertRow{
-			Nest:   n,
-			Params: map[string]int64{"N": 4096},
-			Depth:  2,
-		}
-		for _, chunk := range []int64{1, 4096} {
-			row.Chunks = append(row.Chunks, experiments.InvertChunk{
-				ChunkPC:         chunk,
-				Recoveries:      1000,
-				SearchNs:        3000,
-				TableNs:         300 / spScale,
-				BatchNs:         20 / spScale,
-				SearchRecPerSec: 1e9 / 3000,
-				TableRecPerSec:  1e9 / 300 * spScale,
-				BatchRecPerSec:  1e9 / 20 * spScale,
-				SpeedupTable:    10 * spScale,
-				SpeedupBatch:    150 * spScale,
-			})
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-	return rep
-}
-
-func decodeInvert(t *testing.T, rep *experiments.InvertReport) *Run {
+// checkBaseline compares a suite's committed baseline, under filter,
+// with an exact copy (no regression) and with a copy in which every
+// row is twice as bad in its own direction (every comparable row
+// regresses, so each row's direction is the one the gate needs).
+func checkBaseline(t *testing.T, suite, base, filter string) {
 	t.Helper()
-	data, err := json.Marshal(rep)
+	old, err := Load("../../" + base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := Decode(bytes.NewReader(data))
+	if old.Suite != suite {
+		t.Fatalf("%s holds suite %q, want %q", base, old.Suite, suite)
+	}
+	opts := Options{ThresholdPct: 20, MetricFilter: strings.Split(filter, ",")}
+	same := *old
+	same.Rows = append([]experiments.BenchRow(nil), old.Rows...)
+	rep, err := Compare(old, &same, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return run
-}
-
-func TestInvertSuite(t *testing.T) {
-	run := decodeInvert(t, syntheticInvert(1))
-	if run.Suite != "invert" || len(run.Kernels) != 4 {
-		t.Fatalf("decoded run: suite %q, %d kernels", run.Suite, len(run.Kernels))
+	if len(rep.Deltas) == 0 || len(rep.Regressions()) != 0 || len(rep.Skipped) != 0 {
+		t.Fatalf("copy of %s: %d comparisons, %d regressions, skipped %v",
+			base, len(rep.Deltas), len(rep.Regressions()), rep.Skipped)
 	}
-	k := run.Kernel("invert:simplex5-deg5/chunk=1")
-	if k == nil {
-		t.Fatal("invert:simplex5-deg5/chunk=1 kernel missing")
-	}
-	if k.Params["N"] != 4096 {
-		t.Fatalf("params = %v", k.Params)
-	}
-	// Every invert metric is a throughput or a speedup: higher is better.
-	for _, name := range []string{"search_recoveries_per_sec", "table_recoveries_per_sec",
-		"batch_recoveries_per_sec", "speedup_table_vs_search", "speedup_batch_vs_search"} {
-		if m := k.metric(name); m == nil || !m.HigherIsBetter {
-			t.Fatalf("%s direction wrong: %+v", name, m)
+	worse := same
+	worse.Rows = append([]experiments.BenchRow(nil), old.Rows...)
+	for i := range worse.Rows {
+		if worse.Rows[i].Better == experiments.Higher {
+			worse.Rows[i].Value /= 2
+		} else {
+			worse.Rows[i].Value *= 2
 		}
 	}
-
-	rep, err := Compare(run, decodeInvert(t, syntheticInvert(1)), Options{ThresholdPct: 20})
-	if err != nil {
+	if rep, err = Compare(old, &worse, opts); err != nil {
 		t.Fatal(err)
 	}
-	if regs := rep.Regressions(); len(regs) != 0 {
-		t.Fatalf("identical invert runs regressed: %v", regs)
-	}
-
-	// Table tier halved its advantage: the speedup metrics regress even
-	// under the gate's filter.
-	rep, err = Compare(run, decodeInvert(t, syntheticInvert(0.5)),
-		Options{ThresholdPct: 20, MetricFilter: []string{"speedup"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, d := range rep.Regressions() {
-		if d.Metric == "speedup_table_vs_search" && d.Kernel == "invert:simplex5-deg5/chunk=1" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("halved table speedup not flagged; deltas = %+v", rep.Deltas)
+	if n := len(rep.Regressions()); n == 0 || n != len(rep.Deltas) {
+		t.Errorf("2x-worse copy of %s: %d of %d comparisons regressed", base, n, len(rep.Deltas))
 	}
 }
 
-// TestAutotuneSuite checks the BENCH_PR10-style autotuning document
-// loads with the right metric directions: ratios are the gated
-// machine-independent pair — auto_vs_best regresses up, worst_vs_auto
-// regresses down.
-func TestAutotuneSuite(t *testing.T) {
-	rep := &experiments.AutotuneReport{
-		Suite: "autotune",
-		Meta:  experiments.NewBenchMeta(),
-		Rows: []experiments.AutotuneRow{{
-			Kernel: "ltmp", Params: map[string]int64{"N": 500},
-			Decision: "guided,64 x12", AutoSec: 0.010,
-			BestSpec: "guided,1", BestSec: 0.0095,
-			WorstSpec: "dynamic,1", WorstSec: 0.030,
-			AutoVsBest: 1.05, WorstVsAuto: 3.0,
-		}},
-		CacheHits: 1,
+// gatedBaseline runs checkBaseline on a gated suite's Makefile entry.
+func gatedBaseline(t *testing.T, suite string) {
+	t.Helper()
+	bases, filters := gateTable(t)
+	if bases[suite] == "" {
+		t.Fatalf("no gate-%s in the Makefile's gate table", suite)
 	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	run, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Suite != "autotune" {
-		t.Fatalf("suite = %q", run.Suite)
-	}
-	k := run.Kernel("autotune:ltmp")
-	if k == nil {
-		t.Fatal("autotune kernel missing")
-	}
-	if m := k.metric("auto_vs_best"); m == nil || m.Value != 1.05 || m.HigherIsBetter {
-		t.Errorf("auto_vs_best = %+v", m)
-	}
-	if m := k.metric("worst_vs_auto"); m == nil || m.Value != 3.0 || !m.HigherIsBetter {
-		t.Errorf("worst_vs_auto = %+v", m)
-	}
-	if m := k.metric("auto_sec"); m == nil || m.HigherIsBetter {
-		t.Errorf("auto_sec direction wrong: %+v", m)
-	}
+	checkBaseline(t, suite, bases[suite], filters[suite])
 }
+
+// The compile suite has no gate; its whole baseline is checked.
+func TestCompileSuite(t *testing.T)  { checkBaseline(t, "compile", "BENCH_PR5.json", "") }
+func TestServeSuite(t *testing.T)    { gatedBaseline(t, "serve") }
+func TestDistSuite(t *testing.T)     { gatedBaseline(t, "dist") }
+func TestInvertSuite(t *testing.T)   { gatedBaseline(t, "invert") }
+func TestAutotuneSuite(t *testing.T) { gatedBaseline(t, "autotune") }

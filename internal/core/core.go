@@ -293,10 +293,10 @@ func ForRange(b *unrank.Bound, pcLo, pcHi int64, body func(pc int64, idx []int64
 }
 
 // ForRangeFrom is ForRange with the recovery already paid: start must be
-// the exact iteration tuple of rank pcLo — typically produced by
-// unrank.Bound.RecoverBatch over the chunk/shard starts of a planned
-// execution — and the driver goes straight to the §V incrementation.
-// start is read, never written (it may be b.Scratch() itself).
+// the exact iteration tuple of rank pcLo (the collapsed engine passes
+// the chunk-start tuple it just recovered into b.Scratch()), and the
+// driver goes straight to the §V incrementation. start is read, never
+// written.
 func ForRangeFrom(b *unrank.Bound, pcLo, pcHi int64, start []int64,
 	body func(pc int64, idx []int64)) error {
 	if pcLo > pcHi {

@@ -217,32 +217,12 @@ func TestForRangeDriversZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Batched multi-pc recovery over preallocated buffers: every chunk
-	// start of the space resolved in one pass, zero allocations.
-	pcs := make([]int64, 0, 64)
-	for pc := int64(1); pc <= ttotal; pc += 37 {
-		pcs = append(pcs, pc)
-	}
-	backing := make([]int64, len(pcs)*bt.Depth())
-	out := make([][]int64, len(pcs))
-	for i := range out {
-		out[i] = backing[i*bt.Depth() : (i+1)*bt.Depth()]
-	}
-	tblBatch := func() {
-		if err := bt.RecoverBatch(pcs, out); err != nil {
-			t.Fatal(err)
-		}
-		sink += out[0][0]
-	}
 	tblIter() // warm table scratch (per-prefix base cache)
 	if allocs := testing.AllocsPerRun(10, tblIter); allocs != 0 {
 		t.Errorf("ForRange (table tier) allocates %v per run in steady state, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(10, tblFrom); allocs != 0 {
 		t.Errorf("ForRangeFrom (table tier) allocates %v per run in steady state, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(10, tblBatch); allocs != 0 {
-		t.Errorf("RecoverBatch allocates %v per run in steady state, want 0", allocs)
 	}
 	_ = sink
 }

@@ -246,14 +246,6 @@ type coordinator struct {
 
 	runCtx context.Context
 
-	// seeds maps planned shard-start ranks to their pre-recovered
-	// iteration tuples (batch-recovered once before the executors spawn).
-	// Written only during setup, read-only afterwards — safe to consult
-	// from workerLoop without holding mu. Attempts whose Lo is not a
-	// planned start (splits, resumed remainders) simply miss and recover
-	// from scratch.
-	seeds map[int64][]int64
-
 	mu        sync.Mutex
 	cond      *sync.Cond
 	queue     []task
@@ -360,14 +352,6 @@ func Run(ctx context.Context, res *core.Result, params map[string]int64, cfg Con
 		bounds[w] = b0.Clone()
 	}
 
-	// Batch-recover every planned shard-start tuple in one sorted pass:
-	// nearby starts share their recovery prefix, so seeding all shards
-	// costs little more than one full recovery. Executors then begin
-	// each first-attempt shard at pure incrementation cost
-	// (ShardForCtxFrom). Best-effort: on any batch failure the run
-	// proceeds unseeded and per-attempt recovery reports the real error.
-	c.seedShardStarts(b0)
-
 	// The lease monitor and a ctx watcher keep cond.Wait honest.
 	stopMonitor := make(chan struct{})
 	var monWG sync.WaitGroup
@@ -423,44 +407,6 @@ func Run(ctx context.Context, res *core.Result, params map[string]int64, cfg Con
 	}
 	c.finishReport()
 	return &c.rep, runErr
-}
-
-// seedShardStarts batch-recovers the start tuple of every planned shard
-// on b0 — before any executor goroutine exists, so the bound is not yet
-// shared — and indexes the tuples by rank for workerLoop. The starts
-// are sorted and deduplicated so RecoverBatch's shared-prefix descent
-// amortizes the recovery ladder across the whole plan.
-func (c *coordinator) seedShardStarts(b0 *unrank.Bound) {
-	if len(c.queue) == 0 {
-		return
-	}
-	los := make([]int64, 0, len(c.queue))
-	for _, t := range c.queue {
-		los = append(los, t.iv.Lo)
-	}
-	sort.Slice(los, func(i, j int) bool { return los[i] < los[j] })
-	n := 0
-	for _, lo := range los {
-		if n == 0 || los[n-1] != lo {
-			los[n] = lo
-			n++
-		}
-	}
-	los = los[:n]
-	d := b0.Depth()
-	backing := make([]int64, n*d)
-	out := make([][]int64, n)
-	for i := range out {
-		out[i] = backing[i*d : (i+1)*d]
-	}
-	if err := b0.RecoverBatch(los, out); err != nil {
-		c.cfg.Logf("dist: shard-start seeding failed (%v); proceeding unseeded", err)
-		return
-	}
-	c.seeds = make(map[int64][]int64, n)
-	for i, lo := range los {
-		c.seeds[lo] = out[i]
-	}
 }
 
 // planShards splits the uncovered intervals into near-equal contiguous
@@ -570,7 +516,7 @@ func (c *coordinator) workerLoop(worker int, b *unrank.Bound) {
 		t0 := time.Now()
 		var iters int64
 		var sum uint64
-		_, err := omp.ShardForCtxFrom(at.ctx, worker, b, c.seeds[at.iv.Lo], at.iv.Lo, at.iv.Hi, c.cfg.Chunk,
+		_, err := omp.ShardForCtx(at.ctx, worker, b, at.iv.Lo, at.iv.Hi, c.cfg.Chunk,
 			func(int64) { at.beat() },
 			func(pc int64, idx []int64) {
 				sum += c.body(worker, pc, idx)

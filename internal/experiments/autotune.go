@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 	"time"
@@ -30,63 +28,57 @@ import (
 // replans through a warmup run so the refinement loop has settled, and
 // re-plans the same shape once more at the end to prove the decision is
 // served from the plan cache. This is the source of BENCH_PR10.json
-// (`make autotunegate-baseline`).
+// (`make gate-baseline-autotune`).
 // ---------------------------------------------------------------------
 
 // AutotuneChoice is one hand-picked schedule's measurement for a kernel.
 type AutotuneChoice struct {
 	// Spec in the -sched grammar ("static", "dynamic,64", ...), run at
 	// the suite's fixed team size.
-	Spec string  `json:"spec"`
-	Sec  float64 `json:"seconds"`
-	// VsAuto is this choice's time over the tuned time (>1: auto wins).
-	VsAuto float64 `json:"vs_auto"`
+	Spec string
+	Sec  float64
 }
 
 // AutotuneRow is one kernel's full comparison.
 type AutotuneRow struct {
-	Kernel     string           `json:"kernel"`
-	Params     map[string]int64 `json:"params"`
-	Iterations int64            `json:"iterations"`
+	Kernel     string
+	Params     map[string]int64
+	Iterations int64
 	// Decision is the planner's chosen triple ("dynamic,64 x8").
-	Decision string `json:"decision"`
+	Decision string
 	// PredictedSec is the simulated makespan the final plan promised;
 	// AutoSec the best measured tuned run after warmup.
-	PredictedSec float64 `json:"predicted_seconds"`
-	AutoSec      float64 `json:"auto_seconds"`
+	PredictedSec float64
+	AutoSec      float64
 	// Best/Worst hand-picked choices from the panel.
-	BestSpec  string  `json:"best_spec"`
-	BestSec   float64 `json:"best_seconds"`
-	WorstSpec string  `json:"worst_spec"`
-	WorstSec  float64 `json:"worst_seconds"`
+	BestSpec  string
+	BestSec   float64
+	WorstSpec string
+	WorstSec  float64
 	// AutoVsBest is auto over best (1.0 = matched the optimum; the
 	// acceptance bar is ≤ 1.10). WorstVsAuto is worst over auto (the
 	// acceptance bar is ≥ 1.3).
-	AutoVsBest  float64 `json:"auto_vs_best"`
-	WorstVsAuto float64 `json:"worst_vs_auto"`
-	// Replans counts online refinements absorbed across warmup and
-	// measurement; CacheHit reports the end-of-row re-plan of the same
-	// shape was served from the plan cache.
-	Replans  int              `json:"replans"`
-	CacheHit bool             `json:"cache_hit"`
-	Choices  []AutotuneChoice `json:"choices"`
+	AutoVsBest  float64
+	WorstVsAuto float64
+	// CacheHit reports the end-of-row re-plan of the same shape was
+	// served from the plan cache.
+	CacheHit bool
+	Choices  []AutotuneChoice
 }
 
-// AutotuneReport is the machine-readable document written to
-// BENCH_PR10.json.
+// AutotuneReport is the suite's result; Doc is its BENCH_PR10.json
+// document.
 type AutotuneReport struct {
-	Suite   string        `json:"suite"` // "autotune"
-	Meta    BenchMeta     `json:"meta"`
-	Threads int           `json:"threads"`
-	Quick   bool          `json:"quick"`
-	Reps    int           `json:"reps"`
-	Warmups int           `json:"warmups"`
-	Rows    []AutotuneRow `json:"kernels"`
+	Threads int
+	Quick   bool
+	Reps    int
+	Warmups int
+	Kernels []AutotuneRow
 	// Telemetry totals across the whole suite: plans computed, online
 	// replans, and plan-cache hits (the acceptance bar is > 0).
-	Plans     int64 `json:"autotune_plans"`
-	Replans   int64 `json:"autotune_replans"`
-	CacheHits int64 `json:"autotune_cache_hits"`
+	Plans     int64
+	Replans   int64
+	CacheHits int64
 }
 
 // AutotuneOptions configure the suite.
@@ -170,8 +162,6 @@ func parseSchedSpec(spec string) (omp.Schedule, error) {
 func Autotune(opts AutotuneOptions) (*AutotuneReport, error) {
 	opts.fill()
 	rep := &AutotuneReport{
-		Suite:   "autotune",
-		Meta:    NewBenchMeta(),
 		Threads: opts.Threads,
 		Quick:   opts.Quick,
 		Reps:    opts.Reps,
@@ -250,7 +240,6 @@ func Autotune(opts AutotuneOptions) (*AutotuneReport, error) {
 		row.AutoSec = autoBest
 		row.Decision = lastRun.Plan.Decision.String()
 		row.PredictedSec = lastRun.Plan.Decision.PredictedSec
-		row.Replans = lastRun.Plan.Replans()
 		opts.Verbose("%s: auto -> %s, %.3fms (predicted %.3fms)",
 			name, row.Decision, autoBest*1e3, row.PredictedSec*1e3)
 
@@ -259,9 +248,7 @@ func Autotune(opts AutotuneOptions) (*AutotuneReport, error) {
 			row.CacheHit = cached
 		}
 
-		for i := range row.Choices {
-			c := &row.Choices[i]
-			c.VsAuto = c.Sec / row.AutoSec
+		for _, c := range row.Choices {
 			if row.BestSec == 0 || c.Sec < row.BestSec {
 				row.BestSec, row.BestSpec = c.Sec, c.Spec
 			}
@@ -271,7 +258,7 @@ func Autotune(opts AutotuneOptions) (*AutotuneReport, error) {
 		}
 		row.AutoVsBest = row.AutoSec / row.BestSec
 		row.WorstVsAuto = row.WorstSec / row.AutoSec
-		rep.Rows = append(rep.Rows, row)
+		rep.Kernels = append(rep.Kernels, row)
 	}
 
 	snap := reg.Snapshot()
@@ -281,11 +268,26 @@ func Autotune(opts AutotuneOptions) (*AutotuneReport, error) {
 	return rep, nil
 }
 
-// WriteJSON writes the report as indented JSON.
-func (r *AutotuneReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Rows flattens the report. Absolute wall times are host-dependent;
+// the gated machine-independent rows are the two ratios: auto over the
+// best hand pick (1.0 = the planner matched the optimum) and the worst
+// hand pick over auto (what guessing wrong costs).
+func (r *AutotuneReport) Rows() []BenchRow {
+	var rows []BenchRow
+	for _, k := range r.Kernels {
+		add := caseRows(&rows, "autotune:"+k.Kernel, k.Params)
+		add("auto_sec", Lower, k.AutoSec)
+		add("best_sec", Lower, k.BestSec)
+		add("auto_vs_best", Lower, k.AutoVsBest)
+		add("worst_vs_auto", Higher, k.WorstVsAuto)
+	}
+	return rows
+}
+
+// Doc is the report as a BENCH_PR10.json document.
+func (r *AutotuneReport) Doc() BenchDoc {
+	return BenchDoc{Suite: "autotune", Rows: r.Rows(),
+		Config: config("threads", r.Threads, "quick", r.Quick, "reps", r.Reps, "warmups", r.Warmups)}
 }
 
 // RenderAutotune renders the report as a text table.
@@ -295,7 +297,7 @@ func RenderAutotune(r *AutotuneReport) string {
 		r.Threads, r.Reps, r.Warmups, map[bool]string{true: ", quick", false: ""}[r.Quick])
 	fmt.Fprintf(&sb, "%-14s %-16s %10s %10s %-14s %10s %-14s %9s %9s\n",
 		"kernel", "auto decision", "auto ms", "best ms", "best", "worst ms", "worst", "auto/best", "worst/auto")
-	for _, row := range r.Rows {
+	for _, row := range r.Kernels {
 		fmt.Fprintf(&sb, "%-14s %-16s %10.3f %10.3f %-14s %10.3f %-14s %9.3f %9.2f\n",
 			row.Kernel, row.Decision, row.AutoSec*1e3, row.BestSec*1e3, row.BestSpec,
 			row.WorstSec*1e3, row.WorstSpec, row.AutoVsBest, row.WorstVsAuto)

@@ -19,10 +19,10 @@ func TestAutotuneQuick(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Autotune: %v", err)
 	}
-	if rep.Suite != "autotune" || len(rep.Rows) != 2 {
-		t.Fatalf("report: suite %q, %d rows", rep.Suite, len(rep.Rows))
+	if len(rep.Kernels) != 2 {
+		t.Fatalf("report has %d kernels, want 2", len(rep.Kernels))
 	}
-	for _, row := range rep.Rows {
+	for _, row := range rep.Kernels {
 		if row.Decision == "" || row.Iterations <= 0 {
 			t.Errorf("%s: empty decision or iterations (%+v)", row.Kernel, row)
 		}

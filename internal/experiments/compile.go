@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 	"strings"
 	"time"
@@ -30,34 +28,29 @@ import (
 
 // CompileRow is one kernel's compile-path measurement.
 type CompileRow struct {
-	Kernel string `json:"kernel"`
-	Depth  int    `json:"depth"`
-	C      int    `json:"collapse"`
+	Kernel string
+	Depth  int
+	C      int
 	// Microseconds per Collapse under each regime.
-	ColdSerialUs   float64 `json:"cold_serial_us"`
-	ColdParallelUs float64 `json:"cold_parallel_us"`
-	CachedUs       float64 `json:"cached_us"`
+	ColdSerialUs   float64
+	ColdParallelUs float64
+	CachedUs       float64
 	// SpeedupParallel is serial over parallel cold compile (the fan-out's
 	// contribution); SpeedupCached is parallel cold over warm cached (the
 	// cache's contribution on repeated collapses).
-	SpeedupParallel float64 `json:"speedup_parallel_vs_serial"`
-	SpeedupCached   float64 `json:"speedup_cached_vs_cold"`
+	SpeedupParallel float64
+	SpeedupCached   float64
 }
 
-// CompileReport is the machine-readable document written to
-// BENCH_PR5.json. GoVersion/GOMAXPROCS predate the Meta block and stay
-// for schema-v1 readers; Meta is authoritative from schema v2 on.
+// CompileReport is the suite's result; Doc is its BENCH_PR5.json
+// document.
 type CompileReport struct {
-	Suite      string       `json:"suite"` // "compile"
-	Meta       BenchMeta    `json:"meta"`
-	GoVersion  string       `json:"go_version"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Quick      bool         `json:"quick"`
-	Reps       int          `json:"reps"`
-	Rows       []CompileRow `json:"kernels"`
+	Quick   bool
+	Reps    int
+	Kernels []CompileRow
 	// Cache counters accumulated across the whole suite (every kernel's
 	// warm phase runs against one shared cache).
-	Cache core.CacheStats `json:"cache"`
+	Cache core.CacheStats
 }
 
 // CompileOptions configure the suite.
@@ -93,14 +86,7 @@ func (o *CompileOptions) fill() {
 // Compile runs the suite over every kernel.
 func Compile(opts CompileOptions) (*CompileReport, error) {
 	opts.fill()
-	rep := &CompileReport{
-		Suite:      "compile",
-		Meta:       NewBenchMeta(),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Quick:      opts.Quick,
-		Reps:       opts.Reps,
-	}
+	rep := &CompileReport{Quick: opts.Quick, Reps: opts.Reps}
 	cache := core.NewCollapseCache(64)
 	best := func(f func()) float64 {
 		b := -1.0
@@ -146,27 +132,40 @@ func Compile(opts CompileOptions) (*CompileReport, error) {
 		opts.Verbose("%s: serial %.0fus, parallel %.0fus (x%.2f), cached %.1fus (x%.1f)",
 			k.Name, row.ColdSerialUs, row.ColdParallelUs, row.SpeedupParallel,
 			row.CachedUs, row.SpeedupCached)
-		rep.Rows = append(rep.Rows, row)
+		rep.Kernels = append(rep.Kernels, row)
 	}
 	rep.Cache = cache.Stats()
 	return rep, nil
 }
 
-// WriteJSON writes the report as indented JSON.
-func (r *CompileReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Rows flattens the report. Compile rows have no problem size; depth
+// and collapse count stand in as the comparability key.
+func (r *CompileReport) Rows() []BenchRow {
+	var rows []BenchRow
+	for _, k := range r.Kernels {
+		add := caseRows(&rows, k.Kernel, map[string]int64{"depth": int64(k.Depth), "collapse": int64(k.C)})
+		add("cold_serial_us", Lower, k.ColdSerialUs)
+		add("cold_parallel_us", Lower, k.ColdParallelUs)
+		add("cached_us", Lower, k.CachedUs)
+		add("speedup_parallel_vs_serial", Higher, k.SpeedupParallel)
+		add("speedup_cached_vs_cold", Higher, k.SpeedupCached)
+	}
+	return rows
+}
+
+// Doc is the report as a BENCH_PR5.json document.
+func (r *CompileReport) Doc() BenchDoc {
+	return BenchDoc{Suite: "compile", Rows: r.Rows(), Config: config("quick", r.Quick, "reps", r.Reps)}
 }
 
 // RenderCompile prints the report as an aligned table.
 func RenderCompile(r *CompileReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Compile suite — µs per Collapse (GOMAXPROCS=%d, best of %d)\n",
-		r.GOMAXPROCS, r.Reps)
+		runtime.GOMAXPROCS(0), r.Reps)
 	fmt.Fprintf(&b, "%-18s %5s %12s %12s %10s %9s %9s\n",
 		"kernel", "d/c", "cold-serial", "cold-par", "cached", "par-gain", "cache-x")
-	for _, row := range r.Rows {
+	for _, row := range r.Kernels {
 		fmt.Fprintf(&b, "%-18s %2d/%-2d %12.1f %12.1f %10.2f %8.2fx %8.1fx\n",
 			row.Kernel, row.Depth, row.C, row.ColdSerialUs, row.ColdParallelUs,
 			row.CachedUs, row.SpeedupParallel, row.SpeedupCached)

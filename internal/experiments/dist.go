@@ -18,19 +18,15 @@ import (
 	"repro/internal/unrank"
 )
 
-// DistReport is the BENCH_PR8.json document: shard-scaling throughput
-// and recovery overhead of the fault-tolerant coordinator
-// (internal/dist) over the collapsed pc-range. Like the other suites it
-// carries the schema-v2 meta block and loads through internal/benchcmp,
-// so `make distgate` can diff a fresh run against the committed
-// baseline.
+// DistReport is the shard-scaling throughput and recovery overhead of
+// the fault-tolerant coordinator (internal/dist) over the collapsed
+// pc-range. Doc is its BENCH_PR8.json document, which `make gate-dist`
+// diffs against the committed baseline.
 type DistReport struct {
-	Suite string    `json:"suite"` // "dist"
-	Meta  BenchMeta `json:"meta"`
 	// Nest is the driven workload (a triangular 2-nest, the paper's
 	// canonical non-rectangular shape).
-	Nest string    `json:"nest"`
-	Rows []DistRow `json:"rows"`
+	Nest      string
+	Scenarios []DistRow
 }
 
 // DistRow is one scenario of the study.
@@ -40,29 +36,25 @@ type DistRow struct {
 	// fsynced checkpoint journal, "chaos-kill" crashes every 5th shard
 	// attempt, and "resume" replays a half-complete journal and executes
 	// only the uncovered intervals.
-	Scenario string `json:"scenario"`
-	Workers  int    `json:"workers"`
-	Shards   int    `json:"shards"`
-	Total    int64  `json:"total"`
+	Scenario string
+	Workers  int
+	Shards   int
+	Total    int64
 
-	Seconds     float64 `json:"seconds"`
-	MIterPerSec float64 `json:"miter_per_sec"`
+	Seconds     float64
+	MIterPerSec float64
 	// OverheadPct is the slowdown versus the clean run at the same
 	// worker count (journal fsyncs, crash recovery); 0 for the clean
 	// rows themselves.
-	OverheadPct float64 `json:"overhead_pct,omitempty"`
+	OverheadPct float64
 
 	// Recovery ledger of the run.
-	LeaseExpiries   int64 `json:"lease_expiries,omitempty"`
-	Retries         int64 `json:"retries,omitempty"`
-	Splits          int64 `json:"splits,omitempty"`
-	Duplicates      int64 `json:"duplicates,omitempty"`
-	SpeculativeWins int64 `json:"speculative_wins,omitempty"`
+	LeaseExpiries int64
+	Retries       int64
+	Duplicates    int64
 	// Resumed is the iteration count inherited from the journal instead
 	// of re-executed ("resume" scenario).
-	Resumed int64 `json:"resumed,omitempty"`
-	// BusyImbalance is max/mean of per-executor busy time (1 = perfect).
-	BusyImbalance float64 `json:"busy_imbalance,omitempty"`
+	Resumed int64
 }
 
 // DistOptions configure the study.
@@ -120,9 +112,7 @@ func Dist(opts DistOptions) (*DistReport, error) {
 	}
 	params := map[string]int64{"N": opts.N}
 	rep := &DistReport{
-		Suite: "dist",
-		Meta:  NewBenchMeta(),
-		Nest:  strings.ReplaceAll(strings.TrimRight(tri.String(), "\n"), "\n", "; "),
+		Nest: strings.ReplaceAll(strings.TrimRight(tri.String(), "\n"), "\n", "; "),
 	}
 
 	maxW := opts.Workers[len(opts.Workers)-1]
@@ -141,15 +131,13 @@ func Dist(opts DistOptions) (*DistReport, error) {
 			Scenario: scenario, Workers: cfg.Workers, Shards: r.PlannedShards,
 			Total: r.Total, Seconds: sec,
 			MIterPerSec:   float64(r.Executed) / sec / 1e6,
-			LeaseExpiries: r.LeaseExpiries, Retries: r.Retries, Splits: r.Splits,
-			Duplicates: r.Duplicates, SpeculativeWins: r.SpeculativeWins,
-			Resumed:       r.Resumed,
-			BusyImbalance: r.Imbalance().BusyImbalance,
+			LeaseExpiries: r.LeaseExpiries, Retries: r.Retries,
+			Duplicates: r.Duplicates, Resumed: r.Resumed,
 		}
 		if baseline > 0 {
 			row.OverheadPct = (sec - baseline) / baseline * 100
 		}
-		rep.Rows = append(rep.Rows, row)
+		rep.Scenarios = append(rep.Scenarios, row)
 		return r, sec, nil
 	}
 
@@ -234,10 +222,29 @@ func RenderDist(rep *DistReport) string {
 	fmt.Fprintf(&b, "Dist — sharded execution: scaling and recovery (%s)\n", rep.Nest)
 	fmt.Fprintf(&b, "%-14s %7s %7s %10s %9s %11s %9s %7s %7s %8s %9s\n",
 		"scenario", "workers", "shards", "total", "sec", "Miter/s", "over%", "retry", "lease", "dup", "resumed")
-	for _, r := range rep.Rows {
+	for _, r := range rep.Scenarios {
 		fmt.Fprintf(&b, "%-14s %7d %7d %10d %9.3f %11.2f %8.1f%% %7d %7d %8d %9d\n",
 			r.Scenario, r.Workers, r.Shards, r.Total, r.Seconds, r.MIterPerSec,
 			r.OverheadPct, r.Retries, r.LeaseExpiries, r.Duplicates, r.Resumed)
 	}
 	return b.String()
+}
+
+// Rows flattens the study. Worker count and problem size are the
+// comparability key.
+func (r *DistReport) Rows() []BenchRow {
+	var rows []BenchRow
+	for _, sc := range r.Scenarios {
+		add := caseRows(&rows, "dist:"+sc.Scenario, map[string]int64{"workers": int64(sc.Workers), "total": sc.Total})
+		add("miter_per_sec", Higher, sc.MIterPerSec)
+		// Zero on the clean rows themselves; a non-positive baseline
+		// value is not compared.
+		add("overhead_pct", Lower, sc.OverheadPct)
+	}
+	return rows
+}
+
+// Doc is the report as a BENCH_PR8.json document.
+func (r *DistReport) Doc() BenchDoc {
+	return BenchDoc{Suite: "dist", Rows: r.Rows(), Config: config("nest", r.Nest)}
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -16,68 +14,64 @@ import (
 // Invert suite — the recovery-throughput comparison behind the
 // breakpoint-table tier: for a set of representative nest shapes and a
 // sweep of chunk sizes, how fast can the runtime resolve the chunk-start
-// ranks a schedule hands out?
+// ranks a schedule hands out? Every engine recovers each start with one
+// per-pc Unrank:
 //
-//   - per-pc exact binary search (unrank.ModeBinarySearch, the oracle
-//     and the only pre-table option for ranking degree > 4);
-//   - per-pc breakpoint-table recovery (unrank.ModeTable: O(log depth)
+//   - exact binary search (unrank.ModeBinarySearch, the oracle and the
+//     only pre-table option for ranking degree > 4);
+//   - breakpoint-table recovery (unrank.ModeTable: O(log depth)
 //     monotone table lookup + exact short correction, bit-identical to
 //     the oracle);
-//   - batched table recovery (unrank.Bound.RecoverBatch: all chunk
-//     starts of the space resolved in one ascending pass, sharing
-//     recovery prefixes between neighbours).
+//   - the paper's closed form (unrank.ModeClosedForm, the default:
+//     float64 radicals, exact search as fallback), for every shape
+//     within radical solvability.
 //
 // The headline case is the degree-5 simplex at chunk 1 — a shape the
-// closed-form inverter cannot touch (beyond radical solvability), where
-// the table tier must beat per-pc binary search by a wide margin. This
-// suite is the source of BENCH_PR9.json (`make invertgate-baseline`).
+// closed-form inverter cannot touch, where the table tier must beat
+// per-pc binary search by a wide margin. Doc is the BENCH_PR9.json
+// document (`make gate-baseline-invert`).
 // ---------------------------------------------------------------------
 
 // InvertChunk is one chunk-size cell of a nest's comparison.
 type InvertChunk struct {
-	ChunkPC int64 `json:"chunk_pc"`
+	ChunkPC int64
 	// Recoveries is how many chunk-start ranks were resolved per
-	// traversal (capped at MaxStarts; Capped reports a hit cap).
-	Recoveries int64 `json:"recoveries"`
-	Capped     bool  `json:"capped,omitempty"`
-	// Per-recovery cost of each engine, nanoseconds.
-	SearchNs float64 `json:"search_ns_per_recovery"`
-	TableNs  float64 `json:"table_ns_per_recovery"`
-	BatchNs  float64 `json:"batch_ns_per_recovery"`
-	// Recoveries per second of each engine (the higher-is-better view).
-	SearchRecPerSec float64 `json:"search_recoveries_per_sec"`
-	TableRecPerSec  float64 `json:"table_recoveries_per_sec"`
-	BatchRecPerSec  float64 `json:"batch_recoveries_per_sec"`
-	// Speedups over per-pc binary search (>1: the table tier wins).
-	SpeedupTable float64 `json:"speedup_table_vs_search"`
-	SpeedupBatch float64 `json:"speedup_batch_vs_search"`
-	// Table-tier counters per traversal: lookups that hit a table and
-	// exact corrections spent confirming strided segments.
-	TableLookups     int64 `json:"table_lookups"`
-	TableCorrections int64 `json:"table_corrections"`
+	// traversal (capped at MaxStarts).
+	Recoveries int64
+	// Per-recovery cost of each engine, nanoseconds (ClosedNs is 0 on
+	// search-only shapes).
+	SearchNs float64
+	TableNs  float64
+	ClosedNs float64
+	// Recoveries per second of search and table (the higher-is-better
+	// view).
+	SearchRecPerSec float64
+	TableRecPerSec  float64
+	// Speedups over per-pc binary search (>1: the faster inverter wins).
+	SpeedupTable  float64
+	SpeedupClosed float64
 }
 
 // InvertRow is one nest's full comparison.
 type InvertRow struct {
-	Nest   string           `json:"nest"`
-	Params map[string]int64 `json:"params"`
-	Depth  int              `json:"depth"`
-	Degree int              `json:"ranking_degree"`
+	Nest   string
+	Params map[string]int64
+	Depth  int
+	Degree int
 	// SearchOnly marks shapes beyond radical solvability (degree > 4):
-	// before the table tier, binary search was their only inverter.
-	SearchOnly bool          `json:"search_only"`
-	Total      int64         `json:"iterations"`
-	Chunks     []InvertChunk `json:"chunks"`
+	// no closed form exists, and before the table tier binary search
+	// was their only inverter.
+	SearchOnly bool
+	Total      int64
+	Chunks     []InvertChunk
 }
 
-// InvertReport is the machine-readable document written to
-// BENCH_PR9.json.
+// InvertReport is the suite's result; Doc is its BENCH_PR9.json
+// document.
 type InvertReport struct {
-	Suite string      `json:"suite"` // "invert"
-	Meta  BenchMeta   `json:"meta"`
-	Quick bool        `json:"quick"`
-	Reps  int         `json:"reps"`
-	Rows  []InvertRow `json:"nests"`
+	Quick bool
+	Reps  int
+	Nests []InvertRow
 }
 
 // InvertOptions configure the suite.
@@ -163,18 +157,13 @@ func invertCases() []invertCase {
 // Invert runs the suite over every case.
 func Invert(opts InvertOptions) (*InvertReport, error) {
 	opts.fill()
-	rep := &InvertReport{
-		Suite: "invert",
-		Meta:  NewBenchMeta(),
-		Quick: opts.Quick,
-		Reps:  opts.Reps,
-	}
+	rep := &InvertReport{Quick: opts.Quick, Reps: opts.Reps}
 	for _, c := range invertCases() {
 		row, err := invertNest(c, opts)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.name, err)
 		}
-		rep.Rows = append(rep.Rows, row)
+		rep.Nests = append(rep.Nests, row)
 	}
 	return rep, nil
 }
@@ -216,29 +205,42 @@ func invertNest(c invertCase, opts InvertOptions) (InvertRow, error) {
 	if err != nil {
 		return row, err
 	}
+	// The paper's closed form, wherever the ranking is radical-solvable.
+	var bC *unrank.Bound
+	if !c.searchOnly {
+		resC, err := core.Collapse(n, len(c.loops), unrank.Options{})
+		if err != nil {
+			return row, err
+		}
+		if bC, err = resC.Unranker.Bind(params); err != nil {
+			return row, err
+		}
+	}
 	total := bS.Total()
 	row.Total = total
 
 	for _, chunk := range opts.ChunkSizes {
-		cell, err := invertChunk(bS, bT, total, chunk, opts)
+		cell, err := invertChunk(bS, bT, bC, total, chunk, opts)
 		if err != nil {
 			return row, fmt.Errorf("chunk %d: %w", chunk, err)
 		}
-		opts.Verbose("%s chunk %d: search %.0f ns, table %.0f ns (x%.2f), batch %.0f ns (x%.2f) per recovery",
+		opts.Verbose("%s chunk %d: search %.0f ns, table %.0f ns (x%.2f), closed %.0f ns (x%.2f) per recovery",
 			c.name, chunk, cell.SearchNs, cell.TableNs, cell.SpeedupTable,
-			cell.BatchNs, cell.SpeedupBatch)
+			cell.ClosedNs, cell.SpeedupClosed)
 		row.Chunks = append(row.Chunks, cell)
 	}
 	return row, nil
 }
 
-func invertChunk(bS, bT *unrank.Bound, total, chunk int64, opts InvertOptions) (InvertChunk, error) {
+// invertChunk times per-pc recovery of one chunk size's starts on the
+// search, table and (when bC is non-nil) closed-form bounds, and checks
+// every engine's tuples against the search oracle.
+func invertChunk(bS, bT, bC *unrank.Bound, total, chunk int64, opts InvertOptions) (InvertChunk, error) {
 	cell := InvertChunk{ChunkPC: chunk}
 	// The chunk starts a schedule would hand out, ascending, capped.
-	pcs := make([]int64, 0, min64(opts.MaxStarts, (total+chunk-1)/chunk))
+	pcs := make([]int64, 0, min(opts.MaxStarts, (total+chunk-1)/chunk))
 	for pc := int64(1); pc <= total; pc += chunk {
 		if int64(len(pcs)) == opts.MaxStarts {
-			cell.Capped = true
 			break
 		}
 		pcs = append(pcs, pc)
@@ -247,21 +249,19 @@ func invertChunk(bS, bT *unrank.Bound, total, chunk int64, opts InvertOptions) (
 		}
 	}
 	cell.Recoveries = int64(len(pcs))
-	depth := bS.Depth()
-	idx := make([]int64, depth)
-	backing := make([]int64, len(pcs)*depth)
-	out := make([][]int64, len(pcs))
-	for i := range out {
-		out[i] = backing[i*depth : (i+1)*depth]
-	}
+	idx := make([]int64, bS.Depth())
+	want := make([]int64, bS.Depth())
 
-	bestOf := func(f func() error) (float64, error) {
+	// nsPerRecovery is the best-of-Reps per-pc Unrank cost on b.
+	nsPerRecovery := func(b *unrank.Bound) (float64, error) {
 		best := -1.0
 		for r := 0; r < opts.Reps; r++ {
 			var ferr error
 			s := secPerCallOver(opts.MinTime, func() {
-				if err := f(); err != nil && ferr == nil {
-					ferr = err
+				for _, pc := range pcs {
+					if err := b.Unrank(pc, idx); err != nil && ferr == nil {
+						ferr = err
+					}
 				}
 			})
 			if ferr != nil {
@@ -271,81 +271,82 @@ func invertChunk(bS, bT *unrank.Bound, total, chunk int64, opts InvertOptions) (
 				best = s
 			}
 		}
-		return best, nil
+		return best / float64(len(pcs)) * 1e9, nil
 	}
-	perRec := func(sec float64) float64 { return sec / float64(len(pcs)) * 1e9 }
-
-	searchSec, err := bestOf(func() error {
+	// Bit-identical answers are the whole point: every engine must
+	// agree with the oracle on every start.
+	check := func(b *unrank.Bound, name string) error {
 		for _, pc := range pcs {
-			if err := bS.Unrank(pc, idx); err != nil {
+			if err := bS.Unrank(pc, want); err != nil {
 				return err
+			}
+			if err := b.Unrank(pc, idx); err != nil {
+				return err
+			}
+			for q, v := range want {
+				if idx[q] != v {
+					return fmt.Errorf("pc %d: %s tuple %v differs from oracle %v", pc, name, idx, want)
+				}
 			}
 		}
 		return nil
-	})
-	if err != nil {
-		return cell, err
-	}
-	tableSec, err := bestOf(func() error {
-		for _, pc := range pcs {
-			if err := bT.Unrank(pc, idx); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return cell, err
-	}
-	pre := bT.Stats()
-	batchSec, err := bestOf(func() error { return bT.RecoverBatch(pcs, out) })
-	if err != nil {
-		return cell, err
 	}
 
-	// Bit-identical answers are the whole point: cross-check the batch
-	// output of the last traversal against the oracle.
-	for i, pc := range pcs {
-		if err := bS.Unrank(pc, idx); err != nil {
-			return cell, err
-		}
-		for q, v := range idx {
-			if out[i][q] != v {
-				return cell, fmt.Errorf("pc %d: table/batch tuple %v differs from oracle %v", pc, out[i], idx)
-			}
-		}
+	var err error
+	if cell.SearchNs, err = nsPerRecovery(bS); err != nil {
+		return cell, err
 	}
-
-	delta := bT.Stats().Sub(pre)
-	cell.TableLookups = delta.TableLookups
-	cell.TableCorrections = delta.TableCorrections
-	cell.SearchNs, cell.TableNs, cell.BatchNs = perRec(searchSec), perRec(tableSec), perRec(batchSec)
-	if searchSec > 0 {
-		cell.SearchRecPerSec = float64(len(pcs)) / searchSec
+	if cell.TableNs, err = nsPerRecovery(bT); err != nil {
+		return cell, err
 	}
-	if tableSec > 0 {
-		cell.TableRecPerSec = float64(len(pcs)) / tableSec
+	if err := check(bT, "table"); err != nil {
+		return cell, err
+	}
+	if cell.SearchNs > 0 {
+		cell.SearchRecPerSec = 1e9 / cell.SearchNs
+	}
+	if cell.TableNs > 0 {
+		cell.TableRecPerSec = 1e9 / cell.TableNs
 		cell.SpeedupTable = cell.SearchNs / cell.TableNs
 	}
-	if batchSec > 0 {
-		cell.BatchRecPerSec = float64(len(pcs)) / batchSec
-		cell.SpeedupBatch = cell.SearchNs / cell.BatchNs
+	if bC != nil {
+		if cell.ClosedNs, err = nsPerRecovery(bC); err != nil {
+			return cell, err
+		}
+		if err := check(bC, "closed-form"); err != nil {
+			return cell, err
+		}
+		if cell.ClosedNs > 0 {
+			cell.SpeedupClosed = cell.SearchNs / cell.ClosedNs
+		}
 	}
 	return cell, nil
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+// Rows flattens the report into one case per nest and chunk size; the
+// problem size is the comparability key. The gated machine-independent
+// rows are the speedups over per-pc search. Search-only shapes have no
+// closed-form rows.
+func (r *InvertReport) Rows() []BenchRow {
+	var rows []BenchRow
+	for _, n := range r.Nests {
+		for _, c := range n.Chunks {
+			add := caseRows(&rows, fmt.Sprintf("invert:%s/chunk=%d", n.Nest, c.ChunkPC), n.Params)
+			add("search_recoveries_per_sec", Higher, c.SearchRecPerSec)
+			add("table_recoveries_per_sec", Higher, c.TableRecPerSec)
+			add("speedup_table_vs_search", Higher, c.SpeedupTable)
+			if !n.SearchOnly {
+				add("closed_ns_per_recovery", Lower, c.ClosedNs)
+				add("speedup_closed_vs_search", Higher, c.SpeedupClosed)
+			}
+		}
 	}
-	return b
+	return rows
 }
 
-// WriteJSON writes the report as indented JSON.
-func (r *InvertReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Doc is the report as a BENCH_PR9.json document.
+func (r *InvertReport) Doc() BenchDoc {
+	return BenchDoc{Suite: "invert", Rows: r.Rows(), Config: config("quick", r.Quick, "reps", r.Reps)}
 }
 
 // RenderInvert prints the report as an aligned table.
@@ -353,16 +354,20 @@ func RenderInvert(r *InvertReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Invert suite — ns per chunk-start recovery (best of %d)\n", r.Reps)
 	fmt.Fprintf(&b, "%-16s %7s %8s %10s %10s %10s %8s %8s\n",
-		"nest", "chunk", "starts", "search", "table", "batch", "tbl-x", "batch-x")
-	for _, row := range r.Rows {
+		"nest", "chunk", "starts", "search", "table", "closed", "tbl-x", "closed-x")
+	for _, row := range r.Nests {
 		for _, s := range row.Chunks {
-			fmt.Fprintf(&b, "%-16s %7d %8d %10.0f %10.0f %10.0f %7.2fx %7.2fx\n",
-				row.Nest, s.ChunkPC, s.Recoveries, s.SearchNs, s.TableNs, s.BatchNs,
-				s.SpeedupTable, s.SpeedupBatch)
+			closed, closedX := "-", "-"
+			if !row.SearchOnly {
+				closed, closedX = fmt.Sprintf("%.0f", s.ClosedNs), fmt.Sprintf("%.2fx", s.SpeedupClosed)
+			}
+			fmt.Fprintf(&b, "%-16s %7d %8d %10.0f %10.0f %10s %7.2fx %8s\n",
+				row.Nest, s.ChunkPC, s.Recoveries, s.SearchNs, s.TableNs, closed,
+				s.SpeedupTable, closedX)
 		}
 		note := ""
 		if row.SearchOnly {
-			note = "; degree > 4: search was the only pre-table inverter"
+			note = "; degree > 4: no closed form, search was the only pre-table inverter"
 		}
 		fmt.Fprintf(&b, "%-16s depth %d, degree %d, %d iterations%s\n",
 			row.Nest, row.Depth, row.Degree, row.Total, note)

@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -35,66 +32,54 @@ import (
 // the source of BENCH_PR4.json (`make bench-json`).
 // ---------------------------------------------------------------------
 
-// OverheadEngine is one engine's measurement for one kernel × schedule.
-type OverheadEngine struct {
-	NsPerIter     float64 `json:"ns_per_iter"`
-	AllocsPerIter float64 `json:"allocs_per_iter"`
-}
-
 // OverheadSched compares the two chunk-scheduled engines under one
-// schedule.
+// schedule: ns per collapsed iteration of the per-iteration driver and
+// of the range-batched engine.
 type OverheadSched struct {
-	Schedule string         `json:"schedule"`
-	PerIter  OverheadEngine `json:"per_iteration"`
-	Ranges   OverheadEngine `json:"range_batched"`
-	// Engine counters of the range-batched run: flat runs delivered,
-	// outer carries (bound re-evaluations) between them, and the mean
-	// flat-run length the body enjoyed.
-	Batches    int64   `json:"batches"`
-	Carries    int64   `json:"carries"`
-	MeanRunLen float64 `json:"mean_run_len"`
+	Schedule  string
+	PerIterNs float64
+	RangesNs  float64
+	// Engine counters of the range-batched run: flat runs delivered and
+	// the mean flat-run length the body enjoyed.
+	Batches    int64
+	MeanRunLen float64
 	// SpeedupRanges is per-iteration ns over range-batched ns (>1 means
 	// the range engine wins).
-	SpeedupRanges float64 `json:"speedup_ranges_vs_per_iter"`
+	SpeedupRanges float64
 }
 
 // OverheadRow is one kernel's full comparison.
 type OverheadRow struct {
-	Kernel     string           `json:"kernel"`
-	Params     map[string]int64 `json:"params"`
-	Iterations int64            `json:"iterations"` // collapsed total
+	Kernel     string
+	Params     map[string]int64
+	Iterations int64 // collapsed total
 	// Bound-shape specializer coverage of the bound instance
 	// (constant / i+c / a·i+c evaluators vs the generic term loop).
-	SpecializedBounds int `json:"specialized_bounds"`
-	TotalBounds       int `json:"total_bounds"`
+	SpecializedBounds int
+	TotalBounds       int
 	// OriginalNsPerIter is the sequential original nest, normalized by
 	// collapsed iterations (the common denominator of every engine).
-	OriginalNsPerIter float64 `json:"original_ns_per_iter"`
+	OriginalNsPerIter float64
 	// RecoverEveryNsPerIter is the full-recovery-per-iteration engine,
 	// measured over min(Iterations, EveryCap) ranks.
-	RecoverEveryNsPerIter float64 `json:"recover_every_ns_per_iter"`
+	RecoverEveryNsPerIter float64
 	// SteadyAllocs is testing.AllocsPerRun of a full warmed
 	// core.ForRanges traversal — the steady-state inner loop; 0 means the
 	// engine allocates nothing per iteration.
-	SteadyAllocs float64 `json:"steady_state_allocs_per_traversal"`
+	SteadyAllocs float64
 	// RangesOverheadPct is the best range-batched schedule vs the
 	// original nest: (ranges − original) / original · 100.
-	RangesOverheadPct float64         `json:"ranges_overhead_vs_original_pct"`
-	Schedules         []OverheadSched `json:"schedules"`
+	RangesOverheadPct float64
+	Schedules         []OverheadSched
 }
 
-// OverheadReport is the machine-readable document written to
-// BENCH_PR4.json. GoVersion/GOMAXPROCS predate the Meta block and stay
-// for schema-v1 readers; Meta is authoritative from schema v2 on.
+// OverheadReport is the suite's result; Doc is its BENCH_PR4.json
+// document.
 type OverheadReport struct {
-	Suite      string        `json:"suite"` // "overhead"
-	Meta       BenchMeta     `json:"meta"`
-	GoVersion  string        `json:"go_version"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Threads    int           `json:"threads"`
-	Quick      bool          `json:"quick"`
-	Reps       int           `json:"reps"`
-	Rows       []OverheadRow `json:"kernels"`
+	Threads int
+	Quick   bool
+	Reps    int
+	Kernels []OverheadRow
 }
 
 // OverheadOptions configure the suite.
@@ -154,21 +139,13 @@ func (o *OverheadOptions) fill() {
 // Overhead runs the suite over every kernel.
 func Overhead(opts OverheadOptions) (*OverheadReport, error) {
 	opts.fill()
-	rep := &OverheadReport{
-		Suite:      "overhead",
-		Meta:       NewBenchMeta(),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Threads:    opts.Threads,
-		Quick:      opts.Quick,
-		Reps:       opts.Reps,
-	}
+	rep := &OverheadReport{Threads: opts.Threads, Quick: opts.Quick, Reps: opts.Reps}
 	for _, k := range kernels.All() {
 		row, err := overheadKernel(k, opts)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
-		rep.Rows = append(rep.Rows, row)
+		rep.Kernels = append(rep.Kernels, row)
 	}
 	return rep, nil
 }
@@ -269,10 +246,7 @@ func overheadKernel(k *kernels.Kernel, opts OverheadOptions) (OverheadRow, error
 				runErr = err
 			}
 		})
-		os.PerIter.NsPerIter = perIterNs(sec)
-		os.PerIter.AllocsPerIter = testing.AllocsPerRun(1, func() {
-			_ = omp.CollapsedFor(res, nestParams, opts.Threads, sched, perIterBody)
-		}) / float64(total)
+		os.PerIterNs = perIterNs(sec)
 
 		var rs core.RangeStats
 		sec = bestOfReps(opts, func() {
@@ -285,23 +259,20 @@ func overheadKernel(k *kernels.Kernel, opts OverheadOptions) (OverheadRow, error
 		if runErr != nil {
 			return row, runErr
 		}
-		os.Ranges.NsPerIter = perIterNs(sec)
-		os.Ranges.AllocsPerIter = testing.AllocsPerRun(1, func() {
-			_, _ = omp.CollapsedForRangesStats(res, nestParams, opts.Threads, sched, nil, rangeBody)
-		}) / float64(total)
-		os.Batches, os.Carries = rs.Batches, rs.Carries
+		os.RangesNs = perIterNs(sec)
+		os.Batches = rs.Batches
 		if rs.Batches > 0 {
 			os.MeanRunLen = float64(rs.Iterations) / float64(rs.Batches)
 		}
-		if os.Ranges.NsPerIter > 0 {
-			os.SpeedupRanges = os.PerIter.NsPerIter / os.Ranges.NsPerIter
+		if os.RangesNs > 0 {
+			os.SpeedupRanges = os.PerIterNs / os.RangesNs
 		}
-		if bestRanges < 0 || os.Ranges.NsPerIter < bestRanges {
-			bestRanges = os.Ranges.NsPerIter
+		if bestRanges < 0 || os.RangesNs < bestRanges {
+			bestRanges = os.RangesNs
 		}
 		opts.Verbose("%s/%s: original %.2f, per-iter %.2f, ranges %.2f ns/iter (x%.2f, runs avg %.1f)",
-			k.Name, os.Schedule, row.OriginalNsPerIter, os.PerIter.NsPerIter,
-			os.Ranges.NsPerIter, os.SpeedupRanges, os.MeanRunLen)
+			k.Name, os.Schedule, row.OriginalNsPerIter, os.PerIterNs,
+			os.RangesNs, os.SpeedupRanges, os.MeanRunLen)
 		row.Schedules = append(row.Schedules, os)
 	}
 	if row.OriginalNsPerIter > 0 {
@@ -321,11 +292,28 @@ func schedName(s omp.Schedule) string {
 	return name
 }
 
-// WriteJSON writes the report as indented JSON.
-func (r *OverheadReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Rows flattens the report: per kernel, the original-nest and
+// recover-every costs, then per schedule both engines' costs and their
+// ratio.
+func (r *OverheadReport) Rows() []BenchRow {
+	var rows []BenchRow
+	for _, k := range r.Kernels {
+		add := caseRows(&rows, k.Kernel, k.Params)
+		add("original_ns_per_iter", Lower, k.OriginalNsPerIter)
+		add("recover_every_ns_per_iter", Lower, k.RecoverEveryNsPerIter)
+		for _, s := range k.Schedules {
+			add("per_iter_ns["+s.Schedule+"]", Lower, s.PerIterNs)
+			add("ranges_ns["+s.Schedule+"]", Lower, s.RangesNs)
+			add("speedup_ranges["+s.Schedule+"]", Higher, s.SpeedupRanges)
+		}
+	}
+	return rows
+}
+
+// Doc is the report as a BENCH_PR4.json document.
+func (r *OverheadReport) Doc() BenchDoc {
+	return BenchDoc{Suite: "overhead", Rows: r.Rows(),
+		Config: config("threads", r.Threads, "quick", r.Quick, "reps", r.Reps)}
 }
 
 // RenderOverhead prints the report as an aligned table.
@@ -335,7 +323,7 @@ func RenderOverhead(r *OverheadReport) string {
 		r.Threads, r.Reps)
 	fmt.Fprintf(&b, "%-18s %-12s %10s %10s %10s %10s %8s %10s\n",
 		"kernel", "schedule", "original", "per-iter", "ranges", "rec-every", "speedup", "runlen")
-	for _, row := range r.Rows {
+	for _, row := range r.Kernels {
 		for i, s := range row.Schedules {
 			orig, every := "", ""
 			if i == 0 {
@@ -343,7 +331,7 @@ func RenderOverhead(r *OverheadReport) string {
 				every = fmt.Sprintf("%10.2f", row.RecoverEveryNsPerIter)
 			}
 			fmt.Fprintf(&b, "%-18s %-12s %10s %10.2f %10.2f %10s %7.2fx %10.1f\n",
-				row.Kernel, s.Schedule, orig, s.PerIter.NsPerIter, s.Ranges.NsPerIter,
+				row.Kernel, s.Schedule, orig, s.PerIterNs, s.RangesNs,
 				every, s.SpeedupRanges, s.MeanRunLen)
 		}
 		fmt.Fprintf(&b, "%-18s %-12s bounds %d/%d specialized; steady-state allocs %.0f; ranges overhead vs original %+.1f%%\n",

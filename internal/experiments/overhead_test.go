@@ -1,8 +1,9 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -11,7 +12,7 @@ import (
 
 // TestOverheadQuick runs the suite at test sizes with a single fast rep
 // and checks the report is complete and internally consistent, and that
-// the JSON document round-trips.
+// its BenchDoc round-trips through JSON.
 func TestOverheadQuick(t *testing.T) {
 	rep, err := Overhead(OverheadOptions{
 		Quick:   true,
@@ -21,10 +22,10 @@ func TestOverheadQuick(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Overhead: %v", err)
 	}
-	if len(rep.Rows) != len(kernels.All()) {
-		t.Fatalf("report has %d kernels, want %d", len(rep.Rows), len(kernels.All()))
+	if len(rep.Kernels) != len(kernels.All()) {
+		t.Fatalf("report has %d kernels, want %d", len(rep.Kernels), len(kernels.All()))
 	}
-	for _, row := range rep.Rows {
+	for _, row := range rep.Kernels {
 		if row.Iterations < 1 {
 			t.Errorf("%s: empty collapsed space in report", row.Kernel)
 		}
@@ -39,7 +40,7 @@ func TestOverheadQuick(t *testing.T) {
 			t.Errorf("%s: %d schedules, want 3", row.Kernel, len(row.Schedules))
 		}
 		for _, s := range row.Schedules {
-			if s.PerIter.NsPerIter <= 0 || s.Ranges.NsPerIter <= 0 {
+			if s.PerIterNs <= 0 || s.RangesNs <= 0 {
 				t.Errorf("%s/%s: non-positive engine timings: %+v", row.Kernel, s.Schedule, s)
 			}
 			if s.Batches < 1 || s.MeanRunLen < 1 {
@@ -47,16 +48,22 @@ func TestOverheadQuick(t *testing.T) {
 			}
 		}
 	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	path := filepath.Join(t.TempDir(), "overhead.json")
+	if err := WriteDoc(path, rep.Doc()); err != nil {
+		t.Fatalf("WriteDoc: %v", err)
 	}
-	var back OverheadReport
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("report JSON does not round-trip: %v", err)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(back.Rows) != len(rep.Rows) || back.Suite != "overhead" {
-		t.Fatalf("round-tripped report lost rows: %d vs %d", len(back.Rows), len(rep.Rows))
+	var back BenchDoc
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatalf("document does not round-trip: %v", err)
+	}
+	if want := len(rep.Rows()); len(back.Rows) != want || back.Suite != "overhead" ||
+		back.Meta.SchemaVersion != BenchSchemaVersion {
+		t.Fatalf("round-tripped document: suite %q, schema %d, %d rows (want %d)",
+			back.Suite, back.Meta.SchemaVersion, len(back.Rows), want)
 	}
 	if RenderOverhead(rep) == "" {
 		t.Error("RenderOverhead returned empty output")

@@ -23,7 +23,7 @@ func TestOpenMetricsGolden(t *testing.T) {
 	r.Gauge("demo.temp").Set(-7)
 	r.Counter("unrank.table_lookups").Add(17)
 	r.Counter("unrank.table_corrections").Add(4)
-	r.Counter("unrank.batch_recoveries").Add(6)
+	r.Counter("unrank.searches").Add(6)
 	h := r.Histogram("demo.lat", []float64{1, 2, 4})
 	for _, v := range []float64{0.5, 1.5, 3, 9} {
 		h.Observe(v)
@@ -55,8 +55,8 @@ omp_worker_chunks_total{tid="0"} 2
 omp_worker_chunks_total{tid="1"} 5
 # TYPE telemetry_scrape_monotonic_ns gauge
 telemetry_scrape_monotonic_ns X
-# TYPE unrank_batch_recoveries counter
-unrank_batch_recoveries_total 6
+# TYPE unrank_searches counter
+unrank_searches_total 6
 # TYPE unrank_table_corrections counter
 unrank_table_corrections_total 4
 # TYPE unrank_table_lookups counter
@@ -79,7 +79,7 @@ func TestParserRoundTrip(t *testing.T) {
 	r.Counter("cache.misses").Add(4)
 	r.Counter(`unrank.root_evals`).Add(123)
 	r.Counter(`unrank.table_lookups`).Add(9)
-	r.Counter(`unrank.batch_recoveries`).Add(2)
+	r.Counter(`unrank.searches`).Add(2)
 	r.Gauge("omp.team_size").Set(8)
 	r.Gauge(`omp.worker_inflight_since_ns{tid="2"}`).Set(42)
 	h := r.Histogram("omp.chunk_seconds", []float64{0.001, 0.01, 0.1})
@@ -102,7 +102,7 @@ func TestParserRoundTrip(t *testing.T) {
 		"cache_misses":                  "counter",
 		"unrank_root_evals":             "counter",
 		"unrank_table_lookups":          "counter",
-		"unrank_batch_recoveries":       "counter",
+		"unrank_searches":               "counter",
 		"omp_team_size":                 "gauge",
 		"omp_worker_inflight_since_ns":  "gauge",
 		"omp_chunk_seconds":             "histogram",

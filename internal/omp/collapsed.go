@@ -225,7 +225,6 @@ func rangeStep(stats []core.RangeStats, body func(tid int, pc int64, prefix []in
 type engine struct {
 	bounds []*unrank.Bound // one per worker: the bound and its clones
 	lo, hi int64
-	start  []int64 // optional pre-recovered tuple of rank lo
 	sched  Schedule
 }
 
@@ -264,14 +263,9 @@ func pcEnd(last int64) (int64, error) {
 	return last + 1, nil
 }
 
-// startTuple recovers the tuple of rank clo into b's scratch — or copies
-// the pre-recovered start tuple for the first chunk.
-func (e *engine) startTuple(b *unrank.Bound, clo int64) ([]int64, error) {
+// startTuple recovers the tuple of rank clo into b's scratch.
+func startTuple(b *unrank.Bound, clo int64) ([]int64, error) {
 	idx := b.Scratch()
-	if clo == e.lo && e.start != nil {
-		copy(idx, e.start)
-		return idx, nil
-	}
 	return idx, b.Unrank(clo, idx)
 }
 
@@ -287,7 +281,7 @@ func (e *engine) run(ctx context.Context, tel *telemetry.Registry, metered bool,
 	if !metered {
 		err := ParallelForChunksCtx(ctx, threads, e.lo, e.hi, e.sched, func(tid int, clo, chi int64) error {
 			b := e.bounds[tid]
-			idx, err := e.startTuple(b, clo)
+			idx, err := startTuple(b, clo)
 			if err != nil {
 				return err
 			}
@@ -313,7 +307,7 @@ func (e *engine) run(ctx context.Context, tel *telemetry.Registry, metered bool,
 		}
 		live.chunkStart(tid, startOff)
 		t0 := time.Now()
-		idx, err := e.startTuple(b, clo)
+		idx, err := startTuple(b, clo)
 		if err != nil {
 			return err
 		}

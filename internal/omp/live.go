@@ -94,7 +94,7 @@ func (l *liveTeam) publishRemainder(d unrank.Stats) {
 type unrankCounters struct {
 	rootEvals, corrections, fallbacks, searches *telemetry.Counter
 	verifies, escalations, bigint               *telemetry.Counter
-	tableLookups, tableCorrections, batches     *telemetry.Counter
+	tableLookups, tableCorrections              *telemetry.Counter
 }
 
 func newUnrankCounters(tel *telemetry.Registry) *unrankCounters {
@@ -112,7 +112,6 @@ func newUnrankCounters(tel *telemetry.Registry) *unrankCounters {
 
 		tableLookups:     tel.Counter("unrank.table_lookups"),
 		tableCorrections: tel.Counter("unrank.table_corrections"),
-		batches:          tel.Counter("unrank.batch_recoveries"),
 	}
 }
 
@@ -131,5 +130,4 @@ func (u *unrankCounters) publish(d unrank.Stats) {
 	u.bigint.Add(d.BigIntPaths)
 	u.tableLookups.Add(d.TableLookups)
 	u.tableCorrections.Add(d.TableCorrections)
-	u.batches.Add(d.BatchRecoveries)
 }

@@ -111,20 +111,16 @@ func tupleParityRows() []parityRow {
 				return CollapsedForWarp(res, p, w, func(_ int, pc int64, idx []int64) { visit(pc, idx) })
 			}})
 	}
-	for _, seeded := range []bool{false, true} {
-		seeded := seeded
-		rows = append(rows, parityRow{fmt.Sprintf("shard/seeded=%v", seeded), false,
-			func(res *core.Result, p map[string]int64, th int, _ Schedule, visit func(int64, []int64)) error {
-				return runShards(res, p, th, seeded, visit)
-			}})
-	}
+	rows = append(rows, parityRow{"shard", false,
+		func(res *core.Result, p map[string]int64, th int, _ Schedule, visit func(int64, []int64)) error {
+			return runShards(res, p, th, visit)
+		}})
 	return rows
 }
 
-// runShards covers [1, Total] with `shards` contiguous ShardForCtxFrom
-// attempts of internal chunk 5, optionally seeding each with its start
-// tuple from one RecoverBatch pass.
-func runShards(res *core.Result, params map[string]int64, shards int, seeded bool,
+// runShards covers [1, Total] with `shards` contiguous ShardForCtx
+// attempts of internal chunk 5.
+func runShards(res *core.Result, params map[string]int64, shards int,
 	visit func(int64, []int64)) error {
 	b, err := res.Unranker.Bind(params)
 	if err != nil {
@@ -140,21 +136,12 @@ func runShards(res *core.Result, params map[string]int64, shards int, seeded boo
 			los = append(los, lo)
 		}
 	}
-	starts := make([][]int64, len(los))
-	if seeded {
-		for i := range starts {
-			starts[i] = make([]int64, b.Depth())
-		}
-		if err := b.RecoverBatch(los, starts); err != nil {
-			return err
-		}
-	}
 	for i, lo := range los {
 		hi := total
 		if i+1 < len(los) {
 			hi = los[i+1] - 1
 		}
-		done, err := ShardForCtxFrom(context.Background(), i, b, starts[i], lo, hi, 5, nil, visit)
+		done, err := ShardForCtx(context.Background(), i, b, lo, hi, 5, nil, visit)
 		if err != nil {
 			return err
 		}

@@ -15,7 +15,7 @@ import (
 // trivial bodies, large enough that the §V recovery amortizes.
 const DefaultShardChunk = 4096
 
-// ShardForCtxFrom executes the collapsed ranks [pcLo, pcHi] (inclusive)
+// ShardForCtx executes the collapsed ranks [pcLo, pcHi] (inclusive)
 // on the worker-private bound b — the shard-level execution hook the
 // dist coordinator's executors run on. The shard is processed by the
 // collapsed engine as a one-worker team over internal chunks of `chunk`
@@ -34,12 +34,6 @@ const DefaultShardChunk = 4096
 //     returned as a *faults.PanicError: an executor crash mid-shard
 //     costs the attempt, never the process.
 //
-// When start is non-nil it must be the exact iteration tuple of rank
-// pcLo (typically produced by a coordinator batch-recovering all
-// planned shard starts with unrank.Bound.RecoverBatch), and the first
-// chunk skips its §V recovery entirely — the shard begins at pure
-// incrementation cost. start is read-only.
-//
 // An active fault-injection plan is consulted once per shard
 // (faults.InjectShard) and once per chunk (faults.InjectChunk, with the
 // team-local worker id 0), so chaos harnesses can kill, stall or fail
@@ -49,7 +43,7 @@ const DefaultShardChunk = 4096
 // a clean run's completion means an empty shard). Effects of a failed
 // attempt are the caller's to discard: the §V engine has already invoked
 // body for the completed prefix.
-func ShardForCtxFrom(ctx context.Context, worker int, b *unrank.Bound, start []int64,
+func ShardForCtx(ctx context.Context, worker int, b *unrank.Bound,
 	pcLo, pcHi, chunk int64,
 	progress func(done int64), body func(pc int64, idx []int64)) (done int64, err error) {
 	if pcLo > pcHi {
@@ -62,9 +56,6 @@ func ShardForCtxFrom(ctx context.Context, worker int, b *unrank.Bound, start []i
 	if err != nil {
 		return 0, err
 	}
-	if start != nil && len(start) != b.Depth() {
-		return 0, fmt.Errorf("omp: shard start tuple has length %d, want %d", len(start), b.Depth())
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("omp: shard executor %d: %w", worker, faults.Recovered(r))
@@ -73,7 +64,7 @@ func ShardForCtxFrom(ctx context.Context, worker int, b *unrank.Bound, start []i
 	if err := faults.InjectShard(worker, pcLo, pcHi); err != nil {
 		return 0, fmt.Errorf("omp: injected fault at shard [%d,%d]: %w", pcLo, pcHi, err)
 	}
-	e := &engine{bounds: []*unrank.Bound{b}, lo: pcLo, hi: end, start: start,
+	e := &engine{bounds: []*unrank.Bound{b}, lo: pcLo, hi: end,
 		sched: Schedule{Kind: Dynamic, Chunk: chunk}}
 	_, err = e.run(ctx, nil, false, func(_ int, b *unrank.Bound, clo, chi int64, idx []int64) error {
 		if err := core.ForRangeFrom(b, clo, chi-1, idx, body); err != nil {

@@ -29,11 +29,9 @@ type Stats struct {
 	EscalationsPrec256 int64
 
 	// Breakpoint-table counters: levels recovered through the table
-	// tier, exact in-segment/confirmation evaluations spent there, and
-	// pc values resolved through RecoverBatch.
+	// tier and exact in-segment/confirmation evaluations spent there.
 	TableLookups     int64 // level recoveries completed by table lookup
 	TableCorrections int64 // exact evals spent refining/confirming a lookup
-	BatchRecoveries  int64 // pc values resolved via RecoverBatch
 }
 
 // Add accumulates o into s (used to aggregate per-thread stats).
@@ -47,7 +45,6 @@ func (s *Stats) Add(o Stats) {
 	s.BigIntPaths += o.BigIntPaths
 	s.TableLookups += o.TableLookups
 	s.TableCorrections += o.TableCorrections
-	s.BatchRecoveries += o.BatchRecoveries
 }
 
 // Sub returns s - o field by field. With o a previously published
@@ -65,7 +62,6 @@ func (s Stats) Sub(o Stats) Stats {
 		BigIntPaths:      s.BigIntPaths - o.BigIntPaths,
 		TableLookups:     s.TableLookups - o.TableLookups,
 		TableCorrections: s.TableCorrections - o.TableCorrections,
-		BatchRecoveries:  s.BatchRecoveries - o.BatchRecoveries,
 	}
 }
 
@@ -81,9 +77,6 @@ func (s Stats) String() string {
 	}
 	if s.TableLookups > 0 || s.TableCorrections > 0 {
 		out += fmt.Sprintf(", table lookups %d, table corrections %d", s.TableLookups, s.TableCorrections)
-	}
-	if s.BatchRecoveries > 0 {
-		out += fmt.Sprintf(", batch recoveries %d", s.BatchRecoveries)
 	}
 	return out
 }
@@ -335,13 +328,6 @@ func (b *Bound) Unrank(pc int64, idx []int64) (err error) {
 	if pc < 1 || pc > b.total {
 		return fmt.Errorf("unrank: pc = %d out of range 1..%d", pc, b.total)
 	}
-	return b.recoverInto(pc, idx)
-}
-
-// recoverInto performs the full per-level recovery of pc into idx
-// (already validated), including the verify-mode escalation. Shared by
-// Unrank and RecoverBatch.
-func (b *Bound) recoverInto(pc int64, idx []int64) error {
 	for k := 0; k < b.depth-1; k++ {
 		b.setLevel(k, b.recoverLevel(k, pc, idx), idx)
 	}

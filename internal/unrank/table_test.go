@@ -224,76 +224,6 @@ func TestTableHugeTriangular(t *testing.T) {
 	}
 }
 
-// TestRecoverBatch pins the batched entry point against per-pc Unrank
-// for every nest and several pc patterns (consecutive runs, duplicates,
-// strides, full-range jumps).
-func TestRecoverBatch(t *testing.T) {
-	for name, tc := range tableNests(t) {
-		t.Run(name, func(t *testing.T) {
-			u, err := New(tc.n, Options{Mode: ModeTable})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b := u.MustBind(tc.params)
-			ref := u.MustBind(tc.params)
-			total := b.Total()
-			d := tc.n.Depth()
-			patterns := map[string][]int64{
-				"consecutive": seqRange(1, min64(total, 200)),
-				"stride-7":    seqStride(1, total, 7),
-				"stride-big":  seqStride(1, total, max64(total/13, 1)),
-				"dups":        {1, 1, 2, 2, 2, total / 2, total / 2, total, total},
-				"mixed":       {1, 2, 3, total / 3, total/3 + 1, total - 1, total},
-			}
-			for pname, pcs := range patterns {
-				out := make([][]int64, len(pcs))
-				for i := range out {
-					out[i] = make([]int64, d)
-				}
-				if err := b.RecoverBatch(pcs, out); err != nil {
-					t.Fatalf("%s: RecoverBatch: %v", pname, err)
-				}
-				want := make([]int64, d)
-				for i, pc := range pcs {
-					if err := ref.Unrank(pc, want); err != nil {
-						t.Fatal(err)
-					}
-					for q := 0; q < d; q++ {
-						if out[i][q] != want[q] {
-							t.Fatalf("%s: batch[%d] (pc %d) = %v, want %v", pname, i, pc, out[i], want)
-						}
-					}
-				}
-			}
-			if st := b.Stats(); st.BatchRecoveries == 0 {
-				t.Errorf("no batch recoveries counted: %s", st.String())
-			}
-		})
-	}
-}
-
-// TestRecoverBatchValidation pins the typed failure modes.
-func TestRecoverBatchValidation(t *testing.T) {
-	tc := tableNests(t)["tri-upper"]
-	b := MustNew(tc.n, Options{Mode: ModeTable}).MustBind(tc.params)
-	out2 := [][]int64{make([]int64, 2), make([]int64, 2)}
-	if err := b.RecoverBatch([]int64{1, 2, 3}, out2); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if err := b.RecoverBatch([]int64{1, 0}, out2); err == nil {
-		t.Error("out-of-range pc accepted")
-	}
-	if err := b.RecoverBatch([]int64{5, 3}, out2); err == nil {
-		t.Error("descending pcs accepted")
-	}
-	if err := b.RecoverBatch([]int64{1, 2}, [][]int64{make([]int64, 2), make([]int64, 3)}); err == nil {
-		t.Error("wrong-arity output tuple accepted")
-	}
-	if err := b.RecoverBatch(nil, nil); err != nil {
-		t.Errorf("empty batch: %v", err)
-	}
-}
-
 // TestDegreeGateIsModeScoped pins the relaxed degree check: radical
 // solving still rejects degree > 4, while search and table modes accept
 // the same nest (they invert without solving).
@@ -324,20 +254,4 @@ func TestParseMode(t *testing.T) {
 	if _, err := ParseMode("quantum"); !errors.Is(err, faults.ErrUnknownMode) {
 		t.Errorf("ParseMode(quantum) = %v, want ErrUnknownMode", err)
 	}
-}
-
-func seqRange(lo, hi int64) []int64 {
-	out := make([]int64, 0, hi-lo+1)
-	for pc := lo; pc <= hi; pc++ {
-		out = append(out, pc)
-	}
-	return out
-}
-
-func seqStride(lo, hi, step int64) []int64 {
-	var out []int64
-	for pc := lo; pc <= hi; pc += step {
-		out = append(out, pc)
-	}
-	return out
 }
