@@ -78,7 +78,9 @@ loadtest:
 # baseline, GATE_METRICS the gated filter. Only machine-independent
 # rows are gated, at a threshold sized for quick-mode noise:
 #
-#   overhead  range-batched vs per-iteration speedups (quick sizes)
+#   overhead  range-batched vs per-iteration speedups (quick sizes, best
+#             of three 2 ms samples per row so one preemption cannot
+#             decide a row)
 #   serve     achieved QPS of a loadgen trajectory; gate and baseline
 #             share flags so the per-phase target_qps params line up
 #   dist      shard throughput of every distfor -bench scenario (the
@@ -90,7 +92,7 @@ loadtest:
 GATE_SUITES = overhead serve dist invert autotune
 GATE_THRESHOLD = 75
 
-GATE_RUN_overhead = $(GO) run ./cmd/benchfig -fig overhead -quick -reps 1
+GATE_RUN_overhead = $(GO) run ./cmd/benchfig -fig overhead -quick -reps 3
 GATE_BASE_overhead = BENCH_GATE.json
 GATE_METRICS_overhead = speedup
 

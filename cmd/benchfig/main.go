@@ -11,9 +11,9 @@
 //	benchfig -fig overhead   per-kernel × schedule engine comparison
 //	                         (original vs per-iteration vs range-batched
 //	                         vs recover-every); -json writes BENCH_PR4.json
-//	benchfig -fig compile    compile-path throughput: cold serial vs
-//	                         parallel fan-out vs cached Collapse per
-//	                         kernel; -json writes BENCH_PR5.json
+//	benchfig -fig compile    compile-path throughput: cold (one serial
+//	                         pass) vs cached Collapse per kernel;
+//	                         -json writes BENCH_PR5.json
 //	benchfig -fig invert     recovery throughput at chunk starts: per-pc
 //	                         binary search vs breakpoint-table lookup vs
 //	                         the closed form; -json writes BENCH_PR9.json

@@ -3,20 +3,12 @@ package core
 import (
 	"container/list"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/nest"
 	"repro/internal/unrank"
 )
-
-// cacheShards is the number of independently locked shards of a
-// CollapseCache. Shard selection hashes the signature, so concurrent
-// Collapse calls on distinct nests contend only 1/cacheShards of the
-// time; identical nests serialize on one shard lock for the few map
-// operations of a hit.
-const cacheShards = 16
 
 // CollapseCache memoizes the expensive symbolic phase of Collapse — the
 // ranking construction, radical solving, root selection and evaluator
@@ -27,65 +19,97 @@ const cacheShards = 16
 // shape repeatedly — sweeps over parameter values, per-rank tools,
 // long-running services — pays the compile cost once.
 //
-// The cache is safe for concurrent use and bounded: each of its shards
-// keeps an LRU list and evicts its least recently used entry when over
-// capacity.
+// The cache is safe for concurrent use and bounded: one mutex guards two
+// exact LRU tables, each evicting its least recently used entry when
+// over capacity. A hit holds the lock for a few map and list operations,
+// far below the cost of the compile it saves.
 type CollapseCache struct {
-	capPerShard int
-	shards      [cacheShards]cacheShard
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-}
-
-type cacheShard struct {
 	mu  sync.Mutex
-	lru list.List // front = most recent; values are *cacheEntry
-	m   map[string]*list.Element
+	art lru[*unrank.Unranker]
 
 	// Planner side-table: autotuning decisions cached alongside the
 	// compiled artifacts they schedule. Keys extend the NestSignature
 	// with the params bucket and core count (so a decision invalidates
 	// implicitly when either changes); values are opaque to core — the
 	// planner (internal/autotune) owns the concrete type. The table has
-	// its own LRU list so plan churn cannot evict compiled artifacts,
-	// and vice versa.
-	planLRU list.List // values are *planEntry
-	plans   map[string]*list.Element
+	// its own LRU so plan churn cannot evict compiled artifacts, and vice
+	// versa. Decisions are tiny (a schedule triple plus a few floats), so
+	// it holds four times the artifact capacity.
+	plans lru[any]
+
+	hits      atomic.Int64
+	misses    atomic.Int64
+	evictions atomic.Int64
 }
 
-type cacheEntry struct {
-	sig string
-	u   *unrank.Unranker
+// lru is a string-keyed table bounded to capacity entries, least
+// recently used first out. Callers hold CollapseCache.mu.
+type lru[V any] struct {
+	capacity int
+	order    list.List // front = most recent; values are *lruEntry[V]
+	m        map[string]*list.Element
 }
 
-type planEntry struct {
+type lruEntry[V any] struct {
 	key string
-	v   any
+	v   V
+}
+
+func newLRU[V any](capacity int) lru[V] {
+	return lru[V]{capacity: capacity, m: make(map[string]*list.Element)}
+}
+
+// get returns the value under key, promoting it to most recently used.
+func (l *lru[V]) get(key string) (v V, ok bool) {
+	el, ok := l.m[key]
+	if !ok {
+		return v, false
+	}
+	l.order.MoveToFront(el)
+	return el.Value.(*lruEntry[V]).v, true
+}
+
+// put stores (or replaces) v under key as most recently used and evicts
+// down to capacity, reporting how many entries were dropped.
+func (l *lru[V]) put(key string, v V) (evicted int) {
+	if el, ok := l.m[key]; ok {
+		el.Value.(*lruEntry[V]).v = v
+		l.order.MoveToFront(el)
+		return 0
+	}
+	l.m[key] = l.order.PushFront(&lruEntry[V]{key: key, v: v})
+	for l.order.Len() > l.capacity {
+		back := l.order.Back()
+		l.order.Remove(back)
+		delete(l.m, back.Value.(*lruEntry[V]).key)
+		evicted++
+	}
+	return evicted
+}
+
+// remove drops key (a no-op when absent).
+func (l *lru[V]) remove(key string) {
+	if el, ok := l.m[key]; ok {
+		l.order.Remove(el)
+		delete(l.m, key)
+	}
 }
 
 // NewCollapseCache returns a cache holding at most capacity compiled
-// collapse artifacts (rounded up to the shard grain). capacity <= 0
+// collapse artifacts and 4×capacity planner decisions. capacity <= 0
 // selects a default of 64.
 func NewCollapseCache(capacity int) *CollapseCache {
 	if capacity <= 0 {
 		capacity = 64
 	}
-	per := (capacity + cacheShards - 1) / cacheShards
-	c := &CollapseCache{capPerShard: per}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]*list.Element)
-		c.shards[i].plans = make(map[string]*list.Element)
-	}
-	return c
+	return &CollapseCache{art: newLRU[*unrank.Unranker](capacity), plans: newLRU[any](4 * capacity)}
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness counters.
 type CacheStats struct {
 	Hits      int64 // lookups served by a cached artifact
 	Misses    int64 // lookups that fell through to a full compile
-	Evictions int64 // entries dropped by the per-shard LRU bound
+	Evictions int64 // entries dropped by the LRU bound
 	Entries   int   // artifacts currently resident
 }
 
@@ -97,60 +121,37 @@ func (s CacheStats) String() string {
 
 // Stats returns a snapshot of the cache counters.
 func (c *CollapseCache) Stats() CacheStats {
-	st := CacheStats{
+	c.mu.Lock()
+	entries := c.art.order.Len()
+	c.mu.Unlock()
+	return CacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
+		Entries:   entries,
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		st.Entries += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return st
-}
-
-func (c *CollapseCache) shard(sig string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(sig))
-	return &c.shards[h.Sum32()%cacheShards]
 }
 
 // get returns the cached Unranker for sig, promoting the entry to most
 // recently used.
 func (c *CollapseCache) get(sig string) (*unrank.Unranker, bool) {
-	sh := c.shard(sig)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.m[sig]
-	if !ok {
-		return nil, false
-	}
-	sh.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).u, true
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.art.get(sig)
 }
 
-// put stores u under sig, evicting the shard's least recently used entry
-// when over capacity. evicted reports how many entries were dropped.
+// put stores u under sig, evicting the least recently used artifact when
+// over capacity. evicted reports how many entries were dropped.
 func (c *CollapseCache) put(sig string, u *unrank.Unranker) (evicted int) {
-	sh := c.shard(sig)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.m[sig]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.art.get(sig); ok {
 		// Concurrent miss on the same signature: keep the resident entry
 		// (callers already hold independent Unrankers; the artifacts are
 		// interchangeable).
-		sh.lru.MoveToFront(el)
 		return 0
 	}
-	sh.m[sig] = sh.lru.PushFront(&cacheEntry{sig: sig, u: u})
-	for sh.lru.Len() > c.capPerShard {
-		back := sh.lru.Back()
-		sh.lru.Remove(back)
-		delete(sh.m, back.Value.(*cacheEntry).sig)
-		evicted++
-	}
+	evicted = c.art.put(sig, u)
 	c.evictions.Add(int64(evicted))
 	return evicted
 }
@@ -160,76 +161,43 @@ func (c *CollapseCache) put(sig string, u *unrank.Unranker) (evicted int) {
 // that want to report cache effectiveness per request (the serve daemon's
 // "cached" response field).
 func (c *CollapseCache) Has(sig string) bool {
-	sh := c.shard(sig)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.m[sig]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.art.m[sig]
 	return ok
 }
-
-// planCapPerShard bounds the planner side-table per shard. Decisions
-// are tiny (a schedule triple plus a few floats), so the bound is a
-// multiple of the artifact capacity rather than sharing it.
-func (c *CollapseCache) planCapPerShard() int { return 4 * c.capPerShard }
 
 // GetPlan returns the cached planner decision stored under key (a
 // NestSignature extended with the params bucket and core count),
 // promoting it to most recently used.
 func (c *CollapseCache) GetPlan(key string) (any, bool) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.plans[key]
-	if !ok {
-		return nil, false
-	}
-	sh.planLRU.MoveToFront(el)
-	return el.Value.(*planEntry).v, true
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.plans.get(key)
 }
 
 // PutPlan stores (or replaces) the planner decision under key, evicting
-// the shard's least recently used plan when over capacity.
+// the least recently used plan when over capacity.
 func (c *CollapseCache) PutPlan(key string, v any) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.plans[key]; ok {
-		el.Value.(*planEntry).v = v
-		sh.planLRU.MoveToFront(el)
-		return
-	}
-	sh.plans[key] = sh.planLRU.PushFront(&planEntry{key: key, v: v})
-	cap := c.planCapPerShard()
-	for sh.planLRU.Len() > cap {
-		back := sh.planLRU.Back()
-		sh.planLRU.Remove(back)
-		delete(sh.plans, back.Value.(*planEntry).key)
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.plans.put(key, v)
 }
 
 // DeletePlan drops the decision under key (a no-op when absent) — the
 // online-refinement path invalidates a plan whose prediction deviated
 // from the observed makespan.
 func (c *CollapseCache) DeletePlan(key string) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.plans[key]; ok {
-		sh.planLRU.Remove(el)
-		delete(sh.plans, key)
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.plans.remove(key)
 }
 
 // Plans reports how many planner decisions are resident.
 func (c *CollapseCache) Plans() int {
-	var n int
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.plans)
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.plans.order.Len()
 }
 
 // CollapseCached is Collapse routed through cache: a structural hit skips

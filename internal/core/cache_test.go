@@ -121,26 +121,49 @@ func TestCollapseCachedHitMatchesFreshCompile(t *testing.T) {
 	}
 }
 
+// TestCollapseCacheEviction pins the exact capacity: a cache of 3 holds
+// exactly 3 artifacts and evicts the least recently used one.
 func TestCollapseCacheEviction(t *testing.T) {
-	cache := NewCollapseCache(1) // one entry per shard after rounding
-	for d := int64(1); d <= 40; d++ {
-		n := nest.MustNew([]string{"N"},
+	cache := NewCollapseCache(3)
+	shape := func(d int) *nest.Nest {
+		return nest.MustNew([]string{"N"},
 			nest.L("i", "0", "N"),
 			nest.L("j", "0", fmt.Sprintf("i+%d", d)),
 		)
-		if _, err := CollapseCached(cache, n, 2, unrank.Options{}); err != nil {
+	}
+	sig := func(d int) string {
+		s, ok := NestSignature(shape(d), 2, unrank.Options{})
+		if !ok {
+			t.Fatalf("shape %d uncacheable", d)
+		}
+		return s
+	}
+	collapse := func(d int) {
+		t.Helper()
+		if _, err := CollapseCached(cache, shape(d), 2, unrank.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for d := 1; d <= 3; d++ {
+		collapse(d)
+	}
+	collapse(1) // hit: shape 2 becomes the least recently used
+	collapse(4) // miss: evicts shape 2
 	st := cache.Stats()
-	if st.Evictions == 0 {
-		t.Errorf("no evictions after 40 distinct nests in a capacity-1 cache: %v", st)
+	if st.Entries != 3 || st.Evictions != 1 || st.Hits != 1 || st.Misses != 4 {
+		t.Fatalf("after 4 shapes and 1 hit in a capacity-3 cache: %v", st)
 	}
-	if st.Entries > cacheShards {
-		t.Errorf("entries %d exceed the per-shard bound: %v", st.Entries, st)
+	for d, want := range map[int]bool{1: true, 2: false, 3: true, 4: true} {
+		if got := cache.Has(sig(d)); got != want {
+			t.Errorf("shape %d resident = %v, want %v", d, got, want)
+		}
 	}
-	if st.Misses != 40 {
-		t.Errorf("misses = %d, want 40", st.Misses)
+	for d := 5; d <= 40; d++ {
+		collapse(d)
+	}
+	st = cache.Stats()
+	if st.Entries != 3 || st.Evictions != 37 || st.Misses != 40 {
+		t.Errorf("after 40 distinct shapes in a capacity-3 cache: %v", st)
 	}
 }
 

@@ -26,13 +26,23 @@ func TestPlanCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPlanCacheBoundedIndependentlyOfArtifacts pins the plan table at
+// exactly four times the artifact capacity, least recently used first out.
 func TestPlanCacheBoundedIndependentlyOfArtifacts(t *testing.T) {
-	c := NewCollapseCache(16) // 1 artifact per shard, 4 plans per shard
+	c := NewCollapseCache(3) // 3 artifacts, 12 plans
 	for i := 0; i < 4096; i++ {
 		c.PutPlan(fmt.Sprintf("plan-%d", i), i)
 	}
-	if n := c.Plans(); n > 16*4 {
-		t.Fatalf("plan table unbounded: %d resident", n)
+	if n := c.Plans(); n != 12 {
+		t.Fatalf("Plans() = %d, want 12", n)
+	}
+	for i := 4096 - 12; i < 4096; i++ {
+		if v, ok := c.GetPlan(fmt.Sprintf("plan-%d", i)); !ok || v.(int) != i {
+			t.Fatalf("recent plan-%d = %v, %v", i, v, ok)
+		}
+	}
+	if _, ok := c.GetPlan(fmt.Sprintf("plan-%d", 4096-13)); ok {
+		t.Fatal("least recently used plan still resident")
 	}
 	if c.Stats().Entries != 0 {
 		t.Fatal("plan churn touched the artifact table")

@@ -17,8 +17,7 @@ import (
 // render deterministically (poly.String orders monomials canonically).
 // Options that shape the compiled artifact (mode, verification, table
 // size cap) are part of the signature, after unrank's own normalization;
-// CompileWorkers is not, because it changes only how the artifact is
-// built, never what is built.
+// CompileWorkers is not, because unrank ignores it.
 //
 // ok is false when the request is not cacheable: custom SampleParams
 // bind semantics to user-chosen names and magnitudes that positional

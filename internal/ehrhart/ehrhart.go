@@ -121,8 +121,11 @@ func Count(n *nest.Nest) *poly.Poly { return TripCounts(n)[0] }
 // r is a bijection from the iteration domain onto 1..Count and is
 // monotonically increasing with respect to the lexicographic order of the
 // tuples.
-func Ranking(n *nest.Nest) *poly.Poly {
-	T := TripCounts(n)
+func Ranking(n *nest.Nest) *poly.Poly { return rankingFrom(n, TripCounts(n)) }
+
+// rankingFrom builds the ranking polynomial from the nest's trip counts
+// T = TripCounts(n), so a caller that also needs Count = T[0] sums once.
+func rankingFrom(n *nest.Nest, T []*poly.Poly) *poly.Poly {
 	r := poly.One()
 	for m := 0; m < n.Depth(); m++ {
 		l := n.Loops[m]

@@ -32,13 +32,10 @@ func TestSuiteRows(t *testing.T) {
 			"syrk speedup_ranges[dynamic,64] higher",
 		}},
 		{"compile", (&CompileReport{Kernels: []CompileRow{{
-			Kernel: "correlation", Depth: 3, C: 2, ColdSerialUs: 100, ColdParallelUs: 40,
-			CachedUs: 5, SpeedupParallel: 2.5, SpeedupCached: 8,
+			Kernel: "correlation", Depth: 3, C: 2, ColdSerialUs: 100, CachedUs: 5, SpeedupCached: 20,
 		}}}).Doc(), []string{
 			"correlation cold_serial_us lower",
-			"correlation cold_parallel_us lower",
 			"correlation cached_us lower",
-			"correlation speedup_parallel_vs_serial higher",
 			"correlation speedup_cached_vs_cold higher",
 		}},
 		{"serve", (&ServeReport{Nest: "i=0:N-1; j=i+1:N", Mix: "rank=1", Phases: []ServeRow{{

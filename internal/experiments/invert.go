@@ -254,24 +254,18 @@ func invertChunk(bS, bT, bC *unrank.Bound, total, chunk int64, opts InvertOption
 
 	// nsPerRecovery is the best-of-Reps per-pc Unrank cost on b.
 	nsPerRecovery := func(b *unrank.Bound) (float64, error) {
-		best := -1.0
-		for r := 0; r < opts.Reps; r++ {
-			var ferr error
-			s := secPerCallOver(opts.MinTime, func() {
-				for _, pc := range pcs {
-					if err := b.Unrank(pc, idx); err != nil && ferr == nil {
-						ferr = err
-					}
+		var ferr error
+		s := bestSecPerCall(opts.Reps, opts.MinTime, func() {
+			for _, pc := range pcs {
+				if err := b.Unrank(pc, idx); err != nil && ferr == nil {
+					ferr = err
 				}
-			})
-			if ferr != nil {
-				return 0, ferr
 			}
-			if best < 0 || s < best {
-				best = s
-			}
+		})
+		if ferr != nil {
+			return 0, ferr
 		}
-		return best / float64(len(pcs)) * 1e9, nil
+		return s / float64(len(pcs)) * 1e9, nil
 	}
 	// Bit-identical answers are the whole point: every engine must
 	// agree with the oracle on every start.

@@ -40,9 +40,10 @@ type Calibration struct {
 }
 
 // secPerCallOver measures f, repeating until the total elapsed time
-// exceeds minDuration, and returns seconds per call. It times the
-// overhead, compile and invert suites, whose MinTime option sets the
-// duration; the calibration probes below run fixed pass counts.
+// exceeds minDuration, and returns seconds per call. Through
+// bestSecPerCall it times the overhead, compile and invert suites, whose
+// MinTime option sets the duration; the calibration probes below run
+// fixed pass counts.
 func secPerCallOver(minDuration time.Duration, f func()) float64 {
 	reps := 1
 	for {
@@ -64,6 +65,16 @@ func secPerCallOver(minDuration time.Duration, f func()) float64 {
 		}
 		reps *= grow
 	}
+}
+
+// bestSecPerCall runs secPerCallOver reps times (at least once) and
+// returns the fastest seconds per call, the least disturbed sample.
+func bestSecPerCall(reps int, minDuration time.Duration, f func()) float64 {
+	best := secPerCallOver(minDuration, f)
+	for r := 1; r < reps; r++ {
+		best = min(best, secPerCallOver(minDuration, f))
+	}
+	return best
 }
 
 // Increment probe size: up to incrementSteps increments from the first

@@ -150,18 +150,6 @@ func Overhead(opts OverheadOptions) (*OverheadReport, error) {
 	return rep, nil
 }
 
-// bestOfReps times f Reps times with secPerCallOver and keeps the minimum
-// seconds per call.
-func bestOfReps(opts OverheadOptions, f func()) float64 {
-	best := -1.0
-	for r := 0; r < opts.Reps; r++ {
-		if s := secPerCallOver(opts.MinTime, f); best < 0 || s < best {
-			best = s
-		}
-	}
-	return best
-}
-
 func overheadKernel(k *kernels.Kernel, opts OverheadOptions) (OverheadRow, error) {
 	p := k.BenchParams
 	if opts.Quick {
@@ -193,7 +181,7 @@ func overheadKernel(k *kernels.Kernel, opts OverheadOptions) (OverheadRow, error
 	perIterNs := func(sec float64) float64 { return sec / float64(total) * 1e9 }
 
 	// 1. Original nest.
-	row.OriginalNsPerIter = perIterNs(bestOfReps(opts, func() { kernels.RunSeq(inst) }))
+	row.OriginalNsPerIter = perIterNs(bestSecPerCall(opts.Reps, opts.MinTime, func() { kernels.RunSeq(inst) }))
 
 	// 2. Recover-every over a capped window (constant per-iteration cost).
 	window := total
@@ -201,7 +189,7 @@ func overheadKernel(k *kernels.Kernel, opts OverheadOptions) (OverheadRow, error
 		window = opts.EveryCap
 	}
 	var everyErr error
-	everySec := bestOfReps(opts, func() {
+	everySec := bestSecPerCall(opts.Reps, opts.MinTime, func() {
 		if err := core.ForRangeEvery(b, 1, window, func(pc int64, idx []int64) {
 			inst.RunCollapsed(idx)
 		}); err != nil && everyErr == nil {
@@ -241,7 +229,7 @@ func overheadKernel(k *kernels.Kernel, opts OverheadOptions) (OverheadRow, error
 			}
 		}
 
-		sec := bestOfReps(opts, func() {
+		sec := bestSecPerCall(opts.Reps, opts.MinTime, func() {
 			if err := omp.CollapsedFor(res, nestParams, opts.Threads, sched, perIterBody); err != nil && runErr == nil {
 				runErr = err
 			}
@@ -249,7 +237,7 @@ func overheadKernel(k *kernels.Kernel, opts OverheadOptions) (OverheadRow, error
 		os.PerIterNs = perIterNs(sec)
 
 		var rs core.RangeStats
-		sec = bestOfReps(opts, func() {
+		sec = bestSecPerCall(opts.Reps, opts.MinTime, func() {
 			st, err := omp.CollapsedForRangesStats(res, nestParams, opts.Threads, sched, nil, rangeBody)
 			if err != nil && runErr == nil {
 				runErr = err

@@ -23,9 +23,6 @@ package unrank
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/ehrhart"
 	"repro/internal/faults"
@@ -152,12 +149,11 @@ type Options struct {
 	// breakpoints up to a uniform stride, with a short exact in-segment
 	// search. Defaults to 4096; clamped to [64, 1<<20] (see Normalized).
 	TableMaxEntries int
-	// CompileWorkers bounds the goroutines used for the per-level
-	// compile fan-out (ranking restriction, radical solving, root
-	// selection and root compilation are independent across levels and
-	// samples). 0 means GOMAXPROCS; 1 forces the serial pipeline (used
-	// by the compile-throughput benchmarks to measure the fan-out's
-	// contribution).
+	// CompileWorkers is ignored: New builds every level and validates
+	// every root-selection sample in one serial pass, because a
+	// goroutine per level never beat that pass on the measured nests.
+	// The field is kept only because the benchmark harness still sets
+	// it.
 	CompileWorkers int
 	// Telemetry, when non-nil, receives "compile"-category spans for the
 	// pipeline phases (ranking computation, per-level radical solving,
@@ -265,75 +261,16 @@ func New(n *nest.Nest, opts Options) (*Unranker, error) {
 	spPoly.End()
 
 	d := n.Depth()
-	workers := opts.CompileWorkers
 	u.levels = make([]level, d-1)
-	// Per-level fan-out (§IV per-level independence): the level-k ranking
-	// restriction, its exact compilation and the radical solve depend only
-	// on the shared ranking polynomial, never on other levels, so they run
-	// on an errgroup-style worker pool with panics classified through
-	// internal/faults.
+	// Per-level construction (§IV per-level independence): the level-k
+	// ranking restriction, its exact compilation and the radical solve
+	// depend only on the shared ranking polynomial, never on other levels.
 	spLevels := tel.StartSpan("compile", "unrank.levels", 0)
-	err = fanOut(workers, d-1, func(k int) error {
-		lv := &u.levels[k]
-		lv.varName = n.Loops[k].Index
-		rk := ranking.SubstAll(n.LexMinTail(k))
-		var err error
-		lv.rk, err = rk.Compile(u.order[:len(n.Params)+k+1])
-		if err != nil {
-			return err
+	for k := range u.levels {
+		if err = u.buildLevel(k, opts); err != nil {
+			break
 		}
-		if u.tablesEnabled() {
-			// Separability split for the breakpoint table: rk = B + g
-			// with B = rk|_{x=0} (every monomial containing x killed)
-			// and g = rk − B carrying the whole x-dependence. The level
-			// is tabulable iff g mentions no prefix iterator — then
-			// g(x) can be tabulated once per binding, independent of
-			// the prefix recovered at run time. The identity rk = B + g
-			// holds exactly over ℚ, so table decisions made on g are
-			// bit-identical to decisions made on rk.
-			g := rk.Sub(rk.Subst(lv.varName, poly.Int(0)))
-			separable := true
-			for _, v := range g.Vars() {
-				if v != lv.varName && !isParam(n, v) {
-					separable = false
-					break
-				}
-			}
-			if separable {
-				gvars := append(append([]string(nil), u.order[:len(n.Params)]...), lv.varName)
-				if lv.gComp, err = g.Compile(gvars); err != nil {
-					return err
-				}
-			}
-		}
-		if opts.Mode == ModeClosedForm {
-			eq := rk.Sub(poly.Var("pc"))
-			spSolve := tel.StartSpan("compile", "roots.Solve", 0)
-			lv.candidates, err = roots.Solve(eq.UnivariateIn(lv.varName))
-			spSolve.End(
-				telemetry.Arg{Name: "level", Value: int64(k)},
-				telemetry.Arg{Name: "candidates", Value: int64(len(lv.candidates))},
-			)
-			if err != nil {
-				return fmt.Errorf("unrank: level %d (%s): %w", k, lv.varName, err)
-			}
-			tel.Counter("compile.root_candidates").Add(int64(len(lv.candidates)))
-			// Compile every candidate positionally up front: root
-			// selection evaluates candidates thousands of times per
-			// sample, and the compiled closures avoid the symbolic
-			// tree walk plus a big.Rat→float64 conversion per constant
-			// per evaluation (the dominant cost of the old compile
-			// path).
-			vars := append(append([]string(nil), u.order[:len(n.Params)+k]...), "pc")
-			lv.candFns = make([]roots.EvalFunc, len(lv.candidates))
-			for ci, cand := range lv.candidates {
-				if lv.candFns[ci], err = roots.Compile(cand, vars); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
+	}
 	spLevels.End(telemetry.Arg{Name: "levels", Value: int64(d - 1)})
 	if err != nil {
 		return nil, err
@@ -384,62 +321,68 @@ func isParam(n *nest.Nest, v string) bool {
 	return false
 }
 
-// fanOut runs fn(0..n-1) on up to `workers` goroutines (0 means
-// GOMAXPROCS), waiting for all of them. The first error wins; a panic in
-// fn is captured as a *faults.PanicError instead of crashing the
-// process, mirroring the omp runtime's worker guard.
-func fanOut(workers, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
+// buildLevel restricts the ranking polynomial to level k, compiles it
+// exactly, and in closed-form mode solves and compiles the level's root
+// candidates.
+func (u *Unranker) buildLevel(k int, opts Options) error {
+	n, tel := u.nest, opts.Telemetry
+	lv := &u.levels[k]
+	lv.varName = n.Loops[k].Index
+	rk := u.ranking.SubstAll(n.LexMinTail(k))
+	var err error
+	lv.rk, err = rk.Compile(u.order[:len(n.Params)+k+1])
+	if err != nil {
+		return err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+	if u.tablesEnabled() {
+		// Separability split for the breakpoint table: rk = B + g with
+		// B = rk|_{x=0} (every monomial containing x killed) and g = rk − B
+		// carrying the whole x-dependence. The level is tabulable iff g
+		// mentions no prefix iterator — then g(x) can be tabulated once per
+		// binding, independent of the prefix recovered at run time. The
+		// identity rk = B + g holds exactly over ℚ, so table decisions made
+		// on g are bit-identical to decisions made on rk.
+		g := rk.Sub(rk.Subst(lv.varName, poly.Int(0)))
+		separable := true
+		for _, v := range g.Vars() {
+			if v != lv.varName && !isParam(n, v) {
+				separable = false
+				break
+			}
+		}
+		if separable {
+			gvars := append(append([]string(nil), u.order[:len(n.Params)]...), lv.varName)
+			if lv.gComp, err = g.Compile(gvars); err != nil {
 				return err
 			}
 		}
-		return nil
 	}
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		first   error
-	)
-	setErr := func(err error) {
+	if opts.Mode == ModeClosedForm {
+		eq := rk.Sub(poly.Var("pc"))
+		spSolve := tel.StartSpan("compile", "roots.Solve", 0)
+		lv.candidates, err = roots.Solve(eq.UnivariateIn(lv.varName))
+		spSolve.End(
+			telemetry.Arg{Name: "level", Value: int64(k)},
+			telemetry.Arg{Name: "candidates", Value: int64(len(lv.candidates))},
+		)
 		if err != nil {
-			errOnce.Do(func() { first = err })
+			return fmt.Errorf("unrank: level %d (%s): %w", k, lv.varName, err)
+		}
+		tel.Counter("compile.root_candidates").Add(int64(len(lv.candidates)))
+		// Compile every candidate positionally up front: root selection
+		// evaluates candidates thousands of times per sample, and the
+		// compiled closures avoid the symbolic tree walk plus a
+		// big.Rat→float64 conversion per constant per evaluation (the
+		// dominant cost of the old compile path).
+		vars := append(append([]string(nil), u.order[:len(n.Params)+k]...), "pc")
+		lv.candFns = make([]roots.EvalFunc, len(lv.candidates))
+		for ci, cand := range lv.candidates {
+			if lv.candFns[ci], err = roots.Compile(cand, vars); err != nil {
+				return err
+			}
 		}
 	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					setErr(faults.Recovered(r))
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					setErr(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return first
+	return nil
 }
 
 // Renamed returns a copy of u rewritten to the variable names of n,
@@ -553,40 +496,29 @@ func (u *Unranker) selectRoots(opts Options) error {
 	np := len(u.nest.Params)
 	mismatch := make([][]int64, len(u.levels))
 	tested := make([]int64, len(u.levels))
+	// Level-k candidates evaluate over [params..., i_0..i_{k-1}, pc]
+	// through the positional closures compiled in New, so the
+	// per-iteration cost is a handful of float64 slots plus one closure
+	// call per candidate.
+	scratch := make([][]float64, len(u.levels))
 	for k := range u.levels {
 		mismatch[k] = make([]int64, len(u.levels[k].candidates))
+		scratch[k] = make([]float64, np+k+1)
 	}
-	// Samples validate independently: each enumerates its own bound
-	// instance with private scratch vectors and tallies, merged under a
-	// mutex once the sample is exhausted. Candidates are evaluated through
-	// the positional closures compiled in New — the per-iteration cost is
-	// a handful of float64 slots plus one closure call per candidate,
-	// where the symbolic Expr.Eval walk used to dominate the whole compile
-	// path.
-	var mu sync.Mutex
-	err := fanOut(opts.CompileWorkers, len(samples), func(si int) error {
-		sp := samples[si]
+	for _, sp := range samples {
 		inst, err := u.nest.Bind(sp)
 		if err != nil {
 			return fmt.Errorf("unrank: sample binding: %w", err)
 		}
-		locMis := make([][]int64, len(u.levels))
-		locTested := make([]int64, len(u.levels))
-		scratch := make([][]float64, len(u.levels))
 		for k := range u.levels {
-			locMis[k] = make([]int64, len(u.levels[k].candidates))
-			// Level-k candidates evaluate over [params..., i_0..i_{k-1}, pc].
-			scratch[k] = make([]float64, np+k+1)
 			for pi, p := range u.nest.Params {
 				scratch[k][pi] = float64(sp[p])
 			}
 		}
 		var pc int64
-		count := int64(0)
 		inst.Enumerate(func(idx []int64) bool {
 			pc++
-			count++
-			if count > MaxEnum {
+			if pc > MaxEnum {
 				return false
 			}
 			for k := range u.levels {
@@ -602,25 +534,13 @@ func (u *Unranker) selectRoots(opts Options) error {
 				for ci, fn := range u.levels[k].candFns {
 					x := faults.PerturbRoot(k, fn(vals))
 					if !imagNegligible(x) || floorReal(x) != truth {
-						locMis[k][ci]++
+						mismatch[k][ci]++
 					}
 				}
-				locTested[k]++
+				tested[k]++
 			}
 			return true
 		})
-		mu.Lock()
-		for k := range u.levels {
-			tested[k] += locTested[k]
-			for ci, m := range locMis[k] {
-				mismatch[k][ci] += m
-			}
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 	for k := range u.levels {
 		if tested[k] == 0 {

@@ -160,9 +160,9 @@ func WithVerify() Option {
 
 // CollapseCache memoizes compiled collapse artifacts across Collapse
 // calls, keyed by the structure of the collapsed band modulo variable
-// naming (see core.NestSignature). It is bounded (sharded LRU) and safe
-// for concurrent use; construct one with NewCollapseCache and attach it
-// per call with WithCache.
+// naming (see core.NestSignature). It is bounded (an exact LRU under one
+// mutex) and safe for concurrent use; construct one with
+// NewCollapseCache and attach it per call with WithCache.
 type CollapseCache = core.CollapseCache
 
 // CacheStats is a snapshot of a CollapseCache's effectiveness counters.
