@@ -23,11 +23,13 @@ test-short:
 # omp runtime, kernels, the public API) plus the fault-tolerance layers
 # (fault injection registry, verified recovery) whose tests exercise
 # panic capture, cancellation and escalation under load, the core
-# package whose cache-contention test hammers the sharded CollapseCache
-# from concurrent goroutines, the observability plane whose tests
-# scrape /metrics and /snapshot while a collapsed run mutates the
-# registry, and the shard coordinator whose lease-expiry, speculation
-# and crash-chaos tests are races by construction.
+# package whose cache-contention test hammers the one-lock
+# CollapseCache from concurrent goroutines, the daemon whose
+# request-table test ranks and unranks one warm entry from 8
+# goroutines, the observability plane whose tests scrape /metrics and
+# /snapshot while a collapsed run mutates the registry, and the shard
+# coordinator whose lease-expiry, speculation and crash-chaos tests are
+# races by construction.
 RACE_PKGS = ./internal/telemetry/ ./internal/omp/ ./internal/obs/ ./internal/kernels/ ./internal/faults/ ./internal/unrank/ ./internal/stress/ ./internal/core/ ./internal/serve/ ./internal/dist/ ./internal/autotune/ .
 
 race:

@@ -50,7 +50,7 @@ func main() {
 		deadline    = flag.Duration("deadline", 5*time.Second, "server-enforced default per-request deadline")
 		maxDeadline = flag.Duration("max-deadline", 30*time.Second, "cap on client ?deadline_ms= requests")
 		shutdownT   = flag.Duration("shutdown-timeout", 10*time.Second, "graceful drain budget on SIGTERM")
-		cacheCap    = flag.Int("cache", 256, "collapse-cache capacity (compiled artifacts)")
+		cacheCap    = flag.Int("cache", 256, "collapse-cache and request-table capacity (entries each)")
 		breakerN    = flag.Int("breaker-threshold", 3, "consecutive compile failures tripping a nest shape's circuit (-1 disables)")
 		breakerCool = flag.Duration("breaker-cooldown", 30*time.Second, "open-circuit duration before a probe is admitted")
 	)

@@ -25,7 +25,7 @@ import (
 // far below the cost of the compile it saves.
 type CollapseCache struct {
 	mu  sync.Mutex
-	art lru[*unrank.Unranker]
+	art LRU[*unrank.Unranker]
 
 	// Planner side-table: autotuning decisions cached alongside the
 	// compiled artifacts they schedule. Keys extend the NestSignature
@@ -35,16 +35,18 @@ type CollapseCache struct {
 	// its own LRU so plan churn cannot evict compiled artifacts, and vice
 	// versa. Decisions are tiny (a schedule triple plus a few floats), so
 	// it holds four times the artifact capacity.
-	plans lru[any]
+	plans LRU[any]
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
 }
 
-// lru is a string-keyed table bounded to capacity entries, least
-// recently used first out. Callers hold CollapseCache.mu.
-type lru[V any] struct {
+// LRU is a string-keyed table bounded to capacity entries, least
+// recently used first out. It is not safe for concurrent use: the owner
+// holds its own lock around every call (CollapseCache.mu here, the serve
+// daemon's request table there).
+type LRU[V any] struct {
 	capacity int
 	order    list.List // front = most recent; values are *lruEntry[V]
 	m        map[string]*list.Element
@@ -55,12 +57,13 @@ type lruEntry[V any] struct {
 	v   V
 }
 
-func newLRU[V any](capacity int) lru[V] {
-	return lru[V]{capacity: capacity, m: make(map[string]*list.Element)}
+// NewLRU returns an empty table holding at most capacity entries.
+func NewLRU[V any](capacity int) LRU[V] {
+	return LRU[V]{capacity: capacity, m: make(map[string]*list.Element)}
 }
 
-// get returns the value under key, promoting it to most recently used.
-func (l *lru[V]) get(key string) (v V, ok bool) {
+// Get returns the value under key, promoting it to most recently used.
+func (l *LRU[V]) Get(key string) (v V, ok bool) {
 	el, ok := l.m[key]
 	if !ok {
 		return v, false
@@ -69,9 +72,9 @@ func (l *lru[V]) get(key string) (v V, ok bool) {
 	return el.Value.(*lruEntry[V]).v, true
 }
 
-// put stores (or replaces) v under key as most recently used and evicts
+// Put stores (or replaces) v under key as most recently used and evicts
 // down to capacity, reporting how many entries were dropped.
-func (l *lru[V]) put(key string, v V) (evicted int) {
+func (l *LRU[V]) Put(key string, v V) (evicted int) {
 	if el, ok := l.m[key]; ok {
 		el.Value.(*lruEntry[V]).v = v
 		l.order.MoveToFront(el)
@@ -87,13 +90,16 @@ func (l *lru[V]) put(key string, v V) (evicted int) {
 	return evicted
 }
 
-// remove drops key (a no-op when absent).
-func (l *lru[V]) remove(key string) {
+// Remove drops key (a no-op when absent).
+func (l *LRU[V]) Remove(key string) {
 	if el, ok := l.m[key]; ok {
 		l.order.Remove(el)
 		delete(l.m, key)
 	}
 }
+
+// Len reports how many entries are resident.
+func (l *LRU[V]) Len() int { return l.order.Len() }
 
 // NewCollapseCache returns a cache holding at most capacity compiled
 // collapse artifacts and 4×capacity planner decisions. capacity <= 0
@@ -102,7 +108,7 @@ func NewCollapseCache(capacity int) *CollapseCache {
 	if capacity <= 0 {
 		capacity = 64
 	}
-	return &CollapseCache{art: newLRU[*unrank.Unranker](capacity), plans: newLRU[any](4 * capacity)}
+	return &CollapseCache{art: NewLRU[*unrank.Unranker](capacity), plans: NewLRU[any](4 * capacity)}
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness counters.
@@ -122,7 +128,7 @@ func (s CacheStats) String() string {
 // Stats returns a snapshot of the cache counters.
 func (c *CollapseCache) Stats() CacheStats {
 	c.mu.Lock()
-	entries := c.art.order.Len()
+	entries := c.art.Len()
 	c.mu.Unlock()
 	return CacheStats{
 		Hits:      c.hits.Load(),
@@ -137,7 +143,7 @@ func (c *CollapseCache) Stats() CacheStats {
 func (c *CollapseCache) get(sig string) (*unrank.Unranker, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.art.get(sig)
+	return c.art.Get(sig)
 }
 
 // put stores u under sig, evicting the least recently used artifact when
@@ -145,26 +151,15 @@ func (c *CollapseCache) get(sig string) (*unrank.Unranker, bool) {
 func (c *CollapseCache) put(sig string, u *unrank.Unranker) (evicted int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.art.get(sig); ok {
+	if _, ok := c.art.Get(sig); ok {
 		// Concurrent miss on the same signature: keep the resident entry
 		// (callers already hold independent Unrankers; the artifacts are
 		// interchangeable).
 		return 0
 	}
-	evicted = c.art.put(sig, u)
+	evicted = c.art.Put(sig, u)
 	c.evictions.Add(int64(evicted))
 	return evicted
-}
-
-// Has reports whether an artifact for sig (a NestSignature) is resident,
-// without promoting it in the LRU order — a read-only peek for callers
-// that want to report cache effectiveness per request (the serve daemon's
-// "cached" response field).
-func (c *CollapseCache) Has(sig string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.art.m[sig]
-	return ok
 }
 
 // GetPlan returns the cached planner decision stored under key (a
@@ -173,7 +168,7 @@ func (c *CollapseCache) Has(sig string) bool {
 func (c *CollapseCache) GetPlan(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.plans.get(key)
+	return c.plans.Get(key)
 }
 
 // PutPlan stores (or replaces) the planner decision under key, evicting
@@ -181,7 +176,7 @@ func (c *CollapseCache) GetPlan(key string) (any, bool) {
 func (c *CollapseCache) PutPlan(key string, v any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.plans.put(key, v)
+	c.plans.Put(key, v)
 }
 
 // DeletePlan drops the decision under key (a no-op when absent) — the
@@ -190,14 +185,14 @@ func (c *CollapseCache) PutPlan(key string, v any) {
 func (c *CollapseCache) DeletePlan(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.plans.remove(key)
+	c.plans.Remove(key)
 }
 
 // Plans reports how many planner decisions are resident.
 func (c *CollapseCache) Plans() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.plans.order.Len()
+	return c.plans.Len()
 }
 
 // CollapseCached is Collapse routed through cache: a structural hit skips
@@ -216,8 +211,18 @@ func CollapseCached(cache *CollapseCache, n *nest.Nest, c int, opts unrank.Optio
 	if !ok {
 		return Collapse(n, c, opts)
 	}
+	res, _, err = CollapseSigned(cache, sig, n, c, opts)
+	return res, err
+}
+
+// CollapseSigned is CollapseCached for a caller that already holds sig,
+// the NestSignature of (n, c, opts) — the serve daemon needs it first
+// for its circuit breaker — and wants to know whether the cache
+// answered: hit reports a structural hit.
+func CollapseSigned(cache *CollapseCache, sig string, n *nest.Nest, c int, opts unrank.Options) (res *Result, hit bool, err error) {
+	defer guard(&res, &err)
 	tel := opts.Telemetry
-	if u, hit := cache.get(sig); hit {
+	if u, ok := cache.get(sig); ok {
 		cache.hits.Add(1)
 		tel.Counter("cache.hits").Add(1)
 		sp := tel.StartSpan("compile", "core.CollapseCached.hit", 0)
@@ -234,7 +239,7 @@ func CollapseCached(cache *CollapseCache, n *nest.Nest, c int, opts unrank.Optio
 			Ranking:  ru.Ranking(),
 			Total:    ru.Count(),
 			Unranker: ru,
-		}, nil
+		}, true, nil
 	}
 	cache.misses.Add(1)
 	tel.Counter("cache.misses").Add(1)
@@ -244,5 +249,5 @@ func CollapseCached(cache *CollapseCache, n *nest.Nest, c int, opts unrank.Optio
 			tel.Counter("cache.evictions").Add(int64(ev))
 		}
 	}
-	return res, err
+	return res, false, err
 }

@@ -154,7 +154,10 @@ func TestCollapseCacheEviction(t *testing.T) {
 		t.Fatalf("after 4 shapes and 1 hit in a capacity-3 cache: %v", st)
 	}
 	for d, want := range map[int]bool{1: true, 2: false, 3: true, 4: true} {
-		if got := cache.Has(sig(d)); got != want {
+		cache.mu.Lock()
+		_, got := cache.art.m[sig(d)]
+		cache.mu.Unlock()
+		if got != want {
 			t.Errorf("shape %d resident = %v, want %v", d, got, want)
 		}
 	}

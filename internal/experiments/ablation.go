@@ -22,6 +22,9 @@ type AblationRow struct {
 	OverheadPct float64
 }
 
+// ablationReps is the number of timing samples per row.
+const ablationReps = 3
+
 // AblationOptions configure the study.
 type AblationOptions struct {
 	Quick   bool
@@ -50,6 +53,12 @@ func (o *AblationOptions) fill() {
 //     iteration, quantifying what the closed form buys.
 func Ablation(opts AblationOptions) ([]AblationRow, error) {
 	opts.fill()
+	// Each timing sample accumulates at least minTime (the overhead
+	// suite's defaults); the fastest of ablationReps samples is kept.
+	minTime := 25 * time.Millisecond
+	if opts.Quick {
+		minTime = 2 * time.Millisecond
+	}
 	var rows []AblationRow
 	for _, name := range opts.Kernels {
 		k, err := kernels.ByName(name)
@@ -69,12 +78,18 @@ func Ablation(opts AblationOptions) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		serial := bestOf(3, func() error { inst.Reset(); kernels.RunSeq(inst); return nil })
+		serial := bestSecPerCall(ablationReps, minTime, func() { inst.Reset(); kernels.RunSeq(inst) })
 
 		add := func(strategy string, f func() error) error {
-			sec := bestOf(3, func() error { inst.Reset(); return f() })
-			if sec < 0 {
-				return fmt.Errorf("ablation: %s/%s failed", name, strategy)
+			var runErr error
+			sec := bestSecPerCall(ablationReps, minTime, func() {
+				inst.Reset()
+				if err := f(); err != nil && runErr == nil {
+					runErr = err
+				}
+			})
+			if runErr != nil {
+				return fmt.Errorf("ablation: %s/%s failed: %w", name, strategy, runErr)
 			}
 			rows = append(rows, AblationRow{
 				Kernel:      name,
@@ -130,20 +145,6 @@ func Ablation(opts AblationOptions) ([]AblationRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-func bestOf(reps int, f func() error) float64 {
-	best := -1.0
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		if err := f(); err != nil {
-			return -1
-		}
-		if s := time.Since(start).Seconds(); best < 0 || s < best {
-			best = s
-		}
-	}
-	return best
 }
 
 // RenderAblation prints the study as a table.

@@ -41,9 +41,8 @@ type Calibration struct {
 
 // secPerCallOver measures f, repeating until the total elapsed time
 // exceeds minDuration, and returns seconds per call. Through
-// bestSecPerCall it times the overhead, compile and invert suites, whose
-// MinTime option sets the duration; the calibration probes below run
-// fixed pass counts.
+// bestSecPerCall it times the overhead, compile, invert and ablation
+// suites; the calibration probes below run fixed pass counts.
 func secPerCallOver(minDuration time.Duration, f func()) float64 {
 	reps := 1
 	for {

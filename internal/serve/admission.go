@@ -73,6 +73,15 @@ func (b *tokenBucket) take() (ok bool, retryAfter time.Duration) {
 	return false, retryAfterHint(b.tokens, b.rate, b.rnd())
 }
 
+// jitter draws the Retry-After jitter for rejections the bucket did not
+// make (semaphore full, codegen shed), under the lock that take holds
+// for its own draws: the PRNG is not safe for concurrent use.
+func (b *tokenBucket) jitter() float64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.rnd()
+}
+
 // retryAfterHint is the header math, factored out for unit testing:
 // given the current token count (< 1) and refill rate, the base wait is
 // the time for the deficit to refill, (1-tokens)/rate seconds; the hint

@@ -25,38 +25,34 @@ import (
 // do, because those are the ones guaranteed to recur for the same shape.
 func (s *Server) compileFor(n *nest.Nest, c int) (*core.Result, bool, error) {
 	opts := unrank.Options{Telemetry: s.reg}
-	sig, sigOK := core.NestSignature(n, c, opts)
-	if sigOK {
-		if err := s.breaker.admit(sig); err != nil {
-			return nil, false, err
-		}
+	sig, ok := core.NestSignature(n, c, opts)
+	if !ok {
+		res, err := core.Collapse(n, c, opts)
+		return res, false, err
 	}
-	cached := sigOK && s.cache.Has(sig)
-	res, err := core.CollapseCached(s.cache, n, c, opts)
-	if sigOK {
-		switch {
-		case err == nil:
-			s.breaker.record(sig, false, nil)
-		case faults.Collapsible(err):
-			s.breaker.record(sig, true, err)
-		default:
-			s.breaker.clearProbe(sig)
-		}
+	if err := s.breaker.admit(sig); err != nil {
+		return nil, false, err
+	}
+	res, cached, err := core.CollapseSigned(s.cache, sig, n, c, opts)
+	switch {
+	case err == nil:
+		s.breaker.record(sig, false, nil)
+	case faults.Collapsible(err):
+		s.breaker.record(sig, true, err)
+	default:
+		s.breaker.clearProbe(sig)
 	}
 	return res, cached, err
 }
 
 func (s *Server) handleCompile(ctx context.Context, req *Request) (any, error) {
-	n, c, err := buildNest(req)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	res, cached, err := s.compileFor(n, c)
+	e, cached, err := s.resolve(req)
 	if err != nil {
 		return nil, err
 	}
+	res := e.res
 	out := &CompileResponse{
-		Collapse: c,
+		Collapse: e.c,
 		Ranking:  res.Ranking.String(),
 		Total:    res.Total.String(),
 		Cached:   cached,
@@ -68,49 +64,39 @@ func (s *Server) handleCompile(ctx context.Context, req *Request) (any, error) {
 }
 
 func (s *Server) handleCount(ctx context.Context, req *Request) (any, error) {
-	n, c, err := buildNest(req)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	res, _, err := s.compileFor(n, c)
+	e, _, err := s.resolve(req)
 	if err != nil {
 		return nil, err
 	}
-	b, err := res.Unranker.Bind(req.Params)
-	if err != nil {
-		// A domain beyond the int64 pc range still has an exact
-		// cardinality: answer from the counting polynomial over big.Rat,
-		// like rankq does.
-		if faults.Collapsible(err) {
-			env := make(map[string]*big.Rat, len(req.Params))
-			for name, v := range req.Params {
-				env[name] = new(big.Rat).SetInt64(v)
-			}
-			if r, perr := res.Unranker.Count().EvalRat(env); perr == nil {
-				q := new(big.Int).Quo(r.Num(), r.Denom())
-				return &CountResponse{TotalBig: q.String()}, nil
-			}
+	if b := e.bound; b != nil {
+		return &CountResponse{Total: b.Total(), TotalBig: b.TotalBig().String()}, nil
+	}
+	// A domain beyond the int64 pc range still has an exact cardinality:
+	// answer from the counting polynomial over big.Rat, like rankq does.
+	if faults.Collapsible(e.bindErr) {
+		env := make(map[string]*big.Rat, len(req.Params))
+		for name, v := range req.Params {
+			env[name] = new(big.Rat).SetInt64(v)
 		}
-		return nil, err
+		if r, perr := e.res.Unranker.Count().EvalRat(env); perr == nil {
+			q := new(big.Int).Quo(r.Num(), r.Denom())
+			return &CountResponse{TotalBig: q.String()}, nil
+		}
 	}
-	return &CountResponse{Total: b.Total(), TotalBig: b.TotalBig().String()}, nil
+	return nil, e.bindErr
 }
 
 func (s *Server) handleRank(ctx context.Context, req *Request) (any, error) {
-	n, c, err := buildNest(req)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	res, _, err := s.compileFor(n, c)
+	e, _, err := s.resolve(req)
 	if err != nil {
 		return nil, err
 	}
-	b, err := res.Unranker.Bind(req.Params)
+	b, err := e.clone()
 	if err != nil {
 		return nil, err
 	}
-	if len(req.Index) != res.C {
-		return nil, badRequest("rank wants %d indices, got %d", res.C, len(req.Index))
+	if len(req.Index) != e.res.C {
+		return nil, badRequest("rank wants %d indices, got %d", e.res.C, len(req.Index))
 	}
 	if !b.Instance().Contains(req.Index) {
 		return nil, badRequest("%v is not in the iteration domain", req.Index)
@@ -119,22 +105,18 @@ func (s *Server) handleRank(ctx context.Context, req *Request) (any, error) {
 }
 
 func (s *Server) handleUnrank(ctx context.Context, req *Request) (any, error) {
-	n, c, err := buildNest(req)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	res, _, err := s.compileFor(n, c)
+	e, _, err := s.resolve(req)
 	if err != nil {
 		return nil, err
 	}
-	b, err := res.Unranker.Bind(req.Params)
+	b, err := e.clone()
 	if err != nil {
 		return nil, err
 	}
 	if req.Pc < 1 || req.Pc > b.Total() {
 		return nil, badRequest("pc = %d out of range 1..%d", req.Pc, b.Total())
 	}
-	idx := make([]int64, res.C)
+	idx := make([]int64, e.res.C)
 	if err := b.Unrank(req.Pc, idx); err != nil {
 		return nil, err
 	}
@@ -142,14 +124,11 @@ func (s *Server) handleUnrank(ctx context.Context, req *Request) (any, error) {
 }
 
 func (s *Server) handleCodegen(ctx context.Context, req *Request) (any, error) {
-	n, c, err := buildNest(req)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	res, _, err := s.compileFor(n, c)
+	e, _, err := s.resolve(req)
 	if err != nil {
 		return nil, err
 	}
+	res := e.res
 	var sch codegen.Scheme
 	switch req.Scheme {
 	case "", "first-iteration":
@@ -196,10 +175,19 @@ func (s *Server) handleCodegen(ctx context.Context, req *Request) (any, error) {
 // checksumming body (bind-once/clone-per-worker engine underneath), the
 // request deadline propagated to every chunk boundary. Under
 // TierForceFallback the compile step is skipped entirely and the nest
-// runs uncollapsed — correct, cheaper to start, merely unbalanced.
+// runs uncollapsed — correct, cheaper to start, merely unbalanced; a
+// request-table hit still spares it the parse.
 func (s *Server) handleExecute(ctx context.Context, req *Request) (any, error) {
-	n, c, err := buildNest(req)
-	if err != nil {
+	key := requestKey(req)
+	e, hit := s.table.get(key)
+	var (
+		n   *nest.Nest
+		c   int
+		err error
+	)
+	if hit {
+		n, c = e.n, e.c
+	} else if n, c, err = buildNest(req); err != nil {
 		return nil, badRequest("%v", err)
 	}
 	threads := req.Threads
@@ -225,15 +213,16 @@ func (s *Server) handleExecute(ctx context.Context, req *Request) (any, error) {
 		s.reg.Counter("serve.forced_fallback").Inc()
 		err = runUncollapsed(ctx, n, c, req.Params, threads, sched, body)
 	} else {
-		var res *core.Result
-		res, _, err = s.compileFor(n, c)
+		if !hit {
+			e, _, err = s.compileEntry(key, n, c, req.Params)
+		}
 		switch {
 		case err == nil && req.Shards > 0:
 			// Sharded engine: the collapsed pc-range runs under the
 			// fault-tolerant coordinator, so a worker panic costs one shard
 			// attempt (retried, then split, then re-run uncollapsed) instead
 			// of the whole request.
-			return s.executeSharded(ctx, res, req, threads)
+			return s.executeSharded(ctx, e.res, req, threads)
 		case err == nil && sched.Kind == omp.ScheduleAuto:
 			// Tuned path: the planner picks (schedule, chunk, workers) by
 			// simulation against the measured work vector, cached per
@@ -241,7 +230,7 @@ func (s *Server) handleExecute(ctx context.Context, req *Request) (any, error) {
 			// makespan.
 			out.Collapsed = true
 			var run autotune.Run
-			run, err = s.tuner.CollapsedFor(ctx, res, req.Params, body)
+			run, err = s.tuner.CollapsedFor(ctx, e.res, req.Params, body)
 			if err == nil {
 				out.Tuned = true
 				out.Schedule = run.Plan.Decision.String()
@@ -251,7 +240,7 @@ func (s *Server) handleExecute(ctx context.Context, req *Request) (any, error) {
 			}
 		case err == nil:
 			out.Collapsed = true
-			err = omp.CollapsedForCtx(ctx, res, req.Params, threads, sched, body)
+			err = omp.CollapsedForCtx(ctx, e.res, req.Params, threads, sched, body)
 		case faults.Collapsible(err):
 			// The nest is outside the technique: downgrade to plain
 			// worksharing rather than failing the request.

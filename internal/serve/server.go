@@ -73,7 +73,8 @@ type Config struct {
 	MaxDeadline     time.Duration
 	// ShutdownTimeout bounds the graceful drain (default 10s).
 	ShutdownTimeout time.Duration
-	// CacheCapacity sizes the process-wide CollapseCache (default 256).
+	// CacheCapacity sizes the process-wide CollapseCache and the
+	// request table in front of it (default 256 entries each).
 	CacheCapacity int
 	// BreakerThreshold consecutive compile failures of one nest shape
 	// trip its circuit for BreakerCooldown (defaults 3 and 30s;
@@ -142,6 +143,7 @@ type Server struct {
 	cfg     Config
 	reg     *telemetry.Registry
 	cache   *core.CollapseCache
+	table   *requestTable
 	bucket  *tokenBucket
 	sem     chan struct{}
 	breaker *compileBreaker
@@ -167,6 +169,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		reg:     cfg.Registry,
 		cache:   core.NewCollapseCache(cfg.CacheCapacity),
+		table:   newRequestTable(cfg.CacheCapacity),
 		bucket:  newTokenBucket(cfg.RatePerSec, cfg.Burst),
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		breaker: newCompileBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, 0, cfg.Registry, cfg.Logf),
@@ -254,7 +257,7 @@ func (s *Server) lifecycle(endpoint string, h handlerFunc) http.HandlerFunc {
 			// average service time via the refill estimator's floor.
 			writeError(w, http.StatusTooManyRequests, "overloaded",
 				errors.New("admission control: all request slots busy"),
-				retryAfterHint(0, maxf(s.cfg.RatePerSec, 1), s.bucket.rnd()))
+				retryAfterHint(0, maxf(s.cfg.RatePerSec, 1), s.bucket.jitter()))
 			return
 		}
 		s.reg.Gauge("serve.inflight").Set(s.inflight.Add(1))
@@ -269,7 +272,7 @@ func (s *Server) lifecycle(endpoint string, h handlerFunc) http.HandlerFunc {
 			s.reg.Counter("serve.shed_codegen").Inc()
 			writeError(w, http.StatusTooManyRequests, "overloaded",
 				errors.New("shedding codegen under load"),
-				retryAfterHint(0, maxf(s.cfg.RatePerSec, 1), s.bucket.rnd()))
+				retryAfterHint(0, maxf(s.cfg.RatePerSec, 1), s.bucket.jitter()))
 			return
 		}
 

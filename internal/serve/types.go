@@ -2,7 +2,8 @@
 // daemon over the collapsing library. It accepts loop nests — either as
 // mini-C fragments (the collapsetool front end) or as structured JSON —
 // and answers compile/count/rank/unrank/codegen/execute queries, compiling
-// through a process-wide CollapseCache and executing on the
+// through a process-wide CollapseCache, answering repeated requests from
+// a request-keyed table of compiled and bound nests, and executing on the
 // bind-once/clone-per-worker engine.
 //
 // The robustness core is the request lifecycle manager documented in
