@@ -12,7 +12,7 @@
 //	/v1/unrank   iteration tuple at a collapsed rank
 //	/v1/codegen  collapsed C or Go source
 //	/v1/execute  run the nest on the worker team (checksummed)
-//	/healthz     readiness (degradation tier, load, open breakers)
+//	/healthz     readiness (degradation tier, load)
 //	/metrics     OpenMetrics exposition (serve_* + runtime families)
 //	/snapshot /trace /debug/pprof   the observability plane
 //
@@ -20,8 +20,10 @@
 // (-rate/-burst; rejections carry Retry-After hints derived from the
 // refill state), bounded by a concurrency semaphore (-max-inflight),
 // deadlined (-deadline default, client ?deadline_ms= capped by
-// -max-deadline), and panic-isolated. Nest shapes that repeatedly fail
-// compilation trip a per-shape circuit breaker. Under load the daemon
+// -max-deadline), and panic-isolated. A nest shape that fails
+// compilation with an applicability error is compiled once: the collapse
+// cache memoizes the error, so every later request for that shape, in
+// any spelling, gets the same 422 without a compile. Under load the daemon
 // degrades gracefully: codegen is shed first, then execute requests are
 // forced down the uncollapsed fallback, then everything sheds with 429.
 // SIGINT/SIGTERM drains in-flight requests within -shutdown-timeout.
@@ -51,23 +53,19 @@ func main() {
 		maxDeadline = flag.Duration("max-deadline", 30*time.Second, "cap on client ?deadline_ms= requests")
 		shutdownT   = flag.Duration("shutdown-timeout", 10*time.Second, "graceful drain budget on SIGTERM")
 		cacheCap    = flag.Int("cache", 256, "collapse-cache and request-table capacity (entries each)")
-		breakerN    = flag.Int("breaker-threshold", 3, "consecutive compile failures tripping a nest shape's circuit (-1 disables)")
-		breakerCool = flag.Duration("breaker-cooldown", 30*time.Second, "open-circuit duration before a probe is admitted")
 	)
 	flag.Parse()
 
 	srv := serve.New(serve.Config{
-		Threads:          *threads,
-		MaxInflight:      *maxInflight,
-		RatePerSec:       *rate,
-		Burst:            *burst,
-		DefaultDeadline:  *deadline,
-		MaxDeadline:      *maxDeadline,
-		ShutdownTimeout:  *shutdownT,
-		CacheCapacity:    *cacheCap,
-		BreakerThreshold: *breakerN,
-		BreakerCooldown:  *breakerCool,
-		Registry:         telemetry.New(),
+		Threads:         *threads,
+		MaxInflight:     *maxInflight,
+		RatePerSec:      *rate,
+		Burst:           *burst,
+		DefaultDeadline: *deadline,
+		MaxDeadline:     *maxDeadline,
+		ShutdownTimeout: *shutdownT,
+		CacheCapacity:   *cacheCap,
+		Registry:        telemetry.New(),
 	})
 	bound, err := srv.Serve(*addr)
 	if err != nil {

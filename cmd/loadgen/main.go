@@ -310,10 +310,10 @@ func run(o *options) error {
 	if o.chaosPanic > 0 || o.chaosRoots || o.chaosKill > 0 {
 		// Warm the daemon's compile cache before arming the plan: the
 		// perturbation hook also fires during compile-time root
-		// selection, where a biased root is a deterministic
-		// applicability failure (it would trip the breaker rather than
-		// exercise recovery). With the artifact cached, perturbation
-		// lands only on the runtime recovery path, which must repair it.
+		// selection, where a biased root is an applicability failure:
+		// the cache would memoize it for the shape and recovery would
+		// never run. With the artifact cached, perturbation lands only
+		// on the runtime recovery path, which must repair it.
 		warm := serve.NewClient(base)
 		if _, err := warm.Compile(context.Background(), orc.request()); err != nil {
 			return fmt.Errorf("chaos warm-up compile: %w", err)

@@ -11,7 +11,7 @@
 // candidate triple with the internal/schedsim engine: simulated makespan
 // plus a penalty for thread-load imbalance.
 //
-// Decisions are cached in the CollapseCache plan side-table keyed by
+// Decisions are cached in the Tuner's own LRU plan table keyed by
 // NestSignature × params bucket × core count, so a plan invalidates
 // implicitly when the problem size leaves its bucket or GOMAXPROCS
 // changes. Observed makespans feed back: when a run deviates more than
@@ -29,6 +29,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -107,44 +108,52 @@ const (
 	wImbalance = 0.1
 )
 
-// Options configures a Tuner. The zero value works: plans are cached
-// in a private cache, telemetry is dropped, and workers default to
-// GOMAXPROCS.
+// planCapacity bounds a Tuner's plan table, least recently used out. A
+// plan keeps its work model (at most maxUnits cells) for refinement, so
+// the bound also caps the table's memory.
+const planCapacity = 1024
+
+// Options configures a Tuner. The zero value works: telemetry is
+// dropped and workers default to GOMAXPROCS.
 type Options struct {
 	// Registry receives the PlansMetric / ReplansMetric /
 	// CacheHitsMetric counters and is consulted for the measured
 	// omp.recovery_seconds histogram. Nil drops telemetry.
 	Registry *telemetry.Registry
-	// Cache stores plans alongside compiled artifacts. Nil allocates a
-	// private cache.
-	Cache *core.CollapseCache
 	// MaxWorkers caps the candidate team sizes. <=0 means GOMAXPROCS.
 	MaxWorkers int
-}
-
-func (o Options) fill() Options {
-	if o.Cache == nil {
-		o.Cache = core.NewCollapseCache(0)
-	}
-	if o.MaxWorkers <= 0 {
-		o.MaxWorkers = runtime.GOMAXPROCS(0)
-	}
-	return o
 }
 
 // Tuner plans and refines schedules. Safe for concurrent use.
 type Tuner struct {
 	opts    Options
 	unitSec float64 // per-unit cost of a first-contact plan
+
+	mu    sync.Mutex
+	plans core.LRU[*Plan]
 }
 
 // New returns a Tuner with opts' defaults filled in.
 func New(opts Options) *Tuner {
-	return &Tuner{opts: opts.fill(), unitSec: defaultUnitSec}
+	if opts.MaxWorkers <= 0 {
+		opts.MaxWorkers = runtime.GOMAXPROCS(0)
+	}
+	return &Tuner{opts: opts, unitSec: defaultUnitSec, plans: core.NewLRU[*Plan](planCapacity)}
 }
 
-// Cache exposes the plan/artifact cache the tuner stores decisions in.
-func (t *Tuner) Cache() *core.CollapseCache { return t.opts.Cache }
+func (t *Tuner) getPlan(key string) (*Plan, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.plans.Get(key)
+}
+
+// putPlan stores (or replaces) the plan under key, evicting the least
+// recently used plan when over capacity.
+func (t *Tuner) putPlan(key string, p *Plan) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.plans.Put(key, p)
+}
 
 // planKey derives the cache key: the structural NestSignature extended
 // with the log2 bucket of every parameter value and the core count.
@@ -189,9 +198,9 @@ func planKey(res *core.Result, params map[string]int64, cores int) string {
 func (t *Tuner) Plan(res *core.Result, params map[string]int64) (plan *Plan, cached bool, err error) {
 	cores := runtime.GOMAXPROCS(0)
 	key := planKey(res, params, cores)
-	if v, ok := t.opts.Cache.GetPlan(key); ok {
+	if p, ok := t.getPlan(key); ok {
 		t.opts.Registry.Counter(CacheHitsMetric).Add(1)
-		return v.(*Plan), true, nil
+		return p, true, nil
 	}
 	b, err := res.Unranker.Bind(params)
 	if err != nil {
@@ -199,7 +208,7 @@ func (t *Tuner) Plan(res *core.Result, params map[string]int64) (plan *Plan, cac
 	}
 	model := buildWorkModel(res, b, params, maxUnits)
 	plan = t.plan(key, model, t.calibrate(b), t.unitSec, 0)
-	t.opts.Cache.PutPlan(key, plan)
+	t.putPlan(key, plan)
 	t.opts.Registry.Counter(PlansMetric).Add(1)
 	return plan, false, nil
 }
@@ -395,7 +404,7 @@ func (t *Tuner) Observe(plan *Plan, actualSec float64) (*Plan, bool) {
 		cal.RecoveryMeasured = true
 	}
 	next := t.plan(plan.Key, plan.model, cal, unit, plan.replans+1)
-	t.opts.Cache.PutPlan(plan.Key, next)
+	t.putPlan(plan.Key, next)
 	t.opts.Registry.Counter(ReplansMetric).Add(1)
 	return next, true
 }

@@ -6,46 +6,51 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/faults"
 	"repro/internal/nest"
 	"repro/internal/unrank"
 )
 
-// CollapseCache memoizes the expensive symbolic phase of Collapse — the
-// ranking construction, radical solving, root selection and evaluator
-// compilation — keyed by NestSignature, i.e. by the structure of the
-// collapsed band modulo variable spelling. A hit adapts the cached
-// Unranker to the caller's names with a shallow rename (compiled
-// evaluators are positional and shared), so collapsing the same nest
-// shape repeatedly — sweeps over parameter values, per-rank tools,
+// CollapseCache memoizes the outcome of the expensive symbolic phase of
+// Collapse — the ranking construction, radical solving, root selection
+// and evaluator compilation — keyed by NestSignature, i.e. by the
+// structure of the collapsed band modulo variable spelling. A hit adapts
+// the cached Unranker to the caller's names with a shallow rename
+// (compiled evaluators are positional and shared), so collapsing the same
+// nest shape repeatedly — sweeps over parameter values, per-rank tools,
 // long-running services — pays the compile cost once.
 //
-// The cache is safe for concurrent use and bounded: one mutex guards two
-// exact LRU tables, each evicting its least recently used entry when
-// over capacity. A hit holds the lock for a few map and list operations,
-// far below the cost of the compile it saves.
+// A shape that fails with an applicability error (faults.Collapsible:
+// non-affine bounds, a ranking beyond radicals, no convenient root,
+// overflow) fails the same way on every compile, because those
+// conditions depend on the signature alone; the cache stores that error
+// too and answers later lookups with it. Panics and every other error
+// are returned uncached, so a transient fault never sticks to a shape.
+//
+// The cache is safe for concurrent use and bounded: one mutex guards an
+// exact LRU table that evicts its least recently used entry when over
+// capacity. A hit holds the lock for a few map and list operations, far
+// below the cost of the compile it saves.
 type CollapseCache struct {
 	mu  sync.Mutex
-	art LRU[*unrank.Unranker]
-
-	// Planner side-table: autotuning decisions cached alongside the
-	// compiled artifacts they schedule. Keys extend the NestSignature
-	// with the params bucket and core count (so a decision invalidates
-	// implicitly when either changes); values are opaque to core — the
-	// planner (internal/autotune) owns the concrete type. The table has
-	// its own LRU so plan churn cannot evict compiled artifacts, and vice
-	// versa. Decisions are tiny (a schedule triple plus a few floats), so
-	// it holds four times the artifact capacity.
-	plans LRU[any]
+	art LRU[outcome]
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
 }
 
+// outcome is one signature's compile result: the artifact, or the
+// applicability error the shape fails with.
+type outcome struct {
+	u   *unrank.Unranker
+	err error
+}
+
 // LRU is a string-keyed table bounded to capacity entries, least
 // recently used first out. It is not safe for concurrent use: the owner
-// holds its own lock around every call (CollapseCache.mu here, the serve
-// daemon's request table there).
+// holds its own lock around every call (CollapseCache.mu here; the serve
+// daemon's request table and the autotuner's plan table elsewhere).
 type LRU[V any] struct {
 	capacity int
 	order    list.List // front = most recent; values are *lruEntry[V]
@@ -90,33 +95,25 @@ func (l *LRU[V]) Put(key string, v V) (evicted int) {
 	return evicted
 }
 
-// Remove drops key (a no-op when absent).
-func (l *LRU[V]) Remove(key string) {
-	if el, ok := l.m[key]; ok {
-		l.order.Remove(el)
-		delete(l.m, key)
-	}
-}
-
 // Len reports how many entries are resident.
 func (l *LRU[V]) Len() int { return l.order.Len() }
 
-// NewCollapseCache returns a cache holding at most capacity compiled
-// collapse artifacts and 4×capacity planner decisions. capacity <= 0
-// selects a default of 64.
+// NewCollapseCache returns a cache holding at most capacity compile
+// outcomes. capacity <= 0 selects a default of 64.
 func NewCollapseCache(capacity int) *CollapseCache {
 	if capacity <= 0 {
 		capacity = 64
 	}
-	return &CollapseCache{art: NewLRU[*unrank.Unranker](capacity), plans: NewLRU[any](4 * capacity)}
+	return &CollapseCache{art: NewLRU[outcome](capacity)}
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness counters.
+// Hits and Entries include memoized compile failures.
 type CacheStats struct {
-	Hits      int64 // lookups served by a cached artifact
+	Hits      int64 // lookups answered from the cache
 	Misses    int64 // lookups that fell through to a full compile
 	Evictions int64 // entries dropped by the LRU bound
-	Entries   int   // artifacts currently resident
+	Entries   int   // outcomes currently resident
 }
 
 // String renders the counters in a compact fixed-order form.
@@ -138,68 +135,35 @@ func (c *CollapseCache) Stats() CacheStats {
 	}
 }
 
-// get returns the cached Unranker for sig, promoting the entry to most
+// get returns the outcome stored under sig, promoting the entry to most
 // recently used.
-func (c *CollapseCache) get(sig string) (*unrank.Unranker, bool) {
+func (c *CollapseCache) get(sig string) (outcome, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.art.Get(sig)
 }
 
-// put stores u under sig, evicting the least recently used artifact when
+// put stores o under sig, evicting the least recently used outcome when
 // over capacity. evicted reports how many entries were dropped.
-func (c *CollapseCache) put(sig string, u *unrank.Unranker) (evicted int) {
+func (c *CollapseCache) put(sig string, o outcome) (evicted int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.art.Get(sig); ok {
 		// Concurrent miss on the same signature: keep the resident entry
-		// (callers already hold independent Unrankers; the artifacts are
-		// interchangeable).
+		// (the outcomes are interchangeable).
 		return 0
 	}
-	evicted = c.art.Put(sig, u)
+	evicted = c.art.Put(sig, o)
 	c.evictions.Add(int64(evicted))
 	return evicted
 }
 
-// GetPlan returns the cached planner decision stored under key (a
-// NestSignature extended with the params bucket and core count),
-// promoting it to most recently used.
-func (c *CollapseCache) GetPlan(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.plans.Get(key)
-}
-
-// PutPlan stores (or replaces) the planner decision under key, evicting
-// the least recently used plan when over capacity.
-func (c *CollapseCache) PutPlan(key string, v any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.plans.Put(key, v)
-}
-
-// DeletePlan drops the decision under key (a no-op when absent) — the
-// online-refinement path invalidates a plan whose prediction deviated
-// from the observed makespan.
-func (c *CollapseCache) DeletePlan(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.plans.Remove(key)
-}
-
-// Plans reports how many planner decisions are resident.
-func (c *CollapseCache) Plans() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.plans.Len()
-}
-
 // CollapseCached is Collapse routed through cache: a structural hit skips
 // the whole symbolic pipeline and adapts the cached artifact to the
-// caller's variable names; a miss compiles normally and populates the
-// cache. A nil cache, or a request NestSignature declines to canonicalize
-// (custom SampleParams), degrades to a plain Collapse. Telemetry, when
+// caller's variable names (or returns the shape's memoized applicability
+// error); a miss compiles normally and populates the cache. A nil cache,
+// or a request NestSignature declines to canonicalize (custom
+// SampleParams), degrades to a plain Collapse. Telemetry, when
 // configured in opts, receives cache.hits / cache.misses /
 // cache.evictions counters.
 func CollapseCached(cache *CollapseCache, n *nest.Nest, c int, opts unrank.Options) (res *Result, err error) {
@@ -216,21 +180,25 @@ func CollapseCached(cache *CollapseCache, n *nest.Nest, c int, opts unrank.Optio
 }
 
 // CollapseSigned is CollapseCached for a caller that already holds sig,
-// the NestSignature of (n, c, opts) — the serve daemon needs it first
-// for its circuit breaker — and wants to know whether the cache
-// answered: hit reports a structural hit.
+// the NestSignature of (n, c, opts), and wants to know whether the cache
+// answered: hit reports a structural hit, successful or not. A memoized
+// failure is returned as first stored, so its message may spell the nest
+// the way the request that compiled it did.
 func CollapseSigned(cache *CollapseCache, sig string, n *nest.Nest, c int, opts unrank.Options) (res *Result, hit bool, err error) {
 	defer guard(&res, &err)
 	tel := opts.Telemetry
-	if u, ok := cache.get(sig); ok {
+	if o, ok := cache.get(sig); ok {
 		cache.hits.Add(1)
 		tel.Counter("cache.hits").Add(1)
+		if o.err != nil {
+			return nil, true, o.err
+		}
 		sp := tel.StartSpan("compile", "core.CollapseCached.hit", 0)
 		sub := &nest.Nest{
 			Params: append([]string(nil), n.Params...),
 			Loops:  append([]nest.Loop(nil), n.Loops[:c]...),
 		}
-		ru := u.Renamed(sub)
+		ru := o.u.Renamed(sub)
 		sp.End()
 		return &Result{
 			Nest:     n,
@@ -244,10 +212,17 @@ func CollapseSigned(cache *CollapseCache, sig string, n *nest.Nest, c int, opts 
 	cache.misses.Add(1)
 	tel.Counter("cache.misses").Add(1)
 	res, err = Collapse(n, c, opts)
-	if err == nil {
-		if ev := cache.put(sig, res.Unranker); ev > 0 {
-			tel.Counter("cache.evictions").Add(int64(ev))
-		}
+	var o outcome
+	switch {
+	case err == nil:
+		o.u = res.Unranker
+	case faults.Collapsible(err) && faults.AsPanic(err) == nil:
+		o.err = err
+	default:
+		return res, false, err
+	}
+	if ev := cache.put(sig, o); ev > 0 {
+		tel.Counter("cache.evictions").Add(int64(ev))
 	}
 	return res, false, err
 }

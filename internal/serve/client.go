@@ -30,7 +30,8 @@ func (e *APIError) Error() string {
 
 // Temporary reports whether the request may succeed on retry: overload
 // shedding and drain answers are temporary, everything else (bad
-// requests, applicability failures, open breakers) is not.
+// requests, applicability failures, which the daemon memoizes per nest
+// shape) is not.
 func (e *APIError) Temporary() bool {
 	return e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable
 }

@@ -18,11 +18,8 @@ import (
 )
 
 // compileFor compiles (or cache-hits) the collapsed form of the c
-// outermost loops, with the circuit breaker in front: a shape whose
-// circuit is open fast-fails with the recorded error, and every compile
-// outcome feeds back into the breaker. Transient (non-applicability)
-// failures never trip a circuit — only deterministic Collapsible errors
-// do, because those are the ones guaranteed to recur for the same shape.
+// outermost loops. A shape that failed with an applicability error
+// before is answered from the collapse cache's memo of that error.
 func (s *Server) compileFor(n *nest.Nest, c int) (*core.Result, bool, error) {
 	opts := unrank.Options{Telemetry: s.reg}
 	sig, ok := core.NestSignature(n, c, opts)
@@ -30,19 +27,7 @@ func (s *Server) compileFor(n *nest.Nest, c int) (*core.Result, bool, error) {
 		res, err := core.Collapse(n, c, opts)
 		return res, false, err
 	}
-	if err := s.breaker.admit(sig); err != nil {
-		return nil, false, err
-	}
-	res, cached, err := core.CollapseSigned(s.cache, sig, n, c, opts)
-	switch {
-	case err == nil:
-		s.breaker.record(sig, false, nil)
-	case faults.Collapsible(err):
-		s.breaker.record(sig, true, err)
-	default:
-		s.breaker.clearProbe(sig)
-	}
-	return res, cached, err
+	return core.CollapseSigned(s.cache, sig, n, c, opts)
 }
 
 func (s *Server) handleCompile(ctx context.Context, req *Request) (any, error) {

@@ -73,14 +73,10 @@ type Config struct {
 	MaxDeadline     time.Duration
 	// ShutdownTimeout bounds the graceful drain (default 10s).
 	ShutdownTimeout time.Duration
-	// CacheCapacity sizes the process-wide CollapseCache and the
+	// CacheCapacity sizes the process-wide CollapseCache, which also
+	// memoizes each failing shape's applicability error, and the
 	// request table in front of it (default 256 entries each).
 	CacheCapacity int
-	// BreakerThreshold consecutive compile failures of one nest shape
-	// trip its circuit for BreakerCooldown (defaults 3 and 30s;
-	// threshold < 0 disables the breaker).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// ShedCodegenLoad and ForceFallbackLoad are the in-flight load
 	// fractions at which the degradation ladder advances (defaults 0.5
 	// and 0.75).
@@ -115,12 +111,6 @@ func (c *Config) fill() {
 	if c.CacheCapacity <= 0 {
 		c.CacheCapacity = 256
 	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 30 * time.Second
-	}
 	if c.ShedCodegenLoad <= 0 {
 		c.ShedCodegenLoad = 0.5
 	}
@@ -140,15 +130,14 @@ func (c *Config) fill() {
 // them. Construct with New, serve with Serve (or mount Handler), stop
 // with Shutdown.
 type Server struct {
-	cfg     Config
-	reg     *telemetry.Registry
-	cache   *core.CollapseCache
-	table   *requestTable
-	bucket  *tokenBucket
-	sem     chan struct{}
-	breaker *compileBreaker
-	plane   *obs.Plane
-	tuner   *autotune.Tuner
+	cfg    Config
+	reg    *telemetry.Registry
+	cache  *core.CollapseCache
+	table  *requestTable
+	bucket *tokenBucket
+	sem    chan struct{}
+	plane  *obs.Plane
+	tuner  *autotune.Tuner
 
 	mux      *http.ServeMux
 	httpSrv  *http.Server
@@ -166,20 +155,18 @@ func New(cfg Config) *Server {
 		cfg.Registry.EnableFlight(4096, false)
 	}
 	s := &Server{
-		cfg:     cfg,
-		reg:     cfg.Registry,
-		cache:   core.NewCollapseCache(cfg.CacheCapacity),
-		table:   newRequestTable(cfg.CacheCapacity),
-		bucket:  newTokenBucket(cfg.RatePerSec, cfg.Burst),
-		sem:     make(chan struct{}, cfg.MaxInflight),
-		breaker: newCompileBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, 0, cfg.Registry, cfg.Logf),
-		plane:   obs.NewPlane(cfg.Registry),
+		cfg:    cfg,
+		reg:    cfg.Registry,
+		cache:  core.NewCollapseCache(cfg.CacheCapacity),
+		table:  newRequestTable(cfg.CacheCapacity),
+		bucket: newTokenBucket(cfg.RatePerSec, cfg.Burst),
+		sem:    make(chan struct{}, cfg.MaxInflight),
+		plane:  obs.NewPlane(cfg.Registry),
 	}
-	// The autotuner shares the server's collapse cache (plans live in its
-	// side-table) and telemetry, and never exceeds the serving thread cap.
+	// The autotuner shares the server's telemetry and never exceeds the
+	// serving thread cap.
 	s.tuner = autotune.New(autotune.Options{
 		Registry:   cfg.Registry,
-		Cache:      s.cache,
 		MaxWorkers: cfg.Threads,
 	})
 	mux := http.NewServeMux()
@@ -296,8 +283,6 @@ func (s *Server) lifecycle(endpoint string, h handlerFunc) http.HandlerFunc {
 			switch {
 			case status == http.StatusGatewayTimeout:
 				s.reg.Counter("serve.deadline_exceeded").Inc()
-			case class == "breaker_open":
-				s.reg.Counter("serve.breaker_open").Inc()
 			case status >= 500:
 				s.reg.Counter("serve.errors_5xx").Inc()
 			}
@@ -357,10 +342,6 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 // classify maps an error onto its HTTP status and machine class, the
 // faults taxonomy made wire-visible.
 func (s *Server) classify(ctx context.Context, err error) (int, string) {
-	var bo *errBreakerOpen
-	if errors.As(err, &bo) {
-		return http.StatusUnprocessableEntity, "breaker_open"
-	}
 	var badReq *requestError
 	if errors.As(err, &badReq) {
 		return http.StatusBadRequest, "bad_request"
@@ -400,18 +381,17 @@ func badRequest(format string, args ...any) error {
 
 // handleHealthz is the readiness probe: 200 while the daemon can take
 // meaningful work, 503 when draining or saturated (load at or past the
-// force-fallback tier). The JSON body reports the degradation tier,
-// in-flight load and open-breaker count either way.
+// force-fallback tier). The JSON body reports the degradation tier and
+// in-flight load either way.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	tier := s.Tier()
 	doc := map[string]any{
-		"status":        "ok",
-		"draining":      s.draining.Load(),
-		"degrade_tier":  tier.String(),
-		"inflight":      s.inflight.Load(),
-		"max_inflight":  s.cfg.MaxInflight,
-		"load":          s.loadFraction(),
-		"open_breakers": s.breaker.openCount(),
+		"status":       "ok",
+		"draining":     s.draining.Load(),
+		"degrade_tier": tier.String(),
+		"inflight":     s.inflight.Load(),
+		"max_inflight": s.cfg.MaxInflight,
+		"load":         s.loadFraction(),
 	}
 	status := http.StatusOK
 	if s.draining.Load() || tier >= TierForceFallback {

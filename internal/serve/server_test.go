@@ -244,62 +244,90 @@ func TestPanicIsolationKeepsTeamUsable(t *testing.T) {
 	}
 }
 
-// TestBreakerFastRejectsRepeatedCompileFailure drives a deterministically
-// failing compile (root perturbation active during candidate selection →
-// ErrNoConvenientRoot, a Collapsible error) past the threshold and
-// checks the circuit fast-fails with breaker_open — even after the fault
-// clears — until cooldown.
-func TestBreakerFastRejectsRepeatedCompileFailure(t *testing.T) {
-	reg := telemetry.New()
-	s, c := startServer(t, Config{BreakerThreshold: 2, BreakerCooldown: time.Hour, Registry: reg})
+// TestCompileFailureMemoized drives a deterministically failing compile
+// (root perturbation active during candidate selection →
+// ErrNoConvenientRoot, a Collapsible error) in three spellings of one
+// shape and checks the shape compiles exactly once: every answer is the
+// 422 no_convenient_root, also after the fault clears, because the
+// collapse cache answers from its memo of the error. A different shape
+// still compiles.
+func TestCompileFailureMemoized(t *testing.T) {
+	s, c := startServer(t, Config{})
 	ctx := context.Background()
-
 	restore := faults.Activate(&faults.Plan{
 		PerturbRoot: func(level int, x complex128) complex128 { return x + 1000 },
 	})
-	var ae *APIError
-	for i := 0; i < 2; i++ {
-		_, err := c.Compile(ctx, triRequest(30))
-		if !errors.As(err, &ae) || ae.Status != http.StatusUnprocessableEntity {
-			restore()
-			t.Fatalf("poisoned compile %d: err = %v, want 422", i, err)
+	for name, req := range spellings(30) {
+		for i := 0; i < 3; i++ {
+			var ae *APIError
+			_, err := c.Compile(ctx, req)
+			if !errors.As(err, &ae) || ae.Status != http.StatusUnprocessableEntity ||
+				ae.Class != "no_convenient_root" {
+				restore()
+				t.Fatalf("%s compile %d: err = %v, want 422 no_convenient_root", name, i, err)
+			}
 		}
 	}
 	restore()
+	if st := s.Cache().Stats(); st.Misses != 1 || st.Entries != 1 || st.Hits != 8 {
+		t.Fatalf("cache %v, want 1 miss, 1 entry and 8 hits for 9 requests", st)
+	}
+	// The fault is gone, but the shape's outcome is memoized: the compile
+	// pipeline does not run again while the entry is resident.
+	for name, req := range spellings(30) {
+		var ae *APIError
+		if _, err := c.Compile(ctx, req); !errors.As(err, &ae) || ae.Class != "no_convenient_root" {
+			t.Fatalf("%s after the fault cleared: err = %v, want the memoized no_convenient_root", name, err)
+		}
+	}
+	if st := s.Cache().Stats(); st.Misses != 1 {
+		t.Fatalf("memoized shape compiled again: %v", st)
+	}
 
-	// The fault is gone, but the circuit for this shape is open: the
-	// compile pipeline must not run again before cooldown.
-	_, err := c.Compile(ctx, triRequest(30))
-	if !errors.As(err, &ae) || ae.Class != "breaker_open" {
-		t.Fatalf("err after trip = %v, want breaker_open", err)
-	}
-	if n := reg.Counter("serve.breaker_open").Value(); n == 0 {
-		t.Fatalf("serve.breaker_open did not move")
-	}
-	if n := s.breaker.openCount(); n != 1 {
-		t.Fatalf("openCount = %d, want 1", n)
-	}
-
-	// A different shape is unaffected by this shape's circuit.
+	// A different shape is unaffected by this shape's memo.
 	if _, err := c.Compile(ctx, &Request{Nest: &NestSpec{Loops: []LoopSpec{
 		{Index: "a", Lower: "0", Upper: "M"},
 		{Index: "b", Lower: "0", Upper: "a + 1"},
 	}}, Params: map[string]int64{"M": 10}}); err != nil {
 		t.Fatalf("unrelated shape rejected: %v", err)
 	}
+	if st := s.Cache().Stats(); st.Misses != 2 || st.Entries != 2 {
+		t.Fatalf("after an unrelated shape: cache %v, want 2 misses, 2 entries", st)
+	}
+}
 
-	// Force cooldown expiry: the next request is the half-open probe and,
-	// with the fault cleared, closes the circuit.
-	s.breaker.mu.Lock()
-	for _, e := range s.breaker.entries {
-		e.until = time.Now().Add(-time.Second)
+// TestCompilePanicNotMemoized checks that a transient compile failure (a
+// panic inside root selection) is answered 500 panic and not stored: once
+// the fault is gone the same request compiles, answers 200, and its
+// artifact is cached.
+func TestCompilePanicNotMemoized(t *testing.T) {
+	s, c := startServer(t, Config{})
+	ctx := context.Background()
+	restore := faults.Activate(&faults.Plan{
+		PerturbRoot: func(level int, x complex128) complex128 { panic("injected compile panic") },
+	})
+	var ae *APIError
+	_, err := c.Compile(ctx, triRequest(30))
+	restore()
+	if !errors.As(err, &ae) || ae.Status != http.StatusInternalServerError || ae.Class != "panic" {
+		t.Fatalf("panicking compile: err = %v, want 500 panic", err)
 	}
-	s.breaker.mu.Unlock()
-	if _, err := c.Compile(ctx, triRequest(30)); err != nil {
-		t.Fatalf("probe compile after cooldown: %v", err)
+	if st := s.Cache().Stats(); st.Entries != 0 {
+		t.Fatalf("panicking compile stored an outcome: %v", st)
 	}
-	if n := s.breaker.openCount(); n != 0 {
-		t.Fatalf("openCount after recovery = %d, want 0", n)
+	comp, err := c.Compile(ctx, triRequest(30))
+	if err != nil {
+		t.Fatalf("compile after the panic hook was removed: %v", err)
+	}
+	if comp.Cached {
+		t.Fatal("first good compile reported as cached")
+	}
+	comp, err = c.Compile(ctx, spellings(30)["renamed"])
+	if err != nil || !comp.Cached {
+		t.Fatalf("renamed repeat: cached = %v, err = %v; want a cache hit", comp != nil && comp.Cached, err)
+	}
+	if st := s.Cache().Stats(); st.Misses != 2 || st.Entries != 1 {
+		t.Fatalf("cache %v, want 2 misses (panic, good compile) and 1 entry", st)
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // rank, unrank or count skips parsing, the NestSignature, the cache
 // hit's rename and Bind — the paper's compile-once, recover-per-query
 // split carried to the daemon. The table is an exact LRU bounded by
-// Config.CacheCapacity and holds only successful compiles, so a failing
-// shape still reaches the circuit breaker on every request.
+// Config.CacheCapacity and holds only successful compiles; a failing
+// shape is answered by the collapse cache's memo of its error.
 type requestTable struct {
 	mu  sync.Mutex
 	lru core.LRU[*tableEntry]
@@ -145,9 +145,9 @@ func (s *Server) resolve(req *Request) (e *tableEntry, hit bool, err error) {
 	return s.compileEntry(key, n, c, req.Params)
 }
 
-// compileEntry compiles (n, c) through the breaker and the collapse
-// cache, binds params, and stores the entry under key. A failed compile
-// is returned and not stored.
+// compileEntry compiles (n, c) through the collapse cache, binds
+// params, and stores the entry under key. A failed compile is returned
+// and not stored.
 func (s *Server) compileEntry(key string, n *nest.Nest, c int, params map[string]int64) (*tableEntry, bool, error) {
 	res, cached, err := s.compileFor(n, c)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -288,10 +289,11 @@ func TestTableBoundedByCacheCapacity(t *testing.T) {
 }
 
 // TestFailedCompileNotStored checks that neither a malformed request
-// nor a failing compile enters the table, so the breaker sees every
-// retry, and that the same request is stored once it compiles.
+// nor a failing compile enters the table: a failing shape is answered by
+// the collapse cache's memo of its error, also after the fault clears,
+// and a request that compiles is stored once.
 func TestFailedCompileNotStored(t *testing.T) {
-	s := New(Config{BreakerThreshold: -1, Logf: t.Logf})
+	s := New(Config{Logf: t.Logf})
 	ctx := context.Background()
 	if _, err := s.handleCompile(ctx, &Request{Nest: &NestSpec{}}); err == nil {
 		t.Fatal("empty nest compiled")
@@ -306,11 +308,23 @@ func TestFailedCompileNotStored(t *testing.T) {
 		}
 	}
 	restore()
+	if _, err := s.handleCompile(ctx, triRequest(30)); !errors.Is(err, faults.ErrNoConvenientRoot) {
+		t.Fatalf("compile after the fault cleared: err = %v, want the memoized ErrNoConvenientRoot", err)
+	}
 	if n := s.table.len(); n != 0 {
 		t.Fatalf("failed requests left %d table entries", n)
 	}
-	if _, err := s.handleCompile(ctx, triRequest(30)); err != nil {
-		t.Fatalf("compile after the fault cleared: %v", err)
+	if st := s.cache.Stats(); st.Misses != 1 {
+		t.Fatalf("failing shape compiled %d times, want 1", st.Misses)
+	}
+	square := &Request{Nest: &NestSpec{Loops: []LoopSpec{
+		{Index: "i", Lower: "0", Upper: "N"},
+		{Index: "j", Lower: "0", Upper: "i + 2"},
+	}}, Params: map[string]int64{"N": 30}}
+	for i := 0; i < 2; i++ {
+		if _, err := s.handleCompile(ctx, square); err != nil {
+			t.Fatalf("compile of a healthy shape: %v", err)
+		}
 	}
 	if n := s.table.len(); n != 1 {
 		t.Fatalf("table holds %d entries after a good compile, want 1", n)

@@ -10,11 +10,12 @@
 // DESIGN.md: token-bucket admission control (429 + Retry-After hints
 // derived from the refill state), a bounded concurrent-request semaphore,
 // per-request deadlines propagated into the context-aware runtime,
-// per-request panic isolation onto the internal/faults taxonomy, a
-// compile-failure circuit breaker keyed by core.NestSignature, and
-// graceful degradation tiers under load (shed codegen first, then force
-// the uncollapsed fallback, then shed). Graceful shutdown drains in-flight
-// requests via http.Server.Shutdown.
+// per-request panic isolation onto the internal/faults taxonomy,
+// compile failures memoized per core.NestSignature (a shape that fails
+// with an applicability error compiles once), and graceful degradation
+// tiers under load (shed codegen first, then force the uncollapsed
+// fallback, then shed). Graceful shutdown drains in-flight requests via
+// http.Server.Shutdown.
 package serve
 
 import (
@@ -164,8 +165,8 @@ type ErrorResponse struct {
 	// Class is the machine-readable failure class (the faults taxonomy
 	// plus the service-level classes): bad_request, non_affine,
 	// degree_too_high, overflow, no_convenient_root, recovery_diverged,
-	// deadline_exceeded, canceled, panic, overloaded, breaker_open,
-	// shutting_down, internal.
+	// deadline_exceeded, canceled, panic, overloaded, shutting_down,
+	// internal.
 	Class string `json:"class"`
 	// RetryAfterS echoes the Retry-After hint in seconds for 429/503
 	// answers, so JSON-only clients need not parse headers.

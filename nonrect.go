@@ -158,25 +158,31 @@ func WithVerify() Option {
 	return func(c *config) { c.verify = true }
 }
 
-// CollapseCache memoizes compiled collapse artifacts across Collapse
-// calls, keyed by the structure of the collapsed band modulo variable
-// naming (see core.NestSignature). It is bounded (an exact LRU under one
-// mutex) and safe for concurrent use; construct one with
-// NewCollapseCache and attach it per call with WithCache.
+// CollapseCache memoizes compile outcomes across Collapse calls, keyed
+// by the structure of the collapsed band modulo variable naming (see
+// core.NestSignature): the compiled artifact of a shape that collapses,
+// and the applicability error (Collapsible) of one that does not, so a
+// failing shape is not compiled again either. Panics and other errors
+// are never stored. It is bounded (an exact LRU under one mutex) and
+// safe for concurrent use; construct one with NewCollapseCache and
+// attach it per call with WithCache.
 type CollapseCache = core.CollapseCache
 
 // CacheStats is a snapshot of a CollapseCache's effectiveness counters.
+// Entries and Hits include memoized compile failures.
 type CacheStats = core.CacheStats
 
-// NewCollapseCache returns a cache holding at most capacity compiled
-// collapse artifacts; capacity <= 0 selects a small default.
+// NewCollapseCache returns a cache holding at most capacity compile
+// outcomes; capacity <= 0 selects a small default.
 func NewCollapseCache(capacity int) *CollapseCache { return core.NewCollapseCache(capacity) }
 
 // WithCache routes Collapse (and the collapse phase of CollapsedForAuto)
 // through cache: a structural hit — same nest shape and options modulo
 // parameter/iterator spelling — skips the symbolic pipeline entirely and
-// adapts the cached artifact to the caller's names. Repeated collapses
-// of the same nest shape become cheap lookups; cache.hits /
+// adapts the cached artifact to the caller's names, or returns the
+// shape's memoized applicability error. Repeated collapses of the same
+// nest shape become cheap lookups (CollapsedForAuto's closed-form attempt
+// on a shape beyond radicals included); cache.hits /
 // cache.misses / cache.evictions counters appear in telemetry when
 // WithTelemetry is also given.
 func WithCache(cache *CollapseCache) Option {
@@ -346,9 +352,9 @@ func CollapsedForAuto(ctx context.Context, n *Nest, c int, params map[string]int
 type Tuner = autotune.Tuner
 
 // TunerOptions configure a Tuner: the telemetry registry it counts
-// plans on and reads the live recovery histogram from, the cache its
-// plans live in, and the largest team it may pick. The zero value
-// works: no telemetry, a private cache, GOMAXPROCS workers.
+// plans on and reads the live recovery histogram from, and the largest
+// team it may pick. The zero value works: no telemetry, GOMAXPROCS
+// workers.
 type TunerOptions = autotune.Options
 
 // TunedRun records one autotuned execution: the plan in effect, whether

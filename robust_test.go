@@ -3,7 +3,9 @@ package nonrect
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -104,6 +106,49 @@ func TestCollapsedForAutoDowngrade(t *testing.T) {
 	}
 	if !strings.Contains(tel.Report(), "omp.table_retries") {
 		t.Errorf("table retry not recorded in telemetry:\n%s", tel.Report())
+	}
+
+	// Through one cache, the closed-form failure is memoized beside the
+	// table artifact: a second call compiles nothing, still takes the
+	// table retry, and visits the enumeration multiset.
+	var enum [][]int64
+	for a := int64(0); a < 10; a++ {
+		for b := int64(0); b <= a; b++ {
+			for c := int64(0); c <= b; c++ {
+				for d := int64(0); d <= c; d++ {
+					for e := int64(0); e <= d; e++ {
+						enum = append(enum, []int64{a, b, c, d, e})
+					}
+				}
+			}
+		}
+	}
+	cache := NewCollapseCache(8)
+	tel = NewTelemetry()
+	for call := 1; call <= 2; call++ {
+		var mu sync.Mutex
+		var got [][]int64
+		collapsed, err := CollapsedForAuto(context.Background(), deep, 5,
+			map[string]int64{"N": 10}, 4, Schedule{Kind: Static},
+			func(tid int, idx []int64) {
+				mu.Lock()
+				got = append(got, append([]int64(nil), idx...))
+				mu.Unlock()
+			}, WithTelemetry(tel), WithCache(cache))
+		if err != nil || !collapsed {
+			t.Fatalf("cached call %d: collapsed=%v err=%v", call, collapsed, err)
+		}
+		slices.SortFunc(got, slices.Compare[[]int64])
+		if !slices.EqualFunc(got, enum, slices.Equal[[]int64]) {
+			t.Fatalf("cached call %d visited %d tuples, not the %d of the enumeration", call, len(got), len(enum))
+		}
+		st := cache.Stats()
+		if st.Misses != 2 || st.Hits != int64(2*(call-1)) || st.Entries != 2 {
+			t.Fatalf("after cached call %d: %v, want 2 misses (closed-form failure, table artifact)", call, st)
+		}
+		if n := tel.Counter("omp.table_retries").Value(); n != int64(call) {
+			t.Fatalf("after cached call %d: omp.table_retries = %d", call, n)
+		}
 	}
 
 	// A non-affine bound is beyond every collapsed mode: the bottom rung
