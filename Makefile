@@ -85,8 +85,9 @@ loadtest:
 #             decide a row)
 #   serve     achieved QPS of a loadgen trajectory; gate and baseline
 #             share flags so the per-phase target_qps params line up
-#   dist      shard throughput of every distfor -bench scenario (the
-#             overhead_pct rows are not gated)
+#   dist      shard throughput of every distfor -bench scenario (best of
+#             three independent runs per scenario; the overhead_pct rows
+#             are not gated)
 #   invert    breakpoint-table and closed-form recovery vs per-pc search
 #   autotune  auto_vs_best (lower is better) and worst_vs_auto
 #

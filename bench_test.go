@@ -248,7 +248,7 @@ func BenchmarkSchedules(b *testing.B) {
 }
 
 // BenchmarkParallelForTelemetryOff measures the public ParallelFor entry
-// point with telemetry disabled — the fast path that must stay
+// point, which carries no telemetry — the fast path that must stay
 // indistinguishable from the uninstrumented runtime. Run with -benchmem
 // to see the allocation figures the guard test below asserts on.
 func BenchmarkParallelForTelemetryOff(b *testing.B) {
@@ -262,9 +262,10 @@ func BenchmarkParallelForTelemetryOff(b *testing.B) {
 }
 
 // TestParallelForTelemetryOffNoPerIterAlloc is the allocation guard for
-// the telemetry-off fast path: with threads=1 (the serial path, no
-// goroutine-spawn noise) the allocations of a ParallelFor call must not
-// grow with the iteration count — i.e. the hot loop allocates nothing.
+// the uninstrumented loop: with threads=1 (a one-worker team runs on
+// the caller, no goroutine-spawn noise) the allocations of a
+// ParallelFor call must not grow with the iteration count — i.e. the
+// hot loop allocates nothing.
 func TestParallelForTelemetryOffNoPerIterAlloc(t *testing.T) {
 	sched := omp.Schedule{Kind: omp.Static}
 	run := func(iters int64) float64 {

@@ -33,7 +33,8 @@
 //	-n N       parameter value for the -stats run (default 300)
 //	-threads P team size for the -stats run (default GOMAXPROCS)
 //	-sched S   schedule for the -stats run, overriding the pragma
-//	           clause: static|static,N|dynamic[,N]|guided[,N]|auto.
+//	           clause: static|static,N|dynamic[,N]|guided[,N]|auto
+//	           (a clause outside this grammar is an error).
 //	           "auto" hands the choice of (schedule, chunk, workers) to
 //	           the autotuner — a simulator-backed planner over the
 //	           nest's measured work vector — and the report prints the
@@ -81,7 +82,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -207,6 +207,17 @@ func run(o options) error {
 		}
 		return err
 	}
+	// The -stats run's schedule: -sched when given, else the pragma's.
+	var sched omp.Schedule
+	if o.stats {
+		clause := prog.Schedule
+		if o.sched != "" {
+			clause = o.sched
+		}
+		if sched, err = omp.ParseSchedule(clause); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+	}
 	var tel *telemetry.Registry
 	if o.stats || o.traceOut != "" || o.serve != "" {
 		tel = telemetry.New()
@@ -266,7 +277,7 @@ func run(o options) error {
 			// with plain outer-loop worksharing and report the downgrade.
 			fmt.Fprintf(os.Stderr, "collapsetool: %s: collapse inapplicable: %v\n", name, err)
 			fmt.Fprintf(os.Stderr, "collapsetool: downgrading to uncollapsed outer-loop worksharing\n")
-			return runFallbackStats(prog, o, tel)
+			return runFallbackStats(prog, o, sched, tel)
 		}
 		return err
 	}
@@ -339,7 +350,7 @@ func run(o options) error {
 			if err := runShardedStats(res, prog, o, tel); err != nil {
 				return err
 			}
-		} else if err := runStats(res, prog, o, tel); err != nil {
+		} else if err := runStats(res, prog, o, sched, tel); err != nil {
 			return err
 		}
 		speedup := 0.0
@@ -408,30 +419,6 @@ func selfCheck(res *core.Result, prog *cparse.Program, check int64) error {
 	return nil
 }
 
-// parseSchedule maps the pragma's schedule clause text (or the -sched
-// flag, same grammar plus "auto") to a runtime schedule (defaulting to
-// static).
-func parseSchedule(clause string) omp.Schedule {
-	kind, arg, _ := strings.Cut(clause, ",")
-	s := omp.Schedule{Kind: omp.Static}
-	switch strings.TrimSpace(kind) {
-	case "dynamic":
-		s.Kind = omp.Dynamic
-	case "guided":
-		s.Kind = omp.Guided
-	case "auto":
-		s.Kind = omp.ScheduleAuto
-	case "static", "":
-	}
-	if n, err := strconv.ParseInt(strings.TrimSpace(arg), 10, 64); err == nil && n > 0 {
-		s.Chunk = n
-		if s.Kind == omp.Static {
-			s.Kind = omp.StaticChunk
-		}
-	}
-	return s
-}
-
 // statsContext builds the -stats run context: background, or a
 // context.WithTimeout when -deadline is set — the same deadline shape
 // the collapsed daemon enforces per request.
@@ -457,16 +444,11 @@ func classifyDeadline(err error, deadline time.Duration) error {
 // -n and prints the telemetry: compile-phase spans, per-thread
 // loads, recovery counters and the load-imbalance summary.
 func runStats(res *core.Result, prog *cparse.Program, o options,
-	tel *telemetry.Registry) error {
+	sched omp.Schedule, tel *telemetry.Registry) error {
 	params := map[string]int64{}
 	for _, p := range prog.Nest.Params {
 		params[p] = o.statsN
 	}
-	clause := prog.Schedule
-	if o.sched != "" {
-		clause = o.sched
-	}
-	sched := parseSchedule(clause)
 	ctx, cancel := statsContext(o.deadline)
 	defer cancel()
 	if sched.Kind == omp.ScheduleAuto {
@@ -583,12 +565,11 @@ func runShardedStats(res *core.Result, prog *cparse.Program, o options,
 // uncollapsed (outermost loop workshared) because collapsing was
 // inapplicable, and the telemetry report records the downgrade.
 func runFallbackStats(prog *cparse.Program, o options,
-	tel *telemetry.Registry) error {
+	sched omp.Schedule, tel *telemetry.Registry) error {
 	params := map[string]int64{}
 	for _, p := range prog.Nest.Params {
 		params[p] = o.statsN
 	}
-	sched := parseSchedule(prog.Schedule)
 	tel.Counter("omp.downgrades").Inc()
 	var iters int64
 	perThread := make([]int64, o.threads)

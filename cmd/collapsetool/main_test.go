@@ -173,25 +173,47 @@ func TestRunTraceOut(t *testing.T) {
 	}
 }
 
+// TestParseSchedule checks the -stats run's schedule: the pragma's
+// clause unless -sched overrides it, and a clause outside the grammar
+// (omp.ParseSchedule) is an error instead of a silent static run.
+// Emission without -stats passes the pragma's clause through untouched.
 func TestParseSchedule(t *testing.T) {
-	cases := []struct {
-		in   string
-		kind string
-	}{
-		{"static", "static"},
-		{"", "static"},
-		{"static, 8", "static,chunk"},
-		{"dynamic", "dynamic"},
-		{"dynamic, 4", "dynamic"},
-		{"guided", "guided"},
+	withClause := func(clause string) string {
+		path := filepath.Join(t.TempDir(), "in.c")
+		src := strings.Replace(correlationC, "schedule(static)", "schedule("+clause+")", 1)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	for _, c := range cases {
-		if got := parseSchedule(c.in).Kind.String(); got != c.kind {
-			t.Errorf("parseSchedule(%q).Kind = %s, want %s", c.in, got, c.kind)
+	for _, c := range []struct{ pragma, flag, want string }{
+		{"static", "", "schedule static,"},
+		{"static, 8", "", "schedule static,chunk,"},
+		{"guided", "", "schedule guided,"},
+		{"static", "dynamic, 4", "schedule dynamic,"},
+	} {
+		o := base(withClause(c.pragma))
+		o.stats, o.sched = true, c.flag
+		out, err := capture(t, func() error { return run(o) })
+		if err != nil || !strings.Contains(out, c.want) {
+			t.Errorf("pragma %q -sched %q: err %v, output lacks %q", c.pragma, c.flag, err, c.want)
 		}
 	}
-	if s := parseSchedule("dynamic, 4"); s.Chunk != 4 {
-		t.Errorf("chunk = %d, want 4", s.Chunk)
+	for _, c := range []struct{ pragma, flag string }{
+		{"static", "bogus"},
+		{"static", "static,x"},
+		{"dynamic, 0", ""},
+		{"static, CHUNK", ""},
+	} {
+		o := base(withClause(c.pragma))
+		o.stats, o.sched = true, c.flag
+		if _, err := capture(t, func() error { return run(o) }); err == nil {
+			t.Errorf("pragma %q -sched %q: bad schedule accepted", c.pragma, c.flag)
+		}
+	}
+	out, err := capture(t, func() error { return run(base(withClause("static, CHUNK"))) })
+	if err != nil || !strings.Contains(out, "schedule(static, CHUNK)") {
+		t.Errorf("emission did not pass the pragma clause through: err %v\n%s", err, out)
 	}
 }
 

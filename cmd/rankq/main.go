@@ -82,6 +82,8 @@ func main() {
 	flag.Var(params, "p", "parameter binding name=value (repeatable)")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget for the query (0: none); an expired run stops at a chunk boundary with ErrCanceled")
 	threads := flag.Int("threads", omp.DefaultThreads(), "team size for the run command")
+	// The default dynamic,4096 keeps chunks short, so a -deadline is
+	// observed at chunk boundaries promptly.
 	sched := flag.String("sched", "dynamic,4096", "schedule for the run command: static|static,N|dynamic[,N]|guided[,N]|auto (auto lets the autotuner pick schedule, chunk and team size)")
 	mode := flag.String("mode", "closed-form", "index recovery mode: closed-form (radical roots), search (exact binary search), or table (precomputed breakpoint tables; like search, accepts degree > 4)")
 	flag.Parse()
@@ -263,6 +265,10 @@ func run(nestSpec string, params paramFlags, deadline time.Duration, threads int
 // omp.CollapsedForCtx. Expiry is reported as the typed ErrCanceled
 // class, distinguishing a budget stop from a wrong-answer failure.
 func runCollapsed(n *nest.Nest, params paramFlags, deadline time.Duration, threads int, spec string) error {
+	sched, err := omp.ParseSchedule(spec)
+	if err != nil {
+		return fmt.Errorf("-sched: %w", err)
+	}
 	res, err := build(n)
 	if err != nil {
 		return err
@@ -273,7 +279,6 @@ func runCollapsed(n *nest.Nest, params paramFlags, deadline time.Duration, threa
 		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
 	}
-	sched := parseSchedule(spec)
 	if sched.Kind == omp.ScheduleAuto {
 		return runTuned(ctx, res, params, deadline, threads)
 	}
@@ -295,31 +300,6 @@ func runCollapsed(n *nest.Nest, params paramFlags, deadline time.Duration, threa
 	}
 	fmt.Printf("ran %d iterations on %d threads in %s\n", total, threads, elapsed.Round(time.Microsecond))
 	return nil
-}
-
-// parseSchedule maps the -sched flag to a runtime schedule: the OpenMP
-// clause grammar plus "auto" (autotuned). The default spec keeps the
-// historical dynamic,4096 behaviour so deadlines are observed at chunk
-// boundaries.
-func parseSchedule(spec string) omp.Schedule {
-	kind, arg, _ := strings.Cut(spec, ",")
-	s := omp.Schedule{Kind: omp.Static}
-	switch strings.TrimSpace(kind) {
-	case "dynamic":
-		s.Kind = omp.Dynamic
-	case "guided":
-		s.Kind = omp.Guided
-	case "auto":
-		s.Kind = omp.ScheduleAuto
-	case "static", "":
-	}
-	if n, err := strconv.ParseInt(strings.TrimSpace(arg), 10, 64); err == nil && n > 0 {
-		s.Chunk = n
-		if s.Kind == omp.Static {
-			s.Kind = omp.StaticChunk
-		}
-	}
-	return s
 }
 
 // runTuned is the -sched auto form of the run command: the autotuner

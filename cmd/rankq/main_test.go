@@ -125,6 +125,12 @@ func TestRankqRunCommand(t *testing.T) {
 	if !strings.Contains(out, "ran 45 iterations") {
 		t.Errorf("run output: %q", out)
 	}
+	// A -sched outside the clause grammar fails before anything runs.
+	for _, spec := range []string{"bogus", "dynamic,0", "static,x"} {
+		if err := run(triSpec, paramFlags{"N": 10}, 0, 1, spec, []string{"run"}); err == nil {
+			t.Errorf("-sched %q accepted", spec)
+		}
+	}
 }
 
 func TestRankqRunDeadline(t *testing.T) {

@@ -1,7 +1,7 @@
 // A time-stepped solver pattern: a sequential outer time loop whose body
-// is a collapsed non-rectangular parallel sweep, executed on a
-// persistent worker team (the fork/join reuse pattern of OpenMP runtime
-// threads). Demonstrates Team + repeated CollapsedFor-style regions, and
+// is a collapsed non-rectangular parallel sweep, one CollapsedFor region
+// per step (each region recovers the start tuple of its chunks once and
+// advances by lexicographic incrementation, paper §V). Also shows
 // CollapseAt for collapsing an inner loop band.
 //
 //	go run ./examples/timestep [-N 400] [-steps 50] [-threads 8]
@@ -14,13 +14,12 @@ import (
 	"time"
 
 	nonrect "repro"
-	"repro/internal/unrank"
 )
 
 func main() {
 	N := flag.Int64("N", 400, "triangle size")
 	steps := flag.Int("steps", 50, "time steps")
-	threads := flag.Int("threads", 8, "team size")
+	threads := flag.Int("threads", 8, "worker threads")
 	flag.Parse()
 
 	// Per time step, update every cell (i, j) of a lower-triangular grid
@@ -56,37 +55,18 @@ func main() {
 		return grid[i*(i+1)/2+j]
 	}
 
-	team := nonrect.NewTeam(*threads)
-	defer team.Close()
-
-	// One Bound per worker, reused across all time steps.
-	bounds := make([]*unrank.Bound, *threads)
-	for t := range bounds {
-		bb, err := res.Unranker.Bind(params)
-		if err != nil {
-			log.Fatal(err)
-		}
-		bounds[t] = bb
-	}
-
 	start := time.Now()
 	for s := 0; s < *steps; s++ {
 		src, dst := cur, nxt
-		team.ParallelForChunks(1, total+1, nonrect.Schedule{Kind: nonrect.Static},
-			func(tid int, clo, chi int64) {
-				idx := make([]int64, 2)
-				if err := bounds[tid].Unrank(clo, idx); err != nil {
-					panic(err)
-				}
-				for pc := clo; pc < chi; pc++ {
-					i, j := idx[0], idx[1]
-					dst[pc-1] = 0.25 * (at(src, i, j) + at(src, i-1, j) +
-						at(src, i+1, j) + at(src, i, j-1))
-					if pc+1 < chi {
-						bounds[tid].Increment(idx)
-					}
-				}
+		err := nonrect.CollapsedFor(res, params, *threads, nonrect.Schedule{Kind: nonrect.Static},
+			func(tid int, idx []int64) {
+				i, j := idx[0], idx[1]
+				dst[i*(i+1)/2+j] = 0.25 * (at(src, i, j) + at(src, i-1, j) +
+					at(src, i+1, j) + at(src, i, j-1))
 			})
+		if err != nil {
+			log.Fatal(err)
+		}
 		cur, nxt = nxt, cur
 	}
 	elapsed := time.Since(start)

@@ -40,9 +40,8 @@ const minRecoveryObservations = 32
 // discarded rather than averaged in.
 const (
 	probePasses = 4
-	// dequeueThreads is the team size of the dequeue probe: with one
-	// thread the engine takes its serial path, which has no shared
-	// counter to grab.
+	// dequeueThreads is the team size of the dequeue probe: two
+	// threads contend for the shared counter, as a real team does.
 	dequeueThreads = 2
 	dequeueChunks  = 1 << 12
 	recoveryRanks  = 64

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/roots"
 )
 
@@ -91,6 +92,19 @@ func defaultBody(r *core.Result) string {
 	return "S(" + strings.Join(r.Nest.Indices(), ", ") + ");"
 }
 
+// closedForm fails unless every recovered level of r has a closed-form
+// root to print. Results compiled in table or binary-search mode
+// recover their indices at run time and have no radical to emit.
+func closedForm(r *core.Result) error {
+	for k := 0; k < r.C-1; k++ {
+		if r.Unranker.RootExpr(k) == nil {
+			return fmt.Errorf("codegen: level %d (%s) has no closed-form root to emit: %w",
+				k, r.SubNest.Loops[k].Index, faults.ErrNoConvenientRoot)
+		}
+	}
+	return nil
+}
+
 // recoveryC returns the C statements recovering the collapsed indices
 // from variable pcVar, one per line.
 func recoveryC(r *core.Result, pcVar string) []string {
@@ -164,7 +178,11 @@ func privateList(r *core.Result) string {
 }
 
 // EmitC renders the collapsed nest as C code in the requested scheme.
+// A result without closed-form roots is an error (see closedForm).
 func EmitC(r *core.Result, opts Options) (string, error) {
+	if err := closedForm(r); err != nil {
+		return "", err
+	}
 	opts.fill()
 	body := opts.Body
 	if body == "" {

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/nest"
 	"repro/internal/unrank"
 )
@@ -238,4 +240,33 @@ func fmtInts(idx []int64) string {
 		parts[i] = strconv.FormatInt(v, 10)
 	}
 	return strings.Join(parts, " ")
+}
+
+// TestEmitWithoutClosedFormErrors checks emission from results compiled
+// without closed-form roots (breakpoint-table and binary-search modes):
+// every C scheme and both Go schemes return an error naming the level
+// and wrapping faults.ErrNoConvenientRoot instead of panicking.
+func TestEmitWithoutClosedFormErrors(t *testing.T) {
+	n := nest.MustNew([]string{"N"},
+		nest.L("i", "0", "N-1"),
+		nest.L("j", "0", "i+1"),
+		nest.L("k", "j", "i+1"),
+	)
+	for _, mode := range []unrank.Mode{unrank.ModeTable, unrank.ModeBinarySearch} {
+		r := core.MustCollapse(n, 3, unrank.Options{Mode: mode})
+		check := func(lang string, s Scheme, err error) {
+			t.Helper()
+			if !errors.Is(err, faults.ErrNoConvenientRoot) || !strings.Contains(err.Error(), "level 0 (i)") {
+				t.Errorf("mode %v %s %s: err = %v, want level 0 (i) wrapping ErrNoConvenientRoot", mode, lang, s, err)
+			}
+		}
+		for _, s := range []Scheme{PerIteration, FirstIteration, Chunked, SIMD, Warp} {
+			_, err := EmitC(r, Options{Scheme: s})
+			check("C", s, err)
+		}
+		for _, s := range []Scheme{PerIteration, FirstIteration} {
+			_, err := EmitGo(r, Options{Scheme: s})
+			check("Go", s, err)
+		}
+	}
 }

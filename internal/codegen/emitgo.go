@@ -24,6 +24,9 @@ import (
 // generated Go code is a readable serial reference; parallel execution is
 // provided by the library runtime itself (internal/omp).
 func EmitGo(r *core.Result, opts Options) (string, error) {
+	if err := closedForm(r); err != nil {
+		return "", err
+	}
 	opts.fill()
 	if opts.Scheme != PerIteration && opts.Scheme != FirstIteration {
 		return "", fmt.Errorf("codegen: Go emission supports per-iteration and first-iteration schemes only")

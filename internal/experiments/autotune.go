@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -129,33 +129,6 @@ func (o *AutotuneOptions) fill() {
 	}
 }
 
-// parseSchedSpec parses the -sched grammar subset the panel uses.
-func parseSchedSpec(spec string) (omp.Schedule, error) {
-	name, chunkStr, hasChunk := strings.Cut(spec, ",")
-	var s omp.Schedule
-	switch strings.TrimSpace(name) {
-	case "static":
-		s.Kind = omp.Static
-	case "dynamic":
-		s.Kind = omp.Dynamic
-	case "guided":
-		s.Kind = omp.Guided
-	default:
-		return s, fmt.Errorf("unknown schedule %q", spec)
-	}
-	if hasChunk {
-		c, err := strconv.ParseInt(strings.TrimSpace(chunkStr), 10, 64)
-		if err != nil || c < 1 {
-			return s, fmt.Errorf("bad chunk in %q", spec)
-		}
-		s.Chunk = c
-		if s.Kind == omp.Static {
-			s.Kind = omp.StaticChunk
-		}
-	}
-	return s, nil
-}
-
 // Autotune runs the suite: every kernel through the tuned path and the
 // hand-picked panel, best-of-Reps wall time each, on one shared tuner
 // whose telemetry registry supplies the report's counter totals.
@@ -166,6 +139,18 @@ func Autotune(opts AutotuneOptions) (*AutotuneReport, error) {
 		Quick:   opts.Quick,
 		Reps:    opts.Reps,
 		Warmups: opts.Warmups,
+	}
+	// The panel is the hand-picked rows; "auto" is the tuned row itself.
+	panel := make([]omp.Schedule, len(opts.Schedules))
+	for i, spec := range opts.Schedules {
+		sched, err := omp.ParseSchedule(spec)
+		if err == nil && sched.Kind == omp.ScheduleAuto {
+			err = errors.New("auto is the tuned row, not a panel schedule")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("autotune panel: %w", err)
+		}
+		panel[i] = sched
 	}
 	reg := telemetry.New()
 	tuner := autotune.New(autotune.Options{Registry: reg, MaxWorkers: opts.Threads})
@@ -196,11 +181,8 @@ func Autotune(opts AutotuneOptions) (*AutotuneReport, error) {
 		// Hand-picked panel, through the same chunk-instrumented driver
 		// the tuned path uses (nil registry: no publication), so the only
 		// variable between panel and auto is the scheduling decision.
-		for _, spec := range opts.Schedules {
-			sched, err := parseSchedSpec(spec)
-			if err != nil {
-				return nil, err
-			}
+		for i, spec := range opts.Schedules {
+			sched := panel[i]
 			best := -1.0
 			for r := 0; r < opts.Reps; r++ {
 				inst.Reset()

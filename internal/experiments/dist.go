@@ -41,6 +41,8 @@ type DistRow struct {
 	Shards   int
 	Total    int64
 
+	// Seconds is the fastest of distReps independent attempts; the
+	// recovery ledger below is that attempt's.
 	Seconds     float64
 	MIterPerSec float64
 	// OverheadPct is the slowdown versus the clean run at the same
@@ -91,6 +93,10 @@ func (o *DistOptions) fill() {
 	}
 }
 
+// distReps is the number of independent attempts per scenario; a row
+// reports the fastest.
+const distReps = 3
+
 // distBody is the measured per-iteration work: cheap enough that the
 // run cost is dominated by the engine (recovery, leasing, commits) —
 // the overheads the study is after.
@@ -119,99 +125,127 @@ func Dist(opts DistOptions) (*DistReport, error) {
 	baseCfg := func(workers int) dist.Config {
 		return dist.Config{Workers: workers, Shards: 8 * workers}
 	}
-
-	run := func(scenario string, cfg dist.Config, baseline float64) (*dist.Report, float64, error) {
-		start := time.Now()
-		r, err := dist.Run(context.Background(), res, params, cfg, distBody)
-		sec := time.Since(start).Seconds()
-		if err != nil {
-			return nil, 0, fmt.Errorf("dist experiment %s: %w", scenario, err)
-		}
-		row := DistRow{
-			Scenario: scenario, Workers: cfg.Workers, Shards: r.PlannedShards,
-			Total: r.Total, Seconds: sec,
-			MIterPerSec:   float64(r.Executed) / sec / 1e6,
-			LeaseExpiries: r.LeaseExpiries, Retries: r.Retries,
-			Duplicates: r.Duplicates, Resumed: r.Resumed,
-		}
-		if baseline > 0 {
-			row.OverheadPct = (sec - baseline) / baseline * 100
-		}
-		rep.Scenarios = append(rep.Scenarios, row)
-		return r, sec, nil
-	}
-
-	// Shard-scaling ladder: clean runs across the worker counts.
-	var cleanMax float64
-	for _, w := range opts.Workers {
-		_, sec, err := run(fmt.Sprintf("clean/w=%d", w), baseCfg(w), 0)
-		if err != nil {
-			return nil, err
-		}
-		if w == maxW {
-			cleanMax = sec
-		}
-	}
-
 	dir, err := os.MkdirTemp("", "distbench")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-
-	// Journal overhead: same run, every commit fsynced.
-	jcfg := baseCfg(maxW)
-	jcfg.Journal = filepath.Join(dir, "journal.ckpt")
-	if _, _, err := run("journal", jcfg, cleanMax); err != nil {
-		return nil, err
+	// journal returns a checkpoint path in a fresh directory, so no
+	// attempt replays or appends to another attempt's journal.
+	journal := func() (string, error) {
+		d, err := os.MkdirTemp(dir, "rep")
+		return filepath.Join(d, "journal.ckpt"), err
 	}
+	nothing := func() {}
 
-	// Crash chaos: every 5th shard attempt panics mid-shard; the ladder
-	// retries. Overhead = price of re-executing crashed attempts.
-	var attempts atomic.Int64
-	restore := faults.Activate(&faults.Plan{
-		OnShard: func(worker int, lo, hi int64) error {
-			if attempts.Add(1)%5 == 0 {
-				panic("bench: injected executor crash")
-			}
-			return nil
-		},
-	})
-	ccfg := baseCfg(maxW)
-	ccfg.MaxRetries = 8
-	ccfg.Backoff = 100 * time.Microsecond
-	_, _, cerr := run("chaos-kill", ccfg, cleanMax)
-	restore()
-	if cerr != nil {
-		return nil, cerr
+	// A scenario's prepare readies one attempt from scratch and returns
+	// its config plus a cleanup to run after it.
+	type scenario struct {
+		name     string
+		overhead bool // report the slowdown versus the clean max-worker row
+		prepare  func() (dist.Config, func(), error)
 	}
-
-	// Resume: crash the coordinator at ~50% coverage, then resume from
-	// the journal and execute only the uncovered intervals.
+	var scenarios []scenario
+	// Shard-scaling ladder: clean runs across the worker counts.
+	for _, w := range opts.Workers {
+		scenarios = append(scenarios, scenario{fmt.Sprintf("clean/w=%d", w), false,
+			func() (dist.Config, func(), error) { return baseCfg(w), nothing, nil }})
+	}
 	b, err := res.Unranker.Bind(params)
 	if err != nil {
 		return nil, err
 	}
 	half := b.Total() / 2
-	rcfg := baseCfg(maxW)
-	rcfg.Journal = filepath.Join(dir, "resume.ckpt")
-	ctx, cancel := context.WithCancel(context.Background())
-	var executed atomic.Int64
-	_, err = dist.Run(ctx, res, params, rcfg, func(worker int, pc int64, idx []int64) uint64 {
-		if executed.Add(1) == half {
+	scenarios = append(scenarios,
+		// Journal overhead: same run, every commit fsynced.
+		scenario{"journal", true, func() (dist.Config, func(), error) {
+			cfg := baseCfg(maxW)
+			path, err := journal()
+			cfg.Journal = path
+			return cfg, nothing, err
+		}},
+		// Crash chaos: every 5th shard attempt panics mid-shard; the
+		// ladder retries. Overhead = price of re-executing crashed
+		// attempts.
+		scenario{"chaos-kill", true, func() (dist.Config, func(), error) {
+			var attempts atomic.Int64
+			restore := faults.Activate(&faults.Plan{
+				OnShard: func(worker int, lo, hi int64) error {
+					if attempts.Add(1)%5 == 0 {
+						panic("bench: injected executor crash")
+					}
+					return nil
+				},
+			})
+			cfg := baseCfg(maxW)
+			cfg.MaxRetries = 8
+			cfg.Backoff = 100 * time.Microsecond
+			return cfg, restore, nil
+		}},
+		// Resume: crash the coordinator at ~50% coverage, then resume
+		// from the journal and execute only the uncovered intervals.
+		scenario{"resume", false, func() (dist.Config, func(), error) {
+			cfg := baseCfg(maxW)
+			path, err := journal()
+			if err != nil {
+				return cfg, nothing, err
+			}
+			cfg.Journal = path
+			ctx, cancel := context.WithCancel(context.Background())
+			var executed atomic.Int64
+			_, err = dist.Run(ctx, res, params, cfg, func(worker int, pc int64, idx []int64) uint64 {
+				if executed.Add(1) == half {
+					cancel()
+				}
+				return distBody(worker, pc, idx)
+			})
 			cancel()
+			if err == nil {
+				return cfg, nothing, errors.New("phase 1 finished despite mid-run cancel")
+			} else if !errors.Is(err, faults.ErrCanceled) {
+				return cfg, nothing, fmt.Errorf("phase 1: %w", err)
+			}
+			cfg.Resume = true
+			return cfg, nothing, nil
+		}},
+	)
+
+	// Each row is the fastest of distReps attempts: the scenarios are
+	// single runs of a few milliseconds, so one preemption or one slow
+	// fsync would otherwise decide a row. The attempts run in rounds
+	// over every scenario, so a slow spell of the host is spread over
+	// the rows instead of hitting one row's every attempt.
+	rep.Scenarios = make([]DistRow, len(scenarios))
+	for round := 0; round < distReps; round++ {
+		for i, sc := range scenarios {
+			cfg, cleanup, err := sc.prepare()
+			if err != nil {
+				return nil, fmt.Errorf("dist experiment %s: %w", sc.name, err)
+			}
+			start := time.Now()
+			r, err := dist.Run(context.Background(), res, params, cfg, distBody)
+			sec := time.Since(start).Seconds()
+			cleanup()
+			if err != nil {
+				return nil, fmt.Errorf("dist experiment %s: %w", sc.name, err)
+			}
+			if round > 0 && sec >= rep.Scenarios[i].Seconds {
+				continue
+			}
+			rep.Scenarios[i] = DistRow{
+				Scenario: sc.name, Workers: cfg.Workers, Shards: r.PlannedShards,
+				Total: r.Total, Seconds: sec,
+				MIterPerSec:   float64(r.Executed) / sec / 1e6,
+				LeaseExpiries: r.LeaseExpiries, Retries: r.Retries,
+				Duplicates: r.Duplicates, Resumed: r.Resumed,
+			}
 		}
-		return distBody(worker, pc, idx)
-	})
-	cancel()
-	if err == nil {
-		return nil, fmt.Errorf("dist experiment resume: phase 1 finished despite mid-run cancel")
-	} else if !errors.Is(err, faults.ErrCanceled) {
-		return nil, fmt.Errorf("dist experiment resume phase 1: %w", err)
 	}
-	rcfg.Resume = true
-	if _, _, err := run("resume", rcfg, 0); err != nil {
-		return nil, err
+	cleanMax := rep.Scenarios[len(opts.Workers)-1].Seconds
+	for i, sc := range scenarios {
+		if sc.overhead {
+			rep.Scenarios[i].OverheadPct = (rep.Scenarios[i].Seconds - cleanMax) / cleanMax * 100
+		}
 	}
 	return rep, nil
 }

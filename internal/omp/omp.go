@@ -23,12 +23,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/faults"
-	"repro/internal/telemetry"
 )
 
 // Kind enumerates the worksharing schedules.
@@ -79,6 +79,46 @@ func (s Schedule) chunk() int64 {
 	return 1
 }
 
+// ParseSchedule parses the body of a schedule clause. It is the one
+// grammar shared by pragmas, the CLIs' -sched flags and the daemon's
+// "schedule" field: static, dynamic, guided or auto, each with an
+// optional ",N" chunk (N >= 1), or the empty clause for static.
+// Whitespace around the tokens is ignored, so a pragma's "dynamic, 16"
+// parses, and "static,N" is StaticChunk. Any other kind, or a chunk
+// that is not a positive integer, is an error.
+func ParseSchedule(clause string) (Schedule, error) {
+	kind, chunk, hasChunk := strings.Cut(clause, ",")
+	var s Schedule
+	switch strings.TrimSpace(kind) {
+	case "static":
+		s.Kind = Static
+	case "dynamic":
+		s.Kind = Dynamic
+	case "guided":
+		s.Kind = Guided
+	case "auto":
+		s.Kind = ScheduleAuto
+	case "":
+		if !hasChunk {
+			return Schedule{Kind: Static}, nil
+		}
+		fallthrough
+	default:
+		return Schedule{}, fmt.Errorf("omp: schedule %q: unknown kind", clause)
+	}
+	if hasChunk {
+		n, err := strconv.ParseInt(strings.TrimSpace(chunk), 10, 64)
+		if err != nil || n < 1 {
+			return Schedule{}, fmt.Errorf("omp: schedule %q: chunk is not a positive integer", clause)
+		}
+		s.Chunk = n
+		if s.Kind == Static {
+			s.Kind = StaticChunk
+		}
+	}
+	return s, nil
+}
+
 // Resolved maps ScheduleAuto to its unplanned fallback (guided, which
 // self-balances without a measured work vector); concrete schedules
 // pass through unchanged. The chunk planners resolve implicitly, so an
@@ -93,118 +133,164 @@ func (s Schedule) Resolved() Schedule {
 // DefaultThreads returns the default team size (GOMAXPROCS).
 func DefaultThreads() int { return runtime.GOMAXPROCS(0) }
 
-// chunkPlan builds the per-thread chunk iterator for a schedule over
-// [lo, hi). The returned function is called once per thread (possibly
-// concurrently) and emits that thread's chunks in order; shared state
-// (the dynamic/guided queues) lives in the plan's closure. emit returns
-// false to stop the thread's chunk stream early (cancellation or a
-// failure elsewhere in the team).
-func chunkPlan(threads int, lo, hi int64, sched Schedule) func(tid int, emit func(clo, chi int64) bool) {
-	sched = sched.Resolved()
-	n := hi - lo
-	switch sched.Kind {
+// chunkPlan is a schedule's partition of [lo, hi) across a team. each
+// is called once per thread (possibly concurrently) and emits that
+// thread's chunks in order; the dynamic and guided queues are the
+// plan's own state. emit returns false to stop the thread's chunk
+// stream early (cancellation or a failure elsewhere in the team).
+type chunkPlan struct {
+	threads int64
+	lo, hi  int64
+	sched   Schedule // resolved
+	// The shared queues sit on their own cache line, away from the
+	// read-only fields every chunk consults.
+	_    [64]byte
+	next atomic.Int64 // dynamic: first unclaimed iteration
+	mu   sync.Mutex   // guided: guards cur
+	cur  int64
+}
+
+// init sets the plan up in place (it holds a mutex and an atomic).
+func (p *chunkPlan) init(threads int, lo, hi int64, sched Schedule) error {
+	p.threads, p.lo, p.hi, p.sched, p.cur = int64(threads), lo, hi, sched.Resolved(), lo
+	p.next.Store(lo)
+	if k := p.sched.Kind; k < Static || k > Guided {
+		return fmt.Errorf("omp: unknown schedule kind %d", k)
+	}
+	return nil
+}
+
+func (p *chunkPlan) each(tid int, emit func(clo, chi int64) bool) {
+	lo, hi, t := p.lo, p.hi, int64(tid)
+	switch p.sched.Kind {
 	case Static:
-		base := n / int64(threads)
-		rem := n % int64(threads)
-		return func(tid int, emit func(clo, chi int64) bool) {
-			size := base
-			start := lo + int64(tid)*base
-			if int64(tid) < rem {
-				size++
-				start += int64(tid)
-			} else {
-				start += rem
-			}
-			if size > 0 {
-				emit(start, start+size)
-			}
+		n := hi - lo
+		base, rem := n/p.threads, n%p.threads
+		size, start := base, lo+t*base
+		if t < rem {
+			size++
+			start += t
+		} else {
+			start += rem
+		}
+		if size > 0 {
+			emit(start, start+size)
 		}
 	case StaticChunk:
-		ch := sched.chunk()
-		return func(tid int, emit func(clo, chi int64) bool) {
-			clo := lo + int64(tid)*ch
-			if clo < lo { // tid*ch overflowed past MaxInt64
+		ch := p.sched.chunk()
+		clo := lo + t*ch
+		if clo < lo { // tid*ch overflowed past MaxInt64
+			return
+		}
+		for clo < hi {
+			chi := clo + ch
+			if chi > hi || chi < clo { // clo+ch overflow saturates at hi
+				chi = hi
+			}
+			if !emit(clo, chi) {
 				return
 			}
-			for clo < hi {
-				chi := clo + ch
-				if chi > hi || chi < clo { // clo+ch overflow saturates at hi
-					chi = hi
-				}
-				if !emit(clo, chi) {
-					return
-				}
-				next := clo + int64(threads)*ch
-				if next <= clo { // stride overflowed: no further chunks exist
-					return
-				}
-				clo = next
+			next := clo + p.threads*ch
+			if next <= clo { // stride overflowed: no further chunks exist
+				return
 			}
+			clo = next
 		}
 	case Dynamic:
-		ch := sched.chunk()
-		var next atomic.Int64
-		next.Store(lo)
-		return func(tid int, emit func(clo, chi int64) bool) {
-			for {
-				clo := next.Add(ch) - ch
-				// clo < lo means the shared counter wrapped past MaxInt64
-				// (possible when hi is near the top of the int64 range and
-				// several threads race past exhaustion); treat as done.
-				if clo >= hi || clo < lo {
-					return
-				}
-				chi := clo + ch
-				if chi > hi || chi < clo {
-					chi = hi
-				}
-				if !emit(clo, chi) {
-					return
-				}
+		ch := p.sched.chunk()
+		for {
+			clo := p.next.Add(ch) - ch
+			// clo < lo means the shared counter wrapped past MaxInt64
+			// (possible when hi is near the top of the int64 range and
+			// several threads race past exhaustion); treat as done.
+			if clo >= hi || clo < lo {
+				return
+			}
+			chi := clo + ch
+			if chi > hi || chi < clo {
+				chi = hi
+			}
+			if !emit(clo, chi) {
+				return
 			}
 		}
 	case Guided:
-		minCh := sched.chunk()
-		var mu sync.Mutex
-		cur := lo
-		grab := func() (int64, int64, bool) {
-			mu.Lock()
-			defer mu.Unlock()
-			if cur >= hi {
-				return 0, 0, false
-			}
-			remaining := hi - cur
-			size := remaining / int64(threads)
-			if size < minCh {
-				size = minCh
-			}
-			if size > remaining {
-				size = remaining
-			}
-			clo := cur
-			cur += size
-			return clo, clo + size, true
-		}
-		return func(tid int, emit func(clo, chi int64) bool) {
-			for {
-				clo, chi, ok := grab()
-				if !ok {
-					return
-				}
-				if !emit(clo, chi) {
-					return
-				}
+		for {
+			clo, chi, ok := p.grab()
+			if !ok || !emit(clo, chi) {
+				return
 			}
 		}
-	default:
-		panic(fmt.Sprintf("omp: unknown schedule kind %d", sched.Kind))
 	}
+}
+
+// grab claims the next guided chunk: remaining/threads iterations,
+// bounded below by the requested chunk size.
+func (p *chunkPlan) grab() (int64, int64, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.cur >= p.hi {
+		return 0, 0, false
+	}
+	remaining := p.hi - p.cur
+	size := min(max(remaining/p.threads, p.sched.chunk()), remaining)
+	clo := p.cur
+	p.cur += size
+	return clo, clo + size, true
 }
 
 // canceled wraps the context's cause in faults.ErrCanceled so callers
 // can classify the stop with a single errors.Is test.
 func canceled(ctx context.Context) error {
 	return fmt.Errorf("omp: %v: %w", context.Cause(ctx), faults.ErrCanceled)
+}
+
+// team is the state of one ParallelForChunksCtx run, shared by its
+// workers.
+type team struct {
+	ctx      context.Context
+	body     func(tid int, clo, chi int64) error
+	stop     atomic.Bool
+	errOnce  sync.Once
+	firstErr error
+	plan     chunkPlan
+}
+
+// fail stops the team at its next chunk boundaries; the first error wins.
+func (t *team) fail(err error) {
+	t.stop.Store(true)
+	t.errOnce.Do(func() { t.firstErr = err })
+}
+
+// work runs worker tid's chunks, recovering a panic as the team's error.
+func (t *team) work(tid int) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.fail(fmt.Errorf("omp: worker %d: %w", tid, faults.Recovered(r)))
+		}
+	}()
+	t.plan.each(tid, func(clo, chi int64) bool {
+		if t.stop.Load() {
+			return false
+		}
+		if t.ctx != nil {
+			select {
+			case <-t.ctx.Done():
+				t.fail(canceled(t.ctx))
+				return false
+			default:
+			}
+		}
+		if err := faults.InjectChunk(tid, clo, chi); err != nil {
+			t.fail(fmt.Errorf("omp: injected fault at chunk [%d,%d): %w", clo, chi, err))
+			return false
+		}
+		if err := t.body(tid, clo, chi); err != nil {
+			t.fail(err)
+			return false
+		}
+		return true
+	})
 }
 
 // ParallelForChunksCtx is the fault-tolerant worksharing engine every
@@ -223,12 +309,11 @@ func canceled(ctx context.Context) error {
 //     boundaries; the first error (in team observation order) wins.
 //
 // A nil ctx disables cancellation. An active fault-injection plan
-// (faults.Activate, test-only) is consulted before each chunk.
+// (faults.Activate, test-only) is consulted before each chunk. A
+// one-thread team runs on the calling goroutine.
 func ParallelForChunksCtx(ctx context.Context, threads int, lo, hi int64, sched Schedule,
 	body func(tid int, clo, chi int64) error) error {
-	if threads < 1 {
-		threads = 1
-	}
+	threads = max(threads, 1)
 	if lo < 0 && hi > math.MaxInt64+lo {
 		// The extent hi-lo does not fit in int64: the chunk planners'
 		// size arithmetic would wrap. Refuse rather than mis-iterate.
@@ -237,79 +322,38 @@ func ParallelForChunksCtx(ctx context.Context, threads int, lo, hi int64, sched 
 	if hi-lo <= 0 {
 		return nil
 	}
-	var stop atomic.Bool
-	var firstErr error
-	var errOnce sync.Once
-	fail := func(err error) {
-		stop.Store(true)
-		errOnce.Do(func() { firstErr = err })
-	}
-	plan := chunkPlan(threads, lo, hi, sched)
-	worker := func(tid int) {
-		defer func() {
-			if r := recover(); r != nil {
-				fail(fmt.Errorf("omp: worker %d: %w", tid, faults.Recovered(r)))
-			}
-		}()
-		plan(tid, func(clo, chi int64) bool {
-			if stop.Load() {
-				return false
-			}
-			if ctx != nil {
-				select {
-				case <-ctx.Done():
-					fail(canceled(ctx))
-					return false
-				default:
-				}
-			}
-			if err := faults.InjectChunk(tid, clo, chi); err != nil {
-				fail(fmt.Errorf("omp: injected fault at chunk [%d,%d): %w", clo, chi, err))
-				return false
-			}
-			if err := body(tid, clo, chi); err != nil {
-				fail(err)
-				return false
-			}
-			return true
-		})
+	t := &team{ctx: ctx, body: body}
+	if err := t.plan.init(threads, lo, hi, sched); err != nil {
+		return err
 	}
 	if threads == 1 {
-		worker(0)
-		return firstErr
+		t.work(0)
+		return t.firstErr
 	}
 	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(tid int) {
+	wg.Add(threads)
+	for tid := 0; tid < threads; tid++ {
+		go func() {
 			defer wg.Done()
-			worker(tid)
-		}(t)
+			t.work(tid)
+		}()
 	}
 	wg.Wait()
-	return firstErr
+	return t.firstErr
 }
 
 // ParallelForChunks partitions the half-open range [lo, hi) according to
 // the schedule and invokes body(tid, clo, chi) for each contiguous chunk
-// [clo, chi). All chunks assigned to a thread run on the same goroutine,
+// [clo, chi). It is ParallelForChunksCtx without a context, so every
+// team size, one thread included, gets the same chunk plan, the same
+// fault-injection consultation at chunk boundaries and the same panic
+// capture. All chunks assigned to a thread run on the same goroutine,
 // in increasing order for the static schedules.
 //
-// A panic in body no longer kills the process from a worker goroutine:
-// it is captured with its stack and re-panicked on the caller as a
-// *faults.PanicError, which the caller may recover. Use
+// A panic in body is captured with its stack and re-panicked on the
+// caller as a *faults.PanicError, which the caller may recover. Use
 // ParallelForChunksCtx to receive it as an error instead.
 func ParallelForChunks(threads int, lo, hi int64, sched Schedule, body func(tid int, clo, chi int64)) {
-	if threads < 1 {
-		threads = 1
-	}
-	if hi-lo <= 0 {
-		return
-	}
-	if threads == 1 {
-		serialChunks(lo, hi, sched, body)
-		return
-	}
 	err := ParallelForChunksCtx(nil, threads, lo, hi, sched,
 		func(tid int, clo, chi int64) error {
 			body(tid, clo, chi)
@@ -320,27 +364,6 @@ func ParallelForChunks(threads int, lo, hi int64, sched Schedule, body func(tid 
 			panic(pe)
 		}
 		panic(err) // injected faults or range overflow: the void body returns no errors
-	}
-}
-
-// serialChunks reproduces each schedule's chunking on a single thread,
-// so chunk-boundary effects (e.g. per-chunk recovery cost) are preserved
-// in serial measurements.
-func serialChunks(lo, hi int64, sched Schedule, body func(tid int, clo, chi int64)) {
-	sched = sched.Resolved()
-	switch sched.Kind {
-	case Static:
-		body(0, lo, hi)
-	default:
-		ch := sched.chunk()
-		for clo := lo; clo < hi; {
-			chi := clo + ch
-			if chi > hi || chi < clo { // clo+ch overflow saturates at hi
-				chi = hi
-			}
-			body(0, clo, chi)
-			clo = chi
-		}
 	}
 }
 
@@ -368,39 +391,4 @@ func ParallelForCtx(ctx context.Context, threads int, lo, hi int64, sched Schedu
 			}
 			return nil
 		})
-}
-
-// ParallelForTelemetry is ParallelFor with a per-thread chunk timeline
-// recorded on tel: each chunk becomes a "chunk"-category trace event
-// (named after the schedule kind, annotated with its bounds and
-// iteration count) and an observation of the "omp.chunk_seconds"
-// histogram. A nil tel falls through to the uninstrumented ParallelFor,
-// so the hot loop pays nothing when telemetry is off.
-func ParallelForTelemetry(threads int, lo, hi int64, sched Schedule, tel *telemetry.Registry,
-	body func(tid int, i int64)) {
-	if tel == nil {
-		ParallelFor(threads, lo, hi, sched, body)
-		return
-	}
-	tr := tel.Trace()
-	hist := tel.Histogram("omp.chunk_seconds", nil)
-	evName := sched.Kind.String()
-	ParallelForChunks(threads, lo, hi, sched, func(tid int, clo, chi int64) {
-		startOff := tr.Now()
-		t0 := time.Now()
-		for i := clo; i < chi; i++ {
-			body(tid, i)
-		}
-		d := time.Since(t0)
-		hist.Observe(d.Seconds())
-		tr.Add(telemetry.Event{
-			Name: evName, Cat: "chunk", TID: tid, Start: startOff, Dur: d,
-			Args: []telemetry.Arg{
-				{Name: "lo", Value: clo},
-				{Name: "hi", Value: chi},
-				{Name: "iters", Value: chi - clo},
-			},
-		})
-	})
-	tel.Counter("omp.iterations").Add(hi - lo)
 }

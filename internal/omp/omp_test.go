@@ -131,6 +131,44 @@ func TestScheduleString(t *testing.T) {
 	}
 }
 
+// TestParseSchedule pins the one schedule-clause grammar, with the rows
+// of the per-front-end parsers it replaced (collapsetool pragmas, the
+// daemon's "schedule" field, the autotune panel's -sched specs).
+func TestParseSchedule(t *testing.T) {
+	good := []struct {
+		in   string
+		want Schedule
+	}{
+		{"", Schedule{Kind: Static}},
+		{"  ", Schedule{Kind: Static}},
+		{"static", Schedule{Kind: Static}},
+		{"static, 8", Schedule{Kind: StaticChunk, Chunk: 8}},
+		{"static,64", Schedule{Kind: StaticChunk, Chunk: 64}},
+		{"dynamic", Schedule{Kind: Dynamic}},
+		{"dynamic, 4", Schedule{Kind: Dynamic, Chunk: 4}},
+		{"dynamic,1", Schedule{Kind: Dynamic, Chunk: 1}},
+		{" dynamic , 16 ", Schedule{Kind: Dynamic, Chunk: 16}},
+		{"guided", Schedule{Kind: Guided}},
+		{"guided,8", Schedule{Kind: Guided, Chunk: 8}},
+		{"auto", Schedule{Kind: ScheduleAuto}},
+		{"auto,32", Schedule{Kind: ScheduleAuto, Chunk: 32}},
+	}
+	for _, c := range good {
+		got, err := ParseSchedule(c.in)
+		if err != nil || got != c.want {
+			t.Errorf("ParseSchedule(%q) = %+v, %v; want %+v", c.in, got, err, c.want)
+		}
+	}
+	for _, in := range []string{
+		"bogus", "runtime", "Static", "dynamic,0", "static,0", "static,x",
+		"dynamic,x", "guided,-3", "dynamic,", ",4", "static,1,2", "static 4",
+	} {
+		if got, err := ParseSchedule(in); err == nil {
+			t.Errorf("ParseSchedule(%q) = %+v, want an error", in, got)
+		}
+	}
+}
+
 func correlationResult() *core.Result {
 	n := nest.MustNew([]string{"N"},
 		nest.L("i", "0", "N-1"),

@@ -132,30 +132,6 @@ func TestInjectedChunkFault(t *testing.T) {
 	}
 }
 
-// TestTeamSurvivesRegionPanic checks a persistent team keeps serving
-// regions after one panics.
-func TestTeamSurvivesRegionPanic(t *testing.T) {
-	team := NewTeam(4)
-	defer team.Close()
-	err := team.DoErr(func(tid int) {
-		if tid == 2 {
-			panic("region boom")
-		}
-	})
-	pe := faults.AsPanic(err)
-	if pe == nil || pe.Value != "region boom" {
-		t.Fatalf("DoErr = %v, want PanicError(region boom)", err)
-	}
-	// The team must still work.
-	var ran atomic.Int64
-	if err := team.DoErr(func(tid int) { ran.Add(1) }); err != nil {
-		t.Fatalf("team unusable after panic: %v", err)
-	}
-	if ran.Load() != 4 {
-		t.Fatalf("second region ran on %d workers, want 4", ran.Load())
-	}
-}
-
 // TestUncollapsedForFallback runs the degradation-ladder bottom rung
 // over a triangular nest — including a quadratic (non-affine) bound the
 // collapsed path cannot model — and checks the iteration count.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/autotune"
-	"repro/internal/omp"
 	"repro/internal/telemetry"
 )
 
@@ -56,15 +55,5 @@ func TestExecuteAutoSchedule(t *testing.T) {
 	}
 	if snap.Counters[autotune.CacheHitsMetric] < 1 {
 		t.Error("second auto request did not hit the plan cache")
-	}
-}
-
-// TestParseScheduleSpecAuto pins the -sched grammar extension.
-func TestParseScheduleSpecAuto(t *testing.T) {
-	if got := parseScheduleSpec("auto"); got.Kind != omp.ScheduleAuto {
-		t.Fatalf("parseScheduleSpec(auto) = %+v", got)
-	}
-	if got := parseScheduleSpec("guided,8"); got.Kind != omp.Guided || got.Chunk != 8 {
-		t.Fatalf("parseScheduleSpec(guided,8) = %+v", got)
 	}
 }

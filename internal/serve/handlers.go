@@ -3,8 +3,6 @@ package serve
 import (
 	"context"
 	"math/big"
-	"strconv"
-	"strings"
 
 	"repro/internal/autotune"
 	"repro/internal/codegen"
@@ -109,6 +107,10 @@ func (s *Server) handleUnrank(ctx context.Context, req *Request) (any, error) {
 }
 
 func (s *Server) handleCodegen(ctx context.Context, req *Request) (any, error) {
+	// The clause is pasted into the emitted pragma, so it must parse.
+	if _, err := omp.ParseSchedule(req.Schedule); err != nil {
+		return nil, badRequest("%v", err)
+	}
 	e, _, err := s.resolve(req)
 	if err != nil {
 		return nil, err
@@ -163,12 +165,15 @@ func (s *Server) handleCodegen(ctx context.Context, req *Request) (any, error) {
 // runs uncollapsed — correct, cheaper to start, merely unbalanced; a
 // request-table hit still spares it the parse.
 func (s *Server) handleExecute(ctx context.Context, req *Request) (any, error) {
+	sched, err := omp.ParseSchedule(req.Schedule)
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
 	key := requestKey(req)
 	e, hit := s.table.get(key)
 	var (
-		n   *nest.Nest
-		c   int
-		err error
+		n *nest.Nest
+		c int
 	)
 	if hit {
 		n, c = e.n, e.c
@@ -179,7 +184,6 @@ func (s *Server) handleExecute(ctx context.Context, req *Request) (any, error) {
 	if threads <= 0 || threads > s.cfg.Threads {
 		threads = s.cfg.Threads
 	}
-	sched := parseScheduleSpec(req.Schedule)
 	// The autotuner may pick any team size up to the server cap, so the
 	// accumulator array is sized for the cap on the tuned path.
 	accums := threads
@@ -304,29 +308,4 @@ func TupleHash(idx []int64) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// parseScheduleSpec maps "static" / "static,64" / "dynamic,16" /
-// "guided" / "auto" to a runtime schedule (defaulting to static), the
-// same grammar as the OpenMP pragma's schedule clause. "auto" delegates
-// the (schedule, chunk, workers) choice to the server's autotuner.
-func parseScheduleSpec(clause string) omp.Schedule {
-	kind, arg, _ := strings.Cut(clause, ",")
-	sch := omp.Schedule{Kind: omp.Static}
-	switch strings.TrimSpace(kind) {
-	case "dynamic":
-		sch.Kind = omp.Dynamic
-	case "guided":
-		sch.Kind = omp.Guided
-	case "auto":
-		sch.Kind = omp.ScheduleAuto
-	case "static", "":
-	}
-	if n, err := strconv.ParseInt(strings.TrimSpace(arg), 10, 64); err == nil && n > 0 {
-		sch.Chunk = n
-		if sch.Kind == omp.Static {
-			sch.Kind = omp.StaticChunk
-		}
-	}
-	return sch
 }

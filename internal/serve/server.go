@@ -77,11 +77,6 @@ type Config struct {
 	// memoizes each failing shape's applicability error, and the
 	// request table in front of it (default 256 entries each).
 	CacheCapacity int
-	// ShedCodegenLoad and ForceFallbackLoad are the in-flight load
-	// fractions at which the degradation ladder advances (defaults 0.5
-	// and 0.75).
-	ShedCodegenLoad   float64
-	ForceFallbackLoad float64
 	// Registry receives the serve_* metric families; a fresh registry is
 	// created when nil.
 	Registry *telemetry.Registry
@@ -110,12 +105,6 @@ func (c *Config) fill() {
 	}
 	if c.CacheCapacity <= 0 {
 		c.CacheCapacity = 256
-	}
-	if c.ShedCodegenLoad <= 0 {
-		c.ShedCodegenLoad = 0.5
-	}
-	if c.ForceFallbackLoad <= 0 {
-		c.ForceFallbackLoad = 0.75
 	}
 	if c.Registry == nil {
 		c.Registry = telemetry.New()
@@ -194,6 +183,13 @@ func (s *Server) Cache() *core.CollapseCache { return s.cache }
 // usable with httptest.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// shedCodegenLoad and forceFallbackLoad are the in-flight load
+// fractions at which the degradation ladder advances.
+const (
+	shedCodegenLoad   = 0.5
+	forceFallbackLoad = 0.75
+)
+
 // loadFraction is the in-flight occupancy of the request semaphore.
 func (s *Server) loadFraction() float64 {
 	return float64(s.inflight.Load()) / float64(s.cfg.MaxInflight)
@@ -203,9 +199,9 @@ func (s *Server) loadFraction() float64 {
 func (s *Server) Tier() DegradeTier {
 	f := s.loadFraction()
 	switch {
-	case f >= s.cfg.ForceFallbackLoad:
+	case f >= forceFallbackLoad:
 		return TierForceFallback
-	case f >= s.cfg.ShedCodegenLoad:
+	case f >= shedCodegenLoad:
 		return TierShedCodegen
 	}
 	return TierNormal

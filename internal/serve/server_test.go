@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -171,6 +172,47 @@ func TestBadRequestsClassify400(t *testing.T) {
 	_, err = c.Unrank(context.Background(), req)
 	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
 		t.Fatalf("out-of-range unrank: err = %v, want 400", err)
+	}
+}
+
+// TestScheduleClauseValidated checks the daemon boundary of the
+// schedule grammar: a clause omp.ParseSchedule rejects answers 400
+// bad_request on /v1/execute (instead of running static) and on
+// /v1/codegen (instead of being pasted into the emitted pragma), while
+// the clauses perfbench and loadgen send still answer 200.
+func TestScheduleClauseValidated(t *testing.T) {
+	_, c := startServer(t, Config{Threads: 2})
+	ctx := context.Background()
+	const N = 20
+	tuples, checksum := triEnum(t, N)
+	for _, clause := range []string{"bogus", "dynamic,0", "static,x"} {
+		req := triRequest(N)
+		req.Schedule = clause
+		_, err := c.Execute(ctx, req)
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || ae.Class != "bad_request" {
+			t.Errorf("execute schedule %q: err = %v, want 400 bad_request", clause, err)
+		}
+		_, err = c.Codegen(ctx, req)
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || ae.Class != "bad_request" {
+			t.Errorf("codegen schedule %q: err = %v, want 400 bad_request", clause, err)
+		}
+	}
+	for _, clause := range []string{"static", "auto", "dynamic,64", "guided, 8"} {
+		req := triRequest(N)
+		req.Schedule = clause
+		ex, err := c.Execute(ctx, req)
+		if err != nil {
+			t.Errorf("execute schedule %q: %v", clause, err)
+		} else if ex.Iterations != int64(len(tuples)) || ex.Checksum != checksum {
+			t.Errorf("execute schedule %q = %d/%d, want %d/%d", clause, ex.Iterations, ex.Checksum, len(tuples), checksum)
+		}
+		cg, err := c.Codegen(ctx, req)
+		if err != nil {
+			t.Errorf("codegen schedule %q: %v", clause, err)
+		} else if !strings.Contains(cg.Code, "schedule("+clause+")") {
+			t.Errorf("codegen schedule %q: pragma lacks the clause:\n%s", clause, cg.Code)
+		}
 	}
 }
 
@@ -344,7 +386,7 @@ func TestDegradeLadder(t *testing.T) {
 		t.Fatalf("warm compile: %v", err)
 	}
 
-	// Occupy 3 of 4 slots: load 0.75 ≥ ForceFallbackLoad.
+	// Occupy 3 of 4 slots: load 0.75 ≥ forceFallbackLoad.
 	for i := 0; i < 3; i++ {
 		s.sem <- struct{}{}
 		s.inflight.Add(1)

@@ -76,7 +76,9 @@ type Request struct {
 	Warp     int    `json:"warp,omitempty"`
 
 	// Threads and Schedule shape the execute run ("static",
-	// "dynamic,16", ...). Threads defaults to the server's team size.
+	// "dynamic,16", "auto", ...); codegen writes Schedule into the
+	// emitted pragma. A Schedule outside the omp.ParseSchedule grammar
+	// answers 400. Threads defaults to the server's team size.
 	Threads  int    `json:"threads,omitempty"`
 	Schedule string `json:"schedule,omitempty"`
 	// Shards > 0 selects the fault-tolerant sharded execute engine

@@ -140,7 +140,7 @@ func buildConfig(opts []Option) config {
 }
 
 // WithTelemetry attaches a telemetry registry: Collapse/CollapseAt emit
-// compile-pipeline phase spans, and CollapsedFor/ParallelFor record a
+// compile-pipeline phase spans, and the collapsed executors record a
 // per-thread chunk timeline plus recovery counters, timed at chunk
 // granularity only. A nil registry (or omitting the option) leaves
 // every hot path uninstrumented.
@@ -448,16 +448,12 @@ func CollapsedForWarp(res *Result, params map[string]int64, w int,
 }
 
 // ParallelFor is the plain worksharing loop (the paper's baselines):
-// body(tid, i) runs for every i in [lo, hi) under the schedule.
-// WithTelemetry records each chunk as a trace event; without it the hot
-// loop is completely uninstrumented.
-func ParallelFor(threads int, lo, hi int64, sched Schedule, body func(tid int, i int64), opts ...Option) {
-	cfg := buildConfig(opts)
-	if cfg.tel == nil {
-		omp.ParallelFor(threads, lo, hi, sched, body)
-		return
-	}
-	omp.ParallelForTelemetry(threads, lo, hi, sched, cfg.tel, body)
+// body(tid, i) runs for every i in [lo, hi) under the schedule, on the
+// same chunk engine as the collapsed executors at every team size. A
+// panic in body re-panics on the caller as a *PanicError. The loop is
+// uninstrumented; the collapsed executors carry the chunk telemetry.
+func ParallelFor(threads int, lo, hi int64, sched Schedule, body func(tid int, i int64)) {
+	omp.ParallelFor(threads, lo, hi, sched, body)
 }
 
 // ParallelForCtx is ParallelFor with cooperative cancellation at chunk
@@ -466,13 +462,6 @@ func ParallelForCtx(ctx context.Context, threads int, lo, hi int64, sched Schedu
 	body func(tid int, i int64)) error {
 	return omp.ParallelForCtx(ctx, threads, lo, hi, sched, body)
 }
-
-// Team is a persistent worker pool (OpenMP-style thread team) for
-// programs running many parallel regions; see omp.Team.
-type Team = omp.Team
-
-// NewTeam starts a persistent team of n workers; Close it when done.
-func NewTeam(n int) *Team { return omp.NewTeam(n) }
 
 // Ranking returns the ranking Ehrhart polynomial of a nest (§III).
 func Ranking(n *Nest) *Poly { return ehrhart.Ranking(n) }
@@ -498,7 +487,9 @@ const (
 )
 
 // EmitC renders the collapsed nest as C source (paper Figs. 3, 4, 7 and
-// the §V/§VI schemes).
+// the §V/§VI schemes). A result without closed-form roots
+// (CollapseTable, CollapseBinarySearch) has none to emit: EmitC and
+// EmitGo return an error wrapping ErrNoConvenientRoot.
 func EmitC(res *Result, opts CodegenOptions) (string, error) { return codegen.EmitC(res, opts) }
 
 // EmitGo renders the collapsed nest as a compilable serial Go function.
