@@ -28,8 +28,8 @@ test-short:
 # request-table test ranks and unranks one warm entry from 8
 # goroutines, the observability plane whose tests scrape /metrics and
 # /snapshot while a collapsed run mutates the registry, and the shard
-# coordinator whose lease-expiry, speculation and crash-chaos tests are
-# races by construction.
+# coordinator whose executors share one queue, one commit path and one
+# journal under crash chaos.
 RACE_PKGS = ./internal/telemetry/ ./internal/omp/ ./internal/obs/ ./internal/kernels/ ./internal/faults/ ./internal/unrank/ ./internal/stress/ ./internal/core/ ./internal/serve/ ./internal/dist/ ./internal/autotune/ .
 
 race:
@@ -85,11 +85,12 @@ loadtest:
 #             decide a row)
 #   serve     achieved QPS of a loadgen trajectory; gate and baseline
 #             share flags so the per-phase target_qps params line up
-#   dist      shard throughput of every distfor -bench scenario (best of
-#             three independent runs per scenario; the overhead_pct rows
-#             are not gated)
+#   dist      shard throughput of every benchfig -fig dist scenario (best
+#             of three independent runs per scenario; the overhead_pct
+#             rows are not gated)
 #   invert    breakpoint-table and closed-form recovery vs per-pc search
-#   autotune  auto_vs_best (lower is better) and worst_vs_auto
+#   autotune  auto_vs_best (lower is better) and worst_vs_auto (best of
+#             three runs per panel cell, as its baseline was recorded)
 #
 # make check runs gate-overhead, gate-invert and gate-autotune.
 GATE_SUITES = overhead serve dist invert autotune
@@ -103,7 +104,7 @@ GATE_RUN_serve = $(GO) run ./cmd/loadgen -quick -qps 200 -phases 0.5,1,2 -seed 1
 GATE_BASE_serve = BENCH_PR7.json
 GATE_METRICS_serve = achieved_qps
 
-GATE_RUN_dist = $(GO) run ./cmd/distfor -bench -quick
+GATE_RUN_dist = $(GO) run ./cmd/benchfig -fig dist -quick
 GATE_BASE_dist = BENCH_PR8.json
 GATE_METRICS_dist = miter_per_sec
 
@@ -113,7 +114,6 @@ GATE_BASE_invert = BENCH_PR9.json
 GATE_METRICS_invert = speedup
 
 GATE_RUN_autotune = $(GO) run ./cmd/benchfig -fig autotune
-GATE_ARGS_autotune = -reps 1
 GATE_BASE_autotune = BENCH_PR10.json
 GATE_METRICS_autotune = vs_best,vs_auto
 

@@ -1,8 +1,7 @@
 // Command benchdiff compares two BENCH_*.json benchmark documents of
-// one suite (written by `benchfig -json`, `loadgen -json` or
-// `distfor -bench -json`) and exits non-zero when any row regresses
-// beyond a threshold. It is the engine of the `make gate-<suite>`
-// targets.
+// one suite (written by `benchfig -json` or `loadgen -json`) and exits
+// non-zero when any row regresses beyond a threshold. It is the engine
+// of the `make gate-<suite>` targets.
 //
 //	benchdiff -old BENCH_PR4.json -new BENCH_NEW.json
 //	benchdiff -old a.json -new b.json -threshold 10

@@ -21,6 +21,10 @@
 //	                         planner's pick vs a hand-picked
 //	                         (schedule, chunk) panel per kernel;
 //	                         -json writes BENCH_PR10.json
+//	benchfig -fig dist       sharded execution on the fault-tolerant
+//	                         coordinator: shard-scaling throughput plus
+//	                         journal, crash-chaos and resume overheads;
+//	                         -json writes BENCH_PR8.json
 //	benchfig -fig all        everything
 //
 // Flags: -threads (virtual thread count, default 12), -quick (small
@@ -82,7 +86,7 @@ type options struct {
 
 // knownFigs are the accepted -fig values; anything else is rejected up
 // front instead of silently printing nothing.
-var knownFigs = []string{"2", "8", "9", "10", "imbalance", "ablation", "scaling", "overhead", "compile", "invert", "autotune", "all"}
+var knownFigs = []string{"2", "8", "9", "10", "imbalance", "ablation", "scaling", "overhead", "compile", "invert", "autotune", "dist", "all"}
 
 func main() {
 	var o options
@@ -97,7 +101,7 @@ func main() {
 	flag.StringVar(&o.src, "src", "", "annotated C file: run -fig imbalance on its nest instead of a named kernel")
 	flag.Int64Var(&o.srcN, "srcn", 200, "parameter value for every parameter of the -src nest")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write the imbalance chunk timeline as Chrome trace-event JSON")
-	flag.StringVar(&o.jsonOut, "json", "", "write the suite report (-fig overhead|compile|invert|autotune) as JSON to this file")
+	flag.StringVar(&o.jsonOut, "json", "", "write the suite report (-fig overhead|compile|invert|autotune|dist) as JSON to this file")
 	flag.IntVar(&o.reps, "reps", 0, "best-of repetitions for the measured suites (default 3, quick: 1)")
 	flag.BoolVar(&o.verbose, "v", false, "print calibration details")
 	flag.StringVar(&o.serve, "serve", "", "serve the observability plane on this address (/metrics, /snapshot, /trace, /debug/pprof) during the run")
@@ -319,6 +323,17 @@ func run(o options) error {
 			return err
 		}
 		fmt.Print(experiments.RenderAutotune(rep))
+		fmt.Println()
+		if err := writeDoc(o.jsonOut, rep.Doc()); err != nil {
+			return err
+		}
+	}
+	if o.fig == "dist" {
+		rep, err := experiments.Dist(experiments.DistOptions{Quick: o.quick})
+		if err != nil {
+			return err
+		}
+		fmt.Print(experiments.RenderDist(rep))
 		fmt.Println()
 		if err := writeDoc(o.jsonOut, rep.Doc()); err != nil {
 			return err

@@ -116,6 +116,47 @@ func TestBenchfigImbalanceQuick(t *testing.T) {
 	}
 }
 
+// TestBenchfigDistQuick runs the sharded-execution study and checks its
+// JSON document carries the suite and row names the dist gate diffs
+// against BENCH_PR8.json.
+func TestBenchfigDistQuick(t *testing.T) {
+	o := quickOptions("dist")
+	o.jsonOut = filepath.Join(t.TempDir(), "dist.json")
+	out, err := captureRun(t, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "sharded execution") || !strings.Contains(out, "chaos-kill") {
+		t.Errorf("dist output:\n%s", out)
+	}
+	data, err := os.ReadFile(o.jsonOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Suite string `json:"suite"`
+		Rows  []struct {
+			Case   string `json:"case"`
+			Metric string `json:"metric"`
+		} `json:"rows"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Suite != "dist" {
+		t.Fatalf("suite = %q, want dist", doc.Suite)
+	}
+	seen := map[string]bool{}
+	for _, r := range doc.Rows {
+		seen[r.Case+" "+r.Metric] = true
+	}
+	for _, c := range []string{"dist:clean/w=1", "dist:journal", "dist:chaos-kill", "dist:resume"} {
+		if !seen[c+" miter_per_sec"] || !seen[c+" overhead_pct"] {
+			t.Errorf("document lacks the rows of case %s: %v", c, seen)
+		}
+	}
+}
+
 func TestBenchfigUnknownFig(t *testing.T) {
 	_, err := captureRun(t, quickOptions("7"))
 	if err == nil || !strings.Contains(err.Error(), "unknown figure") {

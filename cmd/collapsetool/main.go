@@ -43,7 +43,7 @@
 //	           sampled — and unit cost)
 //	-shards S  with -stats: run the collapsed pc-range under the
 //	           fault-tolerant shard coordinator (internal/dist) with S
-//	           shards — leases, retries, shard splitting, uncollapsed
+//	           shards — retries, shard splitting, uncollapsed
 //	           fallback — and print the recovery ledger and per-executor
 //	           imbalance instead of per-thread chunk loads
 //	-journal FILE
@@ -501,8 +501,8 @@ func runTunedStats(ctx context.Context, res *core.Result, params map[string]int6
 
 // runShardedStats is the -shards form of runStats: the collapsed
 // pc-range runs under the internal/dist fault-tolerant coordinator —
-// leases, retry/split/fallback degradation, optional checkpoint journal
-// and -resume — and the report is the recovery ledger plus the
+// retry/split/fallback degradation, optional checkpoint journal and
+// -resume — and the report is the recovery ledger plus the
 // per-executor imbalance summary instead of per-thread chunk loads.
 func runShardedStats(res *core.Result, prog *cparse.Program, o options,
 	tel *telemetry.Registry) error {
@@ -545,9 +545,7 @@ func runShardedStats(res *core.Result, prog *cparse.Program, o options,
 	}
 	fmt.Printf("\nrecovery ledger:\n")
 	fmt.Printf("  completions        %d\n", rep.Completions)
-	fmt.Printf("  duplicates dropped %d\n", rep.Duplicates)
-	fmt.Printf("  lease expiries     %d\n", rep.LeaseExpiries)
-	fmt.Printf("  speculative runs   %d (wins %d)\n", rep.SpeculativeRuns, rep.SpeculativeWins)
+	fmt.Printf("  journal duplicates %d\n", rep.Duplicates)
 	fmt.Printf("  retries            %d\n", rep.Retries)
 	fmt.Printf("  shard splits       %d\n", rep.Splits)
 	imb := rep.Imbalance()

@@ -22,7 +22,7 @@
 // exact-correction/escalation machinery must repair each recovery, and
 // -chaos-kill-shard-every N kills every Nth in-flight shard executor
 // attempt (execute requests switch to the sharded engine, -shards,
-// where each kill costs one lease instead of the request). Under chaos
+// where each kill costs one shard attempt instead of the request). Under chaos
 // the differential check (-verify, on by default) still requires every
 // 2xx answer to be exactly correct; with shard kills the run also
 // fails unless executors actually died and sharded answers came back.
@@ -337,7 +337,7 @@ func run(o *options) error {
 		if o.chaosKill > 0 {
 			// Kill in-flight shard executors: every Nth shard attempt dies
 			// at its start. The daemon's coordinator must absorb each kill
-			// as one failed lease (retried, split, or re-run uncollapsed)
+			// as one failed attempt (retried, split, or re-run uncollapsed)
 			// while the response stays exactly correct.
 			every := int64(o.chaosKill)
 			var shardAttempts atomic.Int64

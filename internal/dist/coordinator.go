@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -22,13 +21,13 @@ import (
 // Body is the per-iteration work of a sharded run. It is invoked from
 // executor goroutines (worker is the executor id, idx the recovered
 // tuple, reused per worker — do not retain) and returns this iteration's
-// contribution to the run checksum. Under speculation, lease expiry and
-// retry an iteration may be EXECUTED more than once; the returned
-// contributions are buffered per attempt and folded into the run totals
-// exactly once per committed pc-interval, so the Report's Sum/Executed
-// are exactly-once even when execution was not. Bodies with external
-// side effects must either be idempotent or apply their effects from a
-// commit hook of their own keyed on the Report.
+// contribution to the run checksum. A failed attempt is retried, so an
+// iteration of its completed prefix may be EXECUTED more than once; the
+// returned contributions are buffered per attempt and folded into the
+// run totals exactly once per committed pc-interval, so the Report's
+// Sum/Executed are exactly-once even when execution was not. Bodies
+// with external side effects must either be idempotent or apply their
+// effects from a commit hook of their own keyed on the Report.
 type Body func(worker int, pc int64, idx []int64) uint64
 
 // Config shapes a sharded run. The zero value of every field selects a
@@ -38,29 +37,14 @@ type Config struct {
 	Workers int
 	// Shards is the target shard count the pc-range is split into
 	// (default 8×Workers). More shards = finer recovery units and better
-	// balance, at more lease/journal traffic.
+	// balance, at more journal traffic.
 	Shards int
 	// MinShard floors the shard-shrinking degradation ladder: a failing
 	// shard is split in half until it reaches this size (default 64).
 	MinShard int64
-	// Chunk is the intra-shard heartbeat granularity in iterations
-	// (default omp.DefaultShardChunk): the lease is renewed and
-	// cancellation observed once per chunk.
-	Chunk int64
-	// LeaseTTL bounds an executor's silence: an attempt whose last
-	// heartbeat is older than this is presumed dead, its shard requeued
-	// and its context canceled with faults.ErrLeaseExpired (default 1s).
-	LeaseTTL time.Duration
-	// SpeculateAfter is the straggler threshold: once the queue is empty,
-	// an in-flight attempt older than this gets a speculative backup,
-	// first completion winning (default LeaseTTL/2; negative disables).
-	SpeculateAfter time.Duration
 	// MaxRetries is the per-shard retry budget before the splitting
-	// ladder engages (default 3). Backoff and MaxBackoff shape the
-	// capped jittered exponential delay between retries (defaults 2ms
-	// and 250ms).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
+	// ladder engages (default 3). A failed shard goes straight back to
+	// the queue.
 	MaxRetries int
 	// AllowFallback lets a run whose ladder is exhausted degrade to the
 	// uncollapsed worksharing engine over the whole domain (discarding
@@ -74,8 +58,6 @@ type Config struct {
 	Resume  bool
 	// Registry receives the dist.* metric families (may be nil).
 	Registry *telemetry.Registry
-	// Seed makes retry jitter deterministic in tests (default 1).
-	Seed int64
 	// Logf sinks recovery-event logs (nil: silent).
 	Logf func(format string, args ...any)
 }
@@ -90,23 +72,8 @@ func (c *Config) fill() {
 	if c.MinShard <= 0 {
 		c.MinShard = 64
 	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = time.Second
-	}
-	if c.SpeculateAfter == 0 {
-		c.SpeculateAfter = c.LeaseTTL / 2
-	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 3
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 2 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 250 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -137,15 +104,11 @@ type Report struct {
 	// complement planning); Completions how many commits landed.
 	PlannedShards int
 	Completions   int64
-	// Recovery ledger: duplicate completions dropped at commit, leases
-	// expired and reassigned, speculative backups launched and won,
-	// retries consumed, shards split by the degradation ladder.
-	Duplicates      int64
-	LeaseExpiries   int64
-	SpeculativeRuns int64
-	SpeculativeWins int64
-	Retries         int64
-	Splits          int64
+	// Recovery ledger: duplicate records dropped while replaying the
+	// journal, retries consumed, shards split by the degradation ladder.
+	Duplicates int64
+	Retries    int64
+	Splits     int64
 	// FellBack reports the run degraded to the uncollapsed engine.
 	FellBack  bool
 	PerWorker []WorkerStats
@@ -212,24 +175,6 @@ type task struct {
 	retries int
 }
 
-// attempt is one lease: a task assigned to an executor, heartbeating
-// through lastBeat, cancelable through cancel.
-type attempt struct {
-	task
-	id       int64
-	worker   int
-	spec     bool
-	started  time.Time
-	lastBeat int64 // UnixNano, written by the executor, read by the monitor
-	ctx      context.Context
-	cancel   context.CancelCauseFunc
-	beatMu   sync.Mutex // serializes lastBeat writes vs monitor reads via atomic would also do
-}
-
-// errRunComplete is the cancellation cause of attempts outlived by the
-// run (their interval was committed by someone else first).
-var errRunComplete = errors.New("run complete")
-
 // errNeedFallback marks the ladder-exhausted state that Run converts
 // into the uncollapsed fallback when AllowFallback is set.
 type errNeedFallback struct{ err error }
@@ -237,6 +182,9 @@ type errNeedFallback struct{ err error }
 func (e *errNeedFallback) Error() string { return e.err.Error() }
 func (e *errNeedFallback) Unwrap() error { return e.err }
 
+// coordinator hands out shards one attempt at a time: a task is either
+// queued or held by exactly one executor, so every committed interval
+// was executed by one attempt and commits can never collide.
 type coordinator struct {
 	cfg    Config
 	res    *core.Result
@@ -244,21 +192,20 @@ type coordinator struct {
 	body   Body
 	tel    *telemetry.Registry
 
-	runCtx context.Context
+	// ctx is the run context every attempt executes under; cancel stops
+	// them all at their next chunk boundary when the run fails.
+	ctx    context.Context
+	cancel context.CancelCauseFunc
 
 	mu        sync.Mutex
 	cond      *sync.Cond
 	queue     []task
-	inflight  map[int64]*attempt
-	perIv     map[Interval]int // active attempts per interval
-	nextID    int64
 	done      IntervalSet
 	total     int64
 	sum       uint64
 	executed  int64
 	journal   *Journal
 	failure   error
-	rng       *rand.Rand
 	shardHist *telemetry.Histogram
 
 	rep Report
@@ -274,6 +221,9 @@ type coordinator struct {
 func Run(ctx context.Context, res *core.Result, params map[string]int64, cfg Config, body Body) (*Report, error) {
 	cfg.fill()
 	tel := cfg.Registry
+	if ctx == nil {
+		ctx = context.Background()
+	}
 
 	b0, err := res.Unranker.Bind(params)
 	if err != nil {
@@ -286,17 +236,13 @@ func Run(ctx context.Context, res *core.Result, params map[string]int64, cfg Con
 	}
 
 	c := &coordinator{
-		cfg:      cfg,
-		res:      res,
-		params:   params,
-		body:     body,
-		tel:      tel,
-		runCtx:   ctx,
-		inflight: map[int64]*attempt{},
-		perIv:    map[Interval]int{},
-		total:    total,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		rep:      Report{Total: total, PerWorker: make([]WorkerStats, cfg.Workers)},
+		cfg:    cfg,
+		res:    res,
+		params: params,
+		body:   body,
+		tel:    tel,
+		total:  total,
+		rep:    Report{Total: total, PerWorker: make([]WorkerStats, cfg.Workers)},
 	}
 	c.cond = sync.NewCond(&c.mu)
 	c.shardHist = tel.Histogram("dist.shard_seconds", nil)
@@ -304,8 +250,8 @@ func Run(ctx context.Context, res *core.Result, params map[string]int64, cfg Con
 		c.rep.PerWorker[w].Worker = w
 	}
 
-	fp := Fingerprint(res, params, total)
 	if cfg.Journal != "" {
+		fp := Fingerprint(res, params, total)
 		if cfg.Resume {
 			st, err := ReplayJournal(cfg.Journal)
 			if err != nil {
@@ -318,7 +264,7 @@ func Run(ctx context.Context, res *core.Result, params map[string]int64, cfg Con
 			c.done = st.Done
 			c.sum = st.Sum
 			c.rep.Resumed = st.Iters
-			c.rep.Duplicates += int64(st.Duplicates)
+			c.rep.Duplicates = int64(st.Duplicates)
 			if st.TornTail {
 				cfg.Logf("dist: journal %s: torn tail truncated at last valid record", cfg.Journal)
 			}
@@ -352,22 +298,17 @@ func Run(ctx context.Context, res *core.Result, params map[string]int64, cfg Con
 		bounds[w] = b0.Clone()
 	}
 
-	// The lease monitor and a ctx watcher keep cond.Wait honest.
-	stopMonitor := make(chan struct{})
-	var monWG sync.WaitGroup
-	monWG.Add(1)
-	go c.monitor(stopMonitor, &monWG)
-	if ctx != nil {
-		monWG.Add(1)
-		go func() {
-			defer monWG.Done()
-			select {
-			case <-ctx.Done():
-				c.cond.Broadcast()
-			case <-stopMonitor:
-			}
-		}()
-	}
+	c.ctx, c.cancel = context.WithCancelCause(ctx)
+	defer c.cancel(nil)
+	// Wake idle executors when the run context ends. The broadcast is
+	// made under c.mu so it cannot slip between a waiter's ctx check
+	// and its cond.Wait.
+	stop := context.AfterFunc(c.ctx, func() {
+		c.mu.Lock()
+		c.cond.Broadcast()
+		c.mu.Unlock()
+	})
+	defer stop()
 
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
@@ -378,15 +319,13 @@ func Run(ctx context.Context, res *core.Result, params map[string]int64, cfg Con
 		}(w)
 	}
 	wg.Wait()
-	close(stopMonitor)
-	monWG.Wait()
 
 	c.mu.Lock()
 	runErr := c.failure
 	if runErr == nil && c.done.Covered() != c.total {
 		// Workers exited without failure or full coverage: the run
 		// context must have been canceled between checks.
-		if ctx != nil && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			runErr = fmt.Errorf("dist: %v: %w", context.Cause(ctx), faults.ErrCanceled)
 		} else {
 			runErr = fmt.Errorf("dist: coordinator stopped at %d/%d covered: %w",
@@ -446,291 +385,124 @@ func planShards(uncovered []Interval, shards int) []task {
 	return tasks
 }
 
-// monitor is the lease reaper: it scans in-flight attempts every
-// LeaseTTL/4 and expires those silent past the TTL — requeueing the
-// shard and canceling the straggler with faults.ErrLeaseExpired so it
-// stops at its next chunk boundary.
-func (c *coordinator) monitor(stop <-chan struct{}, wg *sync.WaitGroup) {
-	defer wg.Done()
-	tick := c.cfg.LeaseTTL / 4
-	if c.cfg.SpeculateAfter > 0 && c.cfg.SpeculateAfter/2 < tick {
-		// Speculation decisions are made by idle workers woken from
-		// cond.Wait; the monitor's periodic broadcast is what paces them,
-		// so it must tick at straggler resolution, not just lease TTL.
-		tick = c.cfg.SpeculateAfter / 2
-	}
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case now := <-t.C:
-			cutoff := now.Add(-c.cfg.LeaseTTL).UnixNano()
-			c.mu.Lock()
-			for id, at := range c.inflight {
-				if at.loadBeat() < cutoff {
-					c.rep.LeaseExpiries++
-					c.tel.Counter("dist.lease_expiries").Inc()
-					c.cfg.Logf("dist: lease expired on shard [%d,%d] (worker %d); reassigning",
-						at.iv.Lo, at.iv.Hi, at.worker)
-					delete(c.inflight, id)
-					c.perIv[at.iv]--
-					at.cancel(faults.ErrLeaseExpired)
-					c.queue = append(c.queue, at.task)
-				}
-			}
-			c.mu.Unlock()
-			// Wake waiters either way: requeued work, or a worker stuck in
-			// Wait while the run context lapsed between broadcasts.
-			c.cond.Broadcast()
-		}
-	}
-}
-
-func (at *attempt) beat() {
-	at.beatMu.Lock()
-	at.lastBeat = time.Now().UnixNano()
-	at.beatMu.Unlock()
-}
-
-func (at *attempt) loadBeat() int64 {
-	at.beatMu.Lock()
-	defer at.beatMu.Unlock()
-	return at.lastBeat
-}
-
-// workerLoop is one executor: take a lease, run the shard attempt with
+// workerLoop is one executor: take a shard, run its attempt with
 // buffered effects, commit or route the failure through the recovery
 // ladder, repeat until the run completes or fails.
 func (c *coordinator) workerLoop(worker int, b *unrank.Bound) {
 	ws := &c.rep.PerWorker[worker]
 	for {
-		at := c.next(worker)
-		if at == nil {
+		t, ok := c.next()
+		if !ok {
 			return
 		}
 		t0 := time.Now()
 		var iters int64
 		var sum uint64
-		_, err := omp.ShardForCtx(at.ctx, worker, b, at.iv.Lo, at.iv.Hi, c.cfg.Chunk,
-			func(int64) { at.beat() },
+		_, err := omp.ShardForCtx(c.ctx, worker, b, t.iv.Lo, t.iv.Hi, omp.DefaultShardChunk,
 			func(pc int64, idx []int64) {
 				sum += c.body(worker, pc, idx)
 				iters++
 			})
 		busy := time.Since(t0)
 		c.shardHist.Observe(busy.Seconds())
-		if err == nil {
-			if c.commit(at, iters, sum) {
-				ws.Shards++
-				ws.Iterations += iters
-			}
-			ws.Busy += busy
+		ws.Busy += busy
+		if err != nil {
+			c.fail(t, worker, err)
 			continue
 		}
-		ws.Busy += busy
-		c.fail(at, err)
+		if c.commit(t, iters, sum) {
+			ws.Shards++
+			ws.Iterations += iters
+		}
 	}
 }
 
-// next blocks until there is a lease to hand out, the run is complete,
-// or the run failed/was canceled (nil return). Queue order is FIFO;
-// with the queue empty it speculates on the oldest straggler.
-func (c *coordinator) next(worker int) *attempt {
+// next blocks until there is a shard to hand out (FIFO), or until the
+// run is complete, failed or canceled (false).
+func (c *coordinator) next() (task, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		if c.failure != nil || c.done.Covered() == c.total {
-			return nil
-		}
-		if c.runCtx != nil && c.runCtx.Err() != nil {
-			return nil
+		if c.failure != nil || c.done.Covered() == c.total || c.ctx.Err() != nil {
+			return task{}, false
 		}
 		if len(c.queue) > 0 {
 			t := c.queue[0]
 			c.queue = c.queue[1:]
-			if c.done.Overlap(t.iv) == t.iv.Len() {
-				// A requeued shard a backup already committed: skip.
-				continue
-			}
-			return c.register(t, worker, false)
-		}
-		if at := c.speculateLocked(worker); at != nil {
-			return at
+			return t, true
 		}
 		c.cond.Wait()
 	}
 }
 
-// speculateLocked launches a backup attempt for the oldest straggling
-// lease (single-backup cap per interval). Caller holds c.mu.
-func (c *coordinator) speculateLocked(worker int) *attempt {
-	if c.cfg.SpeculateAfter < 0 {
-		return nil
+// failLocked records the run's first failure and cancels the run
+// context so in-flight attempts stop at their next chunk boundary.
+// Caller holds c.mu.
+func (c *coordinator) failLocked(err error) {
+	if c.failure == nil {
+		c.failure = err
+		c.cancel(err)
 	}
-	cutoff := time.Now().Add(-c.cfg.SpeculateAfter)
-	var oldest *attempt
-	for _, at := range c.inflight {
-		if c.perIv[at.iv] != 1 || at.started.After(cutoff) {
-			continue
-		}
-		if oldest == nil || at.started.Before(oldest.started) {
-			oldest = at
-		}
-	}
-	if oldest == nil {
-		return nil
-	}
-	c.rep.SpeculativeRuns++
-	c.tel.Counter("dist.speculative_runs").Inc()
-	c.cfg.Logf("dist: speculating on straggler shard [%d,%d] (worker %d, running %s)",
-		oldest.iv.Lo, oldest.iv.Hi, oldest.worker, time.Since(oldest.started).Round(time.Millisecond))
-	return c.register(oldest.task, worker, true)
-}
-
-// register creates a lease for t on worker. Caller holds c.mu.
-func (c *coordinator) register(t task, worker int, spec bool) *attempt {
-	parent := c.runCtx
-	if parent == nil {
-		parent = context.Background()
-	}
-	actx, cancel := context.WithCancelCause(parent)
-	c.nextID++
-	at := &attempt{
-		task: t, id: c.nextID, worker: worker, spec: spec,
-		started: time.Now(), ctx: actx, cancel: cancel,
-	}
-	at.lastBeat = at.started.UnixNano()
-	c.inflight[at.id] = at
-	c.perIv[at.iv]++
-	return at
-}
-
-// unregisterLocked drops the lease if still registered (the monitor may
-// have expired it first). Caller holds c.mu.
-func (c *coordinator) unregisterLocked(at *attempt) {
-	if _, ok := c.inflight[at.id]; ok {
-		delete(c.inflight, at.id)
-		c.perIv[at.iv]--
-	}
-	at.cancel(errRunComplete)
 }
 
 // commit is the single point where buffered attempt effects become run
-// state, exactly once per pc-interval: first completion wins, duplicate
-// completions (expired-then-finished leases, losing speculative
-// backups) are detected and dropped, and the journal record is fsynced
-// before the completion is acknowledged. Returns whether the attempt's
-// effects were committed.
-func (c *coordinator) commit(at *attempt, iters int64, sum uint64) bool {
+// state: the journal record is fsynced before the completion is
+// acknowledged. Each shard has exactly one attempt at a time, so an
+// interval that overlaps committed ranks is an invariant violation and
+// fails the run. Returns whether the attempt's effects were committed.
+func (c *coordinator) commit(t task, iters int64, sum uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.unregisterLocked(at)
-	switch ov := c.done.Overlap(at.iv); {
-	case ov == 0:
-		// First completion of this interval: commit.
-	case ov == at.iv.Len():
-		c.rep.Duplicates++
-		c.tel.Counter("dist.duplicates").Inc()
-		c.cond.Broadcast()
-		return false
-	default:
-		// Partially covered: a split's half landed while a whole-shard
-		// backup kept running. The sums cannot be attributed, so the
-		// late whole-shard completion is dropped; the queued remainder
-		// tasks cover the gap exactly.
-		c.rep.Duplicates++
-		c.tel.Counter("dist.duplicates").Inc()
-		c.cond.Broadcast()
+	defer c.cond.Broadcast()
+	if ov := c.done.Overlap(t.iv); ov != 0 {
+		c.failLocked(fmt.Errorf("dist: shard [%d,%d] overlaps %d committed ranks: exactly-once invariant violated",
+			t.iv.Lo, t.iv.Hi, ov))
 		return false
 	}
 	if c.journal != nil {
-		if err := c.journal.Append(at.iv, iters, sum); err != nil {
-			if c.failure == nil {
-				c.failure = err
-			}
-			c.cancelInflightLocked(err)
-			c.cond.Broadcast()
+		if err := c.journal.Append(t.iv, iters, sum); err != nil {
+			c.failLocked(err)
 			return false
 		}
 	}
-	c.done.Add(at.iv)
+	c.done.Add(t.iv)
 	c.executed += iters
 	c.sum += sum
 	c.rep.Completions++
 	c.tel.Counter("dist.completions").Inc()
 	c.tel.Counter("dist.iterations").Add(iters)
-	if at.spec {
-		c.rep.SpeculativeWins++
-		c.tel.Counter("dist.speculative_wins").Inc()
-	}
-	if c.done.Covered() == c.total {
-		c.cancelInflightLocked(errRunComplete)
-	}
-	c.cond.Broadcast()
 	return true
 }
 
-// cancelInflightLocked cancels every live lease (run over or run
-// failed) so executors drain at their next chunk boundary.
-func (c *coordinator) cancelInflightLocked(cause error) {
-	for _, at := range c.inflight {
-		at.cancel(cause)
-	}
-}
-
-// fail routes an attempt error through the recovery ladder:
-// abandoned leases are dropped silently (their shard is already back in
-// the queue), cancellation propagates, and genuine failures retry with
-// capped jittered backoff, then split, then exhaust.
-func (c *coordinator) fail(at *attempt, err error) {
+// fail routes an attempt error through the recovery ladder: attempts
+// abandoned by a failed run are dropped, cancellation propagates, and
+// genuine failures go straight back to the queue until the retry budget
+// is spent, then split, then exhaust.
+func (c *coordinator) fail(t task, worker int, err error) {
 	c.mu.Lock()
-	cause := context.Cause(at.ctx)
-	expired := errors.Is(cause, faults.ErrLeaseExpired)
-	superseded := errors.Is(cause, errRunComplete)
-	c.unregisterLocked(at)
-	if c.failure != nil || expired || superseded || c.done.Covered() == c.total {
-		// Abandoned attempt: its work is requeued (lease expiry), already
-		// covered (lost race), or the run is over anyway.
-		c.cond.Broadcast()
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	defer c.cond.Broadcast()
+	if c.failure != nil {
 		return
 	}
-	if c.runCtx != nil && c.runCtx.Err() != nil {
+	if c.ctx.Err() != nil {
 		// Run-level cancellation (deadline, Ctrl-C): not a shard fault,
 		// whatever error the interrupted attempt happened to surface.
-		c.failure = fmt.Errorf("dist: run canceled: %v: %w",
-			context.Cause(c.runCtx), faults.ErrCanceled)
-		c.cancelInflightLocked(c.failure)
-		c.cond.Broadcast()
-		c.mu.Unlock()
+		c.failLocked(fmt.Errorf("dist: run canceled: %v: %w",
+			context.Cause(c.ctx), faults.ErrCanceled))
 		return
 	}
 	if errors.Is(err, faults.ErrCanceled) {
-		c.failure = err
-		c.cancelInflightLocked(err)
-		c.cond.Broadcast()
-		c.mu.Unlock()
+		c.failLocked(err)
 		return
 	}
-	t := at.task
 	c.cfg.Logf("dist: shard [%d,%d] attempt failed (worker %d, retries %d): %v",
-		t.iv.Lo, t.iv.Hi, at.worker, t.retries, err)
+		t.iv.Lo, t.iv.Hi, worker, t.retries, err)
 	switch {
 	case t.retries < c.cfg.MaxRetries:
 		t.retries++
 		c.rep.Retries++
 		c.tel.Counter("dist.retries").Inc()
-		delay := c.backoffLocked(t.retries)
-		c.mu.Unlock()
-		// Sleep outside the lock (the worker owns this task while it
-		// backs off); other executors keep draining the queue.
-		time.Sleep(delay)
-		c.mu.Lock()
 		c.queue = append(c.queue, t)
 	case t.iv.Len() > c.cfg.MinShard:
 		// Shrink the recovery unit: split in half, fresh retry budgets.
@@ -744,22 +516,8 @@ func (c *coordinator) fail(at *attempt, err error) {
 			task{iv: Interval{Lo: mid + 1, Hi: t.iv.Hi}})
 	default:
 		se := &ShardError{Interval: t.iv, Attempts: t.retries + 1, Err: err}
-		c.failure = &errNeedFallback{err: se}
-		c.cancelInflightLocked(se)
+		c.failLocked(&errNeedFallback{err: se})
 	}
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
-// backoffLocked computes the capped jittered exponential retry delay.
-// Caller holds c.mu (the rng is not concurrency-safe).
-func (c *coordinator) backoffLocked(retry int) time.Duration {
-	d := c.cfg.Backoff << uint(retry-1)
-	if d > c.cfg.MaxBackoff || d <= 0 {
-		d = c.cfg.MaxBackoff
-	}
-	// Full jitter in [d/2, d): bounded above, never zero.
-	return d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
 }
 
 // runFallback executes the whole collapsed domain on the uncollapsed

@@ -7,12 +7,10 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/nest"
-	"repro/internal/telemetry"
 	"repro/internal/unrank"
 )
 
@@ -63,7 +61,7 @@ func TestRunMatchesSequential(t *testing.T) {
 	for _, cfg := range []Config{
 		{Workers: 1, Shards: 1},
 		{Workers: 4, Shards: 32},
-		{Workers: 3, Shards: 7, Chunk: 11},
+		{Workers: 3, Shards: 7},
 		{Workers: 8, Shards: 64, MinShard: 8},
 	} {
 		rep, err := Run(context.Background(), res, params, cfg, distBody)
@@ -80,101 +78,14 @@ func TestRunMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestLeaseExpiryReassignment stalls the first shard attempt past the
-// lease TTL: the monitor must expire the lease, requeue the shard, and
-// a second executor must complete it; when the straggler eventually
-// finishes too, its completion is detected as a duplicate and dropped.
-// The test runs under -race in the Makefile's race sweep.
-func TestLeaseExpiryReassignment(t *testing.T) {
-	res := triangle(t)
-	params := map[string]int64{"N": 60}
-	total, want := seqBaseline(t, res, params)
-
-	// Stall the first CHUNK (after the attempt's cancellation check), so
-	// the straggler sleeps through its lease expiry and then completes
-	// the shard anyway — forcing the duplicate-completion commit path,
-	// not just cooperative cancellation.
-	var stalled atomic.Bool
-	restore := faults.Activate(&faults.Plan{
-		OnChunk: func(worker int, clo, chi int64) error {
-			if stalled.CompareAndSwap(false, true) {
-				time.Sleep(120 * time.Millisecond) // ≫ LeaseTTL below
-			}
-			return nil
-		},
-	})
-	defer restore()
-
-	tel := telemetry.New()
-	rep, err := Run(context.Background(), res, params, Config{
-		Workers:        4,
-		Shards:         8,
-		LeaseTTL:       20 * time.Millisecond,
-		SpeculateAfter: -1, // isolate lease expiry from speculation
-		Registry:       tel,
-	}, distBody)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Sum != want || rep.Executed != total {
-		t.Fatalf("recovered run sum=%#x executed=%d, want %#x/%d", rep.Sum, rep.Executed, want, total)
-	}
-	if rep.LeaseExpiries == 0 {
-		t.Fatalf("stalled executor's lease never expired: %+v", rep)
-	}
-	if rep.Duplicates == 0 {
-		t.Fatalf("straggler's late completion was not detected as duplicate: %+v", rep)
-	}
-	snap := tel.Snapshot()
-	if snap.Counters["dist.lease_expiries"] != rep.LeaseExpiries {
-		t.Fatalf("dist.lease_expiries counter = %d, want %d",
-			snap.Counters["dist.lease_expiries"], rep.LeaseExpiries)
-	}
-}
-
-// TestSpeculativeBackup makes one attempt a straggler (without letting
-// its lease expire) and checks a speculative backup is launched and
-// wins, with the straggler's duplicate completion dropped.
-func TestSpeculativeBackup(t *testing.T) {
-	res := triangle(t)
-	params := map[string]int64{"N": 60}
-	total, want := seqBaseline(t, res, params)
-
-	var stalled atomic.Bool
-	restore := faults.Activate(&faults.Plan{
-		OnShard: func(worker int, lo, hi int64) error {
-			if stalled.CompareAndSwap(false, true) {
-				time.Sleep(250 * time.Millisecond)
-			}
-			return nil
-		},
-	})
-	defer restore()
-
-	rep, err := Run(context.Background(), res, params, Config{
-		Workers:        4,
-		Shards:         8,
-		LeaseTTL:       10 * time.Second, // never expires
-		SpeculateAfter: 10 * time.Millisecond,
-	}, distBody)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Sum != want || rep.Executed != total {
-		t.Fatalf("speculative run sum=%#x executed=%d, want %#x/%d", rep.Sum, rep.Executed, want, total)
-	}
-	if rep.SpeculativeRuns == 0 || rep.SpeculativeWins == 0 {
-		t.Fatalf("no speculation recorded: %+v", rep)
-	}
-	// The straggler itself never double-commits here: once the backup's
-	// completion covers the range, the straggler's lease is canceled and
-	// it stops at its first chunk boundary (the duplicate-commit path is
-	// exercised by TestLeaseExpiryReassignment).
-}
-
 // TestRetryThenSplit fails every attempt touching one poisoned rank
 // until the shard has been split down to MinShard, then lets it pass —
-// exercising retry backoff and the shrinking ladder end to end.
+// exercising retries and the shrinking ladder end to end. A failed
+// shard goes straight back to the queue and the fault depends only on
+// the shard's coordinates, so the ledger is fixed by the shard sizes:
+// N=60 gives 1830 ranks in 4 shards of 458, and the shard holding rank
+// 500 fails twice (one retry, then a split) at each of the sizes 458,
+// 229, 115, 58 and 29 before its 15-rank half passes.
 func TestRetryThenSplit(t *testing.T) {
 	res := triangle(t)
 	params := map[string]int64{"N": 60}
@@ -193,24 +104,25 @@ func TestRetryThenSplit(t *testing.T) {
 	})
 	defer restore()
 
-	rep, err := Run(context.Background(), res, params, Config{
-		Workers:    4,
-		Shards:     4,
-		MinShard:   16,
-		MaxRetries: 1,
-		Backoff:    time.Microsecond,
-		MaxBackoff: 10 * time.Microsecond,
-		LeaseTTL:   10 * time.Second,
-	}, distBody)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Sum != want || rep.Executed != total {
-		t.Fatalf("split run sum=%#x executed=%d, want %#x/%d", rep.Sum, rep.Executed, want, total)
-	}
-	if rep.Retries == 0 || rep.Splits == 0 {
-		t.Fatalf("ladder not exercised (retries=%d splits=%d, injected failures=%d)",
-			rep.Retries, rep.Splits, failures.Load())
+	for run := 0; run < 20; run++ {
+		failures.Store(0)
+		rep, err := Run(context.Background(), res, params, Config{
+			Workers:    4,
+			Shards:     4,
+			MinShard:   16,
+			MaxRetries: 1,
+		}, distBody)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if rep.Sum != want || rep.Executed != total {
+			t.Fatalf("run %d: split run sum=%#x executed=%d, want %#x/%d",
+				run, rep.Sum, rep.Executed, want, total)
+		}
+		if rep.Retries != 5 || rep.Splits != 5 || failures.Load() != 10 {
+			t.Fatalf("run %d: retries=%d splits=%d injected failures=%d, want 5/5/10",
+				run, rep.Retries, rep.Splits, failures.Load())
+		}
 	}
 }
 
@@ -234,8 +146,6 @@ func TestLadderExhaustion(t *testing.T) {
 
 	base := Config{
 		Workers: 2, Shards: 4, MinShard: 32, MaxRetries: 1,
-		Backoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond,
-		LeaseTTL: 10 * time.Second,
 	}
 
 	_, err := Run(context.Background(), res, params, base, distBody)
@@ -282,8 +192,6 @@ func TestExecutorPanicIsAttemptLocal(t *testing.T) {
 
 	rep, err := Run(context.Background(), res, params, Config{
 		Workers: 4, Shards: 8, MaxRetries: 3,
-		Backoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond,
-		LeaseTTL: 10 * time.Second,
 	}, distBody)
 	if err != nil {
 		t.Fatal(err)
@@ -370,11 +278,7 @@ func TestChaosAcceptance(t *testing.T) {
 			return nil
 		},
 	})
-	phase1 := Config{
-		Workers: 1, Shards: 16, Journal: journal,
-		Backoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond,
-		LeaseTTL: 10 * time.Second,
-	}
+	phase1 := Config{Workers: 1, Shards: 16, Journal: journal}
 	_, err := Run(ctx, res, params, phase1, distBody)
 	restore()
 	if !errors.Is(err, faults.ErrCanceled) {
@@ -401,7 +305,7 @@ func TestChaosAcceptance(t *testing.T) {
 	f.Close()
 
 	// Phase 2: resume under fresh chaos — every 4th attempt crashes —
-	// with full parallelism and speculation.
+	// with full parallelism.
 	var kills atomic.Int64
 	restore = faults.Activate(&faults.Plan{
 		OnShard: func(worker int, lo, hi int64) error {
@@ -414,8 +318,6 @@ func TestChaosAcceptance(t *testing.T) {
 	defer restore()
 	rep, err := Run(context.Background(), res, params, Config{
 		Workers: 4, Shards: 16, Journal: journal, Resume: true,
-		Backoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond,
-		LeaseTTL: 10 * time.Second, SpeculateAfter: 50 * time.Millisecond,
 	}, distBody)
 	if err != nil {
 		t.Fatalf("phase 2 (resume under chaos): %v", err)

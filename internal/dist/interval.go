@@ -5,16 +5,15 @@
 // tracking possible: a completed shard is just a closed pc-interval.
 //
 // The coordinator (Run) splits the range into shards and hands them to
-// executor goroutines under time-bounded leases with heartbeats. An
-// expired lease returns its shard to the queue; stragglers get
-// speculative backup attempts with first-completion-wins; failed shards
-// retry with capped jittered backoff, then split, then (optionally)
-// force the whole run down the uncollapsed fallback before failing with
-// a typed faults error. Progress lands in an append-only checkpoint
-// journal (completed pc-intervals + a run fingerprint) so an
-// interrupted run resumes exactly where it stopped, executing only the
-// uncovered intervals. See DESIGN.md "Sharded execution & recovery
-// protocol" for the lease state machine and the exactly-once argument.
+// executor goroutines, one attempt per shard at a time. A failed shard
+// goes straight back to the queue until its retry budget is spent, then
+// splits, then (optionally) forces the whole run down the uncollapsed
+// fallback before failing with a typed faults error. Progress lands in
+// an append-only checkpoint journal (completed pc-intervals + a run
+// fingerprint) so an interrupted run resumes exactly where it stopped,
+// executing only the uncovered intervals. See DESIGN.md "Sharded
+// execution & recovery protocol" for the shard state machine and the
+// exactly-once argument.
 package dist
 
 import "sort"
@@ -31,9 +30,8 @@ func (iv Interval) Len() int64 { return iv.Hi - iv.Lo + 1 }
 
 // IntervalSet is a set of covered pc-ranks, maintained as sorted
 // disjoint closed intervals. The zero value is the empty set. It is the
-// coordinator's committed-progress ledger: Add is the single place
-// double completions (speculative backups, replayed journal records)
-// collapse into exactly-once coverage.
+// coordinator's committed-progress ledger, and the journal replay's:
+// Add collapses duplicate replayed records into exactly-once coverage.
 type IntervalSet struct {
 	ivs     []Interval
 	covered int64

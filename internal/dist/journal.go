@@ -229,10 +229,10 @@ func ReplayJournal(path string) (*JournalState, error) {
 				st.Iters += rec.Iters
 				st.Sum += rec.Sum
 			case added == 0:
-				// A replayed duplicate (a speculative double-completion a
-				// crashed coordinator journaled twice): coverage is already
-				// accounted and the first completion's sums stand — adding
-				// the duplicate's would double-count.
+				// A replayed duplicate (the same interval journaled twice,
+				// e.g. by two runs appending to one file): coverage is
+				// already accounted and the first completion's sums stand
+				// — adding the duplicate's would double-count.
 				st.Duplicates++
 			default:
 				// Partial overlap cannot come from this coordinator:

@@ -167,10 +167,9 @@ func TestJournalMissingHeader(t *testing.T) {
 	}
 }
 
-// TestJournalDuplicateRecords: a crashed coordinator can journal the
-// same interval twice (speculative double completion straddling the
-// crash). Replay must keep the first record's sums and count the
-// duplicate, not double-count.
+// TestJournalDuplicateRecords: a journal can hold the same interval
+// twice (two runs appending to one file). Replay must keep the first
+// record's sums and count the duplicate, not double-count.
 func TestJournalDuplicateRecords(t *testing.T) {
 	path := writeJournal(t, hdr("fp", 100), done(1, 50, 50, 5), done(1, 50, 50, 999), done(51, 100, 50, 7))
 	st, err := ReplayJournal(path)

@@ -51,9 +51,8 @@ type DistRow struct {
 	OverheadPct float64
 
 	// Recovery ledger of the run.
-	LeaseExpiries int64
-	Retries       int64
-	Duplicates    int64
+	Retries    int64
+	Duplicates int64
 	// Resumed is the iteration count inherited from the journal instead
 	// of re-executed ("resume" scenario).
 	Resumed int64
@@ -98,7 +97,7 @@ func (o *DistOptions) fill() {
 const distReps = 3
 
 // distBody is the measured per-iteration work: cheap enough that the
-// run cost is dominated by the engine (recovery, leasing, commits) —
+// run cost is dominated by the engine (recovery, dispatch, commits) —
 // the overheads the study is after.
 func distBody(worker int, pc int64, idx []int64) uint64 {
 	return uint64(pc) ^ uint64(idx[0])*1099511628211
@@ -179,7 +178,6 @@ func Dist(opts DistOptions) (*DistReport, error) {
 			})
 			cfg := baseCfg(maxW)
 			cfg.MaxRetries = 8
-			cfg.Backoff = 100 * time.Microsecond
 			return cfg, restore, nil
 		}},
 		// Resume: crash the coordinator at ~50% coverage, then resume
@@ -235,9 +233,8 @@ func Dist(opts DistOptions) (*DistReport, error) {
 			rep.Scenarios[i] = DistRow{
 				Scenario: sc.name, Workers: cfg.Workers, Shards: r.PlannedShards,
 				Total: r.Total, Seconds: sec,
-				MIterPerSec:   float64(r.Executed) / sec / 1e6,
-				LeaseExpiries: r.LeaseExpiries, Retries: r.Retries,
-				Duplicates: r.Duplicates, Resumed: r.Resumed,
+				MIterPerSec: float64(r.Executed) / sec / 1e6,
+				Retries:     r.Retries, Duplicates: r.Duplicates, Resumed: r.Resumed,
 			}
 		}
 	}
@@ -254,12 +251,12 @@ func Dist(opts DistOptions) (*DistReport, error) {
 func RenderDist(rep *DistReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Dist — sharded execution: scaling and recovery (%s)\n", rep.Nest)
-	fmt.Fprintf(&b, "%-14s %7s %7s %10s %9s %11s %9s %7s %7s %8s %9s\n",
-		"scenario", "workers", "shards", "total", "sec", "Miter/s", "over%", "retry", "lease", "dup", "resumed")
+	fmt.Fprintf(&b, "%-14s %7s %7s %10s %9s %11s %9s %7s %8s %9s\n",
+		"scenario", "workers", "shards", "total", "sec", "Miter/s", "over%", "retry", "dup", "resumed")
 	for _, r := range rep.Scenarios {
-		fmt.Fprintf(&b, "%-14s %7d %7d %10d %9.3f %11.2f %8.1f%% %7d %7d %8d %9d\n",
+		fmt.Fprintf(&b, "%-14s %7d %7d %10d %9.3f %11.2f %8.1f%% %7d %8d %9d\n",
 			r.Scenario, r.Workers, r.Shards, r.Total, r.Seconds, r.MIterPerSec,
-			r.OverheadPct, r.Retries, r.LeaseExpiries, r.Duplicates, r.Resumed)
+			r.OverheadPct, r.Retries, r.Duplicates, r.Resumed)
 	}
 	return b.String()
 }

@@ -55,13 +55,6 @@ var (
 	// chunk boundary because its context was canceled.
 	ErrCanceled = errors.New("run canceled")
 
-	// ErrLeaseExpired reports that a shard executor's time-bounded lease
-	// lapsed (no heartbeat within the TTL): the coordinator has returned
-	// the shard to the queue and canceled the straggling attempt. It
-	// appears as the cancellation cause of the abandoned attempt, never
-	// as a run-level failure — reassignment is the recovery.
-	ErrLeaseExpired = errors.New("shard lease expired")
-
 	// ErrJournalCorrupt reports a checkpoint journal whose body (not
 	// merely its tail) fails validation: a mid-file record with a bad
 	// checksum, a missing header, or an empty file. A torn *final*

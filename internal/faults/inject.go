@@ -43,13 +43,8 @@ type Plan struct {
 	// (inclusive pc bounds) on executor worker. A panic inside emulates
 	// an executor crash mid-shard (the attempt's buffered effects are
 	// discarded and the shard is retried); a non-nil return fails the
-	// attempt through the same retry ladder; sleeping past the lease TTL
-	// turns the attempt into a straggler and exercises lease expiry plus
-	// speculative reassignment.
+	// attempt through the same retry ladder.
 	OnShard func(worker int, lo, hi int64) error
-	// ShardDelay, when positive, sleeps this long before every shard
-	// attempt (a shorthand for making every executor a straggler).
-	ShardDelay time.Duration
 }
 
 // active is the process-wide injection plan; nil means no injection.
@@ -86,17 +81,10 @@ func InjectChunk(tid int, clo, chi int64) error {
 	return nil
 }
 
-// InjectShard runs the active plan's shard hooks for shard attempt
+// InjectShard runs the active plan's shard hook for shard attempt
 // [lo, hi] on executor worker; it returns nil when no plan is active.
 func InjectShard(worker int, lo, hi int64) error {
-	p := Active()
-	if p == nil {
-		return nil
-	}
-	if p.ShardDelay > 0 {
-		time.Sleep(p.ShardDelay)
-	}
-	if p.OnShard != nil {
+	if p := Active(); p != nil && p.OnShard != nil {
 		return p.OnShard(worker, lo, hi)
 	}
 	return nil

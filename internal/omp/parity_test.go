@@ -141,7 +141,7 @@ func runShards(res *core.Result, params map[string]int64, shards int,
 		if i+1 < len(los) {
 			hi = los[i+1] - 1
 		}
-		done, err := ShardForCtx(context.Background(), i, b, lo, hi, 5, nil, visit)
+		done, err := ShardForCtx(context.Background(), i, b, lo, hi, 5, visit)
 		if err != nil {
 			return err
 		}

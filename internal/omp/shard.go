@@ -10,9 +10,9 @@ import (
 )
 
 // DefaultShardChunk is the internal chunking of a shard attempt: the
-// interval between cancellation checks and progress callbacks. Small
-// enough that a lease heartbeat lands every few hundred microseconds on
-// trivial bodies, large enough that the §V recovery amortizes.
+// interval between cancellation checks. Small enough that a canceled
+// run stops within a few hundred microseconds on trivial bodies, large
+// enough that the §V recovery amortizes.
 const DefaultShardChunk = 4096
 
 // ShardForCtx executes the collapsed ranks [pcLo, pcHi] (inclusive)
@@ -21,15 +21,11 @@ const DefaultShardChunk = 4096
 // collapsed engine as a one-worker team over internal chunks of `chunk`
 // iterations (DefaultShardChunk when <= 0), each chunk driven by the §V
 // scheme (one costly recovery per chunk, lexicographic advance within),
-// with three guarantees:
+// with two guarantees:
 //
 //   - ctx is checked at every chunk boundary, so a canceled context —
-//     including a lease the coordinator revoked with
-//     faults.ErrLeaseExpired as the cause — stops the attempt
-//     cooperatively with an error wrapping faults.ErrCanceled;
-//   - progress(done), when non-nil, is invoked after every chunk with
-//     the cumulative iteration count: the heartbeat edge lease renewal
-//     rides on;
+//     the run failed elsewhere, or its caller gave up — stops the
+//     attempt cooperatively with an error wrapping faults.ErrCanceled;
 //   - a panic in body (or in an injected fault hook) is recovered and
 //     returned as a *faults.PanicError: an executor crash mid-shard
 //     costs the attempt, never the process.
@@ -44,8 +40,7 @@ const DefaultShardChunk = 4096
 // attempt are the caller's to discard: the §V engine has already invoked
 // body for the completed prefix.
 func ShardForCtx(ctx context.Context, worker int, b *unrank.Bound,
-	pcLo, pcHi, chunk int64,
-	progress func(done int64), body func(pc int64, idx []int64)) (done int64, err error) {
+	pcLo, pcHi, chunk int64, body func(pc int64, idx []int64)) (done int64, err error) {
 	if pcLo > pcHi {
 		return 0, nil
 	}
@@ -71,9 +66,6 @@ func ShardForCtx(ctx context.Context, worker int, b *unrank.Bound,
 			return err
 		}
 		done += chi - clo
-		if progress != nil {
-			progress(done)
-		}
 		return nil
 	})
 	return done, err

@@ -248,8 +248,8 @@ func (s *Server) handleExecute(ctx context.Context, req *Request) (any, error) {
 }
 
 // executeSharded answers a /v1/execute with Shards > 0: the compiled
-// pc-range runs under the internal/dist coordinator with leases,
-// retry/split/fallback degradation, and exactly-once commit — a worker
+// pc-range runs under the internal/dist coordinator with
+// retry/split/fallback degradation and exactly-once commit — a worker
 // panic inside one shard is retried there instead of failing the
 // request. The checksum is identical to the unsharded engine's
 // (order-independent TupleHash sum), so clients verify sharded answers
@@ -268,15 +268,13 @@ func (s *Server) executeSharded(ctx context.Context, res *core.Result, req *Requ
 		return nil, err
 	}
 	return &ExecuteResponse{
-		Iterations:      rep.Executed + rep.Resumed,
-		Checksum:        rep.Sum,
-		Collapsed:       !rep.FellBack,
-		Threads:         threads,
-		Sharded:         true,
-		Shards:          rep.PlannedShards,
-		ShardRetries:    rep.Retries,
-		LeaseExpiries:   rep.LeaseExpiries,
-		DuplicateShards: rep.Duplicates,
+		Iterations:   rep.Executed + rep.Resumed,
+		Checksum:     rep.Sum,
+		Collapsed:    !rep.FellBack,
+		Threads:      threads,
+		Sharded:      true,
+		Shards:       rep.PlannedShards,
+		ShardRetries: rep.Retries,
 	}, nil
 }
 

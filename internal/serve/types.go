@@ -83,10 +83,10 @@ type Request struct {
 	Schedule string `json:"schedule,omitempty"`
 	// Shards > 0 selects the fault-tolerant sharded execute engine
 	// (internal/dist): the collapsed pc-range is split into this many
-	// shards executed under leases, a worker panic costs one shard
-	// attempt (retried) instead of the request, and the answer carries
-	// the recovery ledger. Ignored when the nest is not collapsible or
-	// the server is in the force-fallback degradation tier.
+	// shards, a worker panic costs one shard attempt (retried) instead
+	// of the request, and the answer carries the recovery ledger.
+	// Ignored when the nest is not collapsible or the server is in the
+	// force-fallback degradation tier.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -141,15 +141,11 @@ type ExecuteResponse struct {
 
 	// Sharded reports the run used the fault-tolerant shard coordinator
 	// (Request.Shards > 0 on a collapsible nest); Shards is the planned
-	// shard count and the remaining fields its recovery ledger — shard
-	// attempts retried after failures (including isolated worker
-	// panics), leases expired and reassigned, and duplicate completions
-	// dropped by the exactly-once commit protocol.
-	Sharded         bool  `json:"sharded,omitempty"`
-	Shards          int   `json:"shards,omitempty"`
-	ShardRetries    int64 `json:"shard_retries,omitempty"`
-	LeaseExpiries   int64 `json:"lease_expiries,omitempty"`
-	DuplicateShards int64 `json:"duplicate_shards,omitempty"`
+	// shard count and ShardRetries its recovery ledger: shard attempts
+	// retried after failures (including isolated worker panics).
+	Sharded      bool  `json:"sharded,omitempty"`
+	Shards       int   `json:"shards,omitempty"`
+	ShardRetries int64 `json:"shard_retries,omitempty"`
 
 	// Tuned reports the request ran under schedule "auto": the server's
 	// autotuner picked Schedule (rendered as a -sched spec plus team
