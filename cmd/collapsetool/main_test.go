@@ -2,11 +2,15 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/faults"
 )
 
 const correlationC = `
@@ -72,6 +76,11 @@ func TestRunFirstIteration(t *testing.T) {
 	}
 	for _, frag := range []string{
 		"ranking polynomial",
+		"r(i, j) = ",
+		"total iterations:",
+		"convenient root #1:",
+		"i = floor(Re( ",
+		"sqrt(",
 		"first_iteration = 1;",
 		"csqrt(",
 		"a[j][i] = a[i][j];",
@@ -365,5 +374,23 @@ func TestRunStatsSchedAuto(t *testing.T) {
 	}
 	if !strings.Contains(out, "(sampled)") && !strings.Contains(out, "(live p50)") {
 		t.Errorf("auto stats output does not say where the recovery cost came from:\n%s", out)
+	}
+}
+
+// TestRunStatsDeadline checks that an expired -deadline stops the
+// -stats run at a chunk boundary and is reported as the typed
+// faults.ErrCanceled class, not as a wrong answer or a hang.
+func TestRunStatsDeadline(t *testing.T) {
+	o := base(writeInput(t))
+	o.stats = true
+	o.statsN = 2000
+	o.sched = "dynamic,64"
+	o.deadline = time.Nanosecond
+	_, err := capture(t, func() error { return run(o) })
+	if !errors.Is(err, faults.ErrCanceled) {
+		t.Fatalf("1ns deadline: err = %v, want faults.ErrCanceled", err)
+	}
+	if !strings.Contains(err.Error(), "deadline") {
+		t.Errorf("deadline error does not name the deadline: %v", err)
 	}
 }

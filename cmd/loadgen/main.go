@@ -48,7 +48,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/nest"
-	"repro/internal/poly"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
@@ -140,7 +139,7 @@ type oracle struct {
 }
 
 func buildOracle(o *options) (*oracle, error) {
-	n, err := parseNestSpec(o.nestSpec)
+	n, err := nest.ParseSpec(o.nestSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -169,52 +168,6 @@ func buildOracle(o *options) (*oracle, error) {
 		return nil, fmt.Errorf("empty iteration domain for %v", o.params)
 	}
 	return orc, nil
-}
-
-// parseNestSpec parses the rankq loop grammar, inferring parameters from
-// free identifiers.
-func parseNestSpec(spec string) (*nest.Nest, error) {
-	var loops []nest.Loop
-	indexSet := map[string]bool{}
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, bounds, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("loop %q: want index=lo:hi", part)
-		}
-		loSrc, hiSrc, ok := strings.Cut(bounds, ":")
-		if !ok {
-			return nil, fmt.Errorf("loop %q: want index=lo:hi", part)
-		}
-		lo, err := poly.Parse(loSrc)
-		if err != nil {
-			return nil, fmt.Errorf("loop %q lower: %w", part, err)
-		}
-		hi, err := poly.Parse(hiSrc)
-		if err != nil {
-			return nil, fmt.Errorf("loop %q upper: %w", part, err)
-		}
-		idx := strings.TrimSpace(name)
-		loops = append(loops, nest.Loop{Index: idx, Lower: lo, Upper: hi})
-		indexSet[idx] = true
-	}
-	pset := map[string]bool{}
-	for _, l := range loops {
-		for _, v := range append(l.Lower.Vars(), l.Upper.Vars()...) {
-			if !indexSet[v] {
-				pset[v] = true
-			}
-		}
-	}
-	var ps []string
-	for p := range pset {
-		ps = append(ps, p)
-	}
-	sort.Strings(ps)
-	return nest.New(ps, loops...)
 }
 
 // nestSpecJSON renders the oracle's nest as the structured request form.

@@ -6,18 +6,12 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/faults"
 	"repro/internal/unrank"
 )
 
 func captureRun(t *testing.T, nestSpec string, params paramFlags, args []string) (string, error) {
-	t.Helper()
-	return captureRunDeadline(t, nestSpec, params, 0, args)
-}
-
-func captureRunDeadline(t *testing.T, nestSpec string, params paramFlags, deadline time.Duration, args []string) (string, error) {
 	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
@@ -30,7 +24,7 @@ func captureRunDeadline(t *testing.T, nestSpec string, params paramFlags, deadli
 		data, _ := io.ReadAll(r)
 		done <- string(data)
 	}()
-	ferr := run(nestSpec, params, deadline, 1, "dynamic,4096", args)
+	ferr := run(nestSpec, params, args)
 	w.Close()
 	os.Stdout = old
 	return <-done, ferr
@@ -60,23 +54,6 @@ func TestRankqRankUnrankRoundTrip(t *testing.T) {
 	}
 	if strings.TrimSpace(out) != "i=3 j=5" {
 		t.Errorf("unrank(%s) = %q", rank, out)
-	}
-}
-
-func TestRankqPolyAndRoots(t *testing.T) {
-	out, err := captureRun(t, triSpec, nil, []string{"poly"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "r(i, j)") || !strings.Contains(out, "count") {
-		t.Errorf("poly output: %q", out)
-	}
-	out, err = captureRun(t, triSpec, nil, []string{"roots"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "sqrt(") || !strings.Contains(out, "direct formula") {
-		t.Errorf("roots output: %q", out)
 	}
 }
 
@@ -114,35 +91,6 @@ func TestRankqErrors(t *testing.T) {
 		if _, err := captureRun(t, c.spec, c.params, c.args); err == nil {
 			t.Errorf("spec %q args %v: expected error", c.spec, c.args)
 		}
-	}
-}
-
-func TestRankqRunCommand(t *testing.T) {
-	out, err := captureRun(t, triSpec, paramFlags{"N": 10}, []string{"run"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "ran 45 iterations") {
-		t.Errorf("run output: %q", out)
-	}
-	// A -sched outside the clause grammar fails before anything runs.
-	for _, spec := range []string{"bogus", "dynamic,0", "static,x"} {
-		if err := run(triSpec, paramFlags{"N": 10}, 0, 1, spec, []string{"run"}); err == nil {
-			t.Errorf("-sched %q accepted", spec)
-		}
-	}
-}
-
-func TestRankqRunDeadline(t *testing.T) {
-	// A deadline that has effectively already expired: the team must stop
-	// cooperatively and report the typed cancellation, not run to
-	// completion or hang.
-	_, err := captureRunDeadline(t, triSpec, paramFlags{"N": 2000}, time.Nanosecond, []string{"run"})
-	if err == nil {
-		t.Fatal("1ns deadline did not expire")
-	}
-	if !strings.Contains(err.Error(), "deadline") {
-		t.Errorf("deadline error: %v", err)
 	}
 }
 
@@ -225,38 +173,8 @@ func TestRankqMode(t *testing.T) {
 	if strings.TrimSpace(out) != "a=7 b=4 c=1 d=1 e=0" {
 		t.Errorf("table unrank 500 = %q", out)
 	}
-	if _, err := captureRun(t, simplex, paramFlags{"N": 10}, []string{"roots"}); err == nil {
-		t.Error("roots under -mode table: expected an error pointing at closed-form")
-	}
 
 	if _, err := unrank.ParseMode("bogus"); !errors.Is(err, faults.ErrUnknownMode) {
 		t.Errorf("ParseMode(bogus) = %v, want ErrUnknownMode", err)
-	}
-}
-
-func TestRankqRunSchedAuto(t *testing.T) {
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	done := make(chan string, 1)
-	go func() {
-		data, _ := io.ReadAll(r)
-		done <- string(data)
-	}()
-	ferr := run(triSpec, paramFlags{"N": 30}, 0, 2, "auto", []string{"run"})
-	w.Close()
-	os.Stdout = old
-	out := <-done
-	if ferr != nil {
-		t.Fatal(ferr)
-	}
-	if !strings.Contains(out, "ran 435 iterations tuned (schedule ") {
-		t.Errorf("tuned run output: %q", out)
-	}
-	if !strings.Contains(out, "autotune: predicted ") {
-		t.Errorf("tuned run missing predicted-vs-actual: %q", out)
 	}
 }

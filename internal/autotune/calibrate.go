@@ -3,6 +3,7 @@ package autotune
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"time"
 
@@ -34,12 +35,12 @@ type Calibration struct {
 // planner requires before trusting the p50 over its own sampling pass.
 const minRecoveryObservations = 32
 
-// Probe sizes. Every probe runs a fixed amount of work a fixed number
-// of times and keeps the fastest pass, so its cost is bounded (well
-// under a millisecond) and a pass that a preemption or GC landed in is
+// Probe sizes. Every probe runs a fixed amount of work for a fixed
+// number of rounds and keeps the fastest, so its cost is bounded (well
+// under a millisecond) and a round that a preemption or GC landed in is
 // discarded rather than averaged in.
 const (
-	probePasses = 4
+	probeRounds = 4
 	// dequeueThreads is the team size of the dequeue probe: two
 	// threads contend for the shared counter, as a real team does.
 	dequeueThreads = 2
@@ -47,18 +48,75 @@ const (
 	recoveryRanks  = 64
 )
 
-// MinPassSec runs f passes times and returns the fastest pass in
-// seconds.
-func MinPassSec(passes int, f func()) float64 {
-	best := math.Inf(1)
-	for p := 0; p < passes; p++ {
-		start := time.Now()
-		f()
-		if s := time.Since(start).Seconds(); s < best {
-			best = s
+// Alternate is the one timing rule for every timed comparison: it
+// times the alternatives in alternation for rounds rounds, in order
+// 0…n-1 in even rounds and n-1…0 in odd ones, so a slow spell of the
+// host lands on every alternative alike. Each sample repeats its
+// alternative until minTime has passed (a single call when minTime is
+// 0; the repeat count carries over to later rounds) and records
+// seconds per call. reset, when non-nil, runs untimed before every
+// sample with the alternative's index. secs[r][a] is alternative a's
+// sample in round r; callers report Best per alternative and judge a
+// comparison by MedianRatio.
+func Alternate(rounds int, minTime time.Duration, reset func(alt int), alts ...func()) (secs [][]float64) {
+	reps := make([]int, len(alts))
+	for a := range reps {
+		reps[a] = 1
+	}
+	secs = make([][]float64, max(rounds, 1))
+	for r := range secs {
+		secs[r] = make([]float64, len(alts))
+		for k := range alts {
+			a := k
+			if r%2 == 1 {
+				a = len(alts) - 1 - k
+			}
+			for {
+				if reset != nil {
+					reset(a)
+				}
+				start := time.Now()
+				for i := 0; i < reps[a]; i++ {
+					alts[a]()
+				}
+				el := time.Since(start)
+				if el >= minTime || reps[a] >= 1<<28 {
+					secs[r][a] = el.Seconds() / float64(reps[a])
+					break
+				}
+				grow := 64
+				if el > 0 {
+					grow = min(int(minTime/el)+1, 64)
+				}
+				reps[a] *= grow
+			}
 		}
 	}
+	return secs
+}
+
+// Best is alternative a's fastest sample, the least disturbed one.
+func Best(secs [][]float64, a int) float64 {
+	best := math.Inf(1)
+	for _, round := range secs {
+		best = min(best, round[a])
+	}
 	return best
+}
+
+// MedianRatio is the median over rounds of alternative num's sample
+// over alternative den's sample in the same round.
+func MedianRatio(secs [][]float64, num, den int) float64 {
+	ratios := make([]float64, len(secs))
+	for r, round := range secs {
+		ratios[r] = round[num] / round[den]
+	}
+	sort.Float64s(ratios)
+	m := len(ratios) / 2
+	if len(ratios)%2 == 0 {
+		return (ratios[m-1] + ratios[m]) / 2
+	}
+	return ratios[m]
 }
 
 var (
@@ -69,25 +127,28 @@ var (
 // DequeueSec returns the per-chunk cost of the dynamic schedule,
 // probed on first call and shared by every caller in the process: an
 // empty dynamic,1 loop minus an empty static loop over dequeueChunks
-// iterations, on the multi-thread engine.
+// iterations, alternated on the multi-thread engine.
 func DequeueSec() float64 {
 	dequeueOnce.Do(func() {
-		loop := func(sched omp.Schedule) float64 {
-			return MinPassSec(probePasses, func() {
+		loop := func(sched omp.Schedule) func() {
+			return func() {
 				omp.ParallelForChunks(dequeueThreads, 0, dequeueChunks, sched, func(int, int64, int64) {})
-			})
+			}
 		}
-		dyn := loop(omp.Schedule{Kind: omp.Dynamic, Chunk: 1})
-		stat := loop(omp.Schedule{Kind: omp.Static})
-		// Floor: an atomic RMW is never free.
-		dequeueSec = math.Max((dyn-stat)/dequeueChunks, 1e-9)
+		secs := Alternate(probeRounds, 0, nil,
+			loop(omp.Schedule{Kind: omp.Dynamic, Chunk: 1}), loop(omp.Schedule{Kind: omp.Static}))
+		// A difference, not a ratio: the static loop costs about 2% of
+		// the dynamic one, so a within-round ratio would carry the
+		// static loop's jitter fifty-fold. The fastest rounds are the
+		// least disturbed. Floor: an atomic RMW is never free.
+		dequeueSec = math.Max((Best(secs, 0)-Best(secs, 1))/dequeueChunks, 1e-9)
 	})
 	return dequeueSec
 }
 
 // RecoverySec samples one closed-form recovery on b: recoveryRanks
-// random ranks of the bound space, unranked once per pass, fastest
-// pass per rank (the first-contact value; the live histogram takes
+// random ranks of the bound space, unranked once per round, fastest
+// round per rank (the first-contact value; the live histogram takes
 // over once the nest has actually run).
 func RecoverySec(b *unrank.Bound) float64 {
 	total := b.Total()
@@ -100,11 +161,11 @@ func RecoverySec(b *unrank.Bound) float64 {
 		pcs[i] = 1 + rnd.Int63n(total)
 	}
 	idx := make([]int64, b.Depth())
-	return MinPassSec(probePasses, func() {
+	return Best(Alternate(probeRounds, 0, nil, func() {
 		for _, pc := range pcs {
 			_ = b.Unrank(pc, idx)
 		}
-	}) / recoveryRanks
+	}), 0) / recoveryRanks
 }
 
 // recoveryP50 returns the p50 of the live per-chunk recovery histogram

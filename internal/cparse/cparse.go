@@ -21,7 +21,6 @@ package cparse
 import (
 	"fmt"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -129,25 +128,7 @@ func Parse(src string) (*Program, error) {
 	}
 	prog.Body = strings.TrimSpace(body)
 
-	// Free identifiers of the bounds (minus loop indices) are parameters.
-	indexSet := map[string]bool{}
-	for _, l := range loops {
-		indexSet[l.Index] = true
-	}
-	paramSet := map[string]bool{}
-	for _, l := range loops {
-		for _, v := range append(l.Lower.Vars(), l.Upper.Vars()...) {
-			if !indexSet[v] {
-				paramSet[v] = true
-			}
-		}
-	}
-	params := make([]string, 0, len(paramSet))
-	for p := range paramSet {
-		params = append(params, p)
-	}
-	sort.Strings(params)
-	n, err := nest.New(params, loops...)
+	n, err := nest.New(nest.FreeParams(loops), loops...)
 	if err != nil {
 		return nil, fmt.Errorf("cparse: %w", err)
 	}

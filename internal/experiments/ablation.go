@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/autotune"
 	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/unrank"
@@ -22,7 +23,7 @@ type AblationRow struct {
 	OverheadPct float64
 }
 
-// ablationReps is the number of timing samples per row.
+// ablationReps is the number of alternated timing rounds.
 const ablationReps = 3
 
 // AblationOptions configure the study.
@@ -54,7 +55,7 @@ func (o *AblationOptions) fill() {
 func Ablation(opts AblationOptions) ([]AblationRow, error) {
 	opts.fill()
 	// Each timing sample accumulates at least minTime (the overhead
-	// suite's defaults); the fastest of ablationReps samples is kept.
+	// suite's defaults), over ablationReps alternated rounds.
 	minTime := 25 * time.Millisecond
 	if opts.Quick {
 		minTime = 2 * time.Millisecond
@@ -78,70 +79,62 @@ func Ablation(opts AblationOptions) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		serial := bestSecPerCall(ablationReps, minTime, func() { inst.Reset(); kernels.RunSeq(inst) })
+		nestParams := k.NestParams(p)
+		everyIteration := func(r *core.Result) func() error {
+			return func() error {
+				b, err := r.Unranker.Bind(nestParams)
+				if err != nil {
+					return err
+				}
+				return core.ForRangeEvery(b, 1, b.Total(), func(pc int64, idx []int64) {
+					inst.RunCollapsed(idx)
+				})
+			}
+		}
+		strategies := []string{"per-iteration", "binary-search/per-iteration"}
+		runs := []func() error{everyIteration(res), everyIteration(resBS)}
+		for _, c := range opts.Chunks {
+			strategies = append(strategies, fmt.Sprintf("chunk=%d", c))
+			runs = append(runs, func() error {
+				b, err := res.Unranker.Bind(nestParams)
+				if err != nil {
+					return err
+				}
+				nChunks := int((b.Total() + c - 1) / c)
+				return kernels.RunCollapsedSerialChunks(k, inst, res, p, nChunks)
+			})
+		}
+		strategies = append(strategies, "once-per-12")
+		runs = append(runs, func() error {
+			return kernels.RunCollapsedSerialChunks(k, inst, res, p, 12)
+		})
 
-		add := func(strategy string, f func() error) error {
-			var runErr error
-			sec := bestSecPerCall(ablationReps, minTime, func() {
+		// The serial program (alternative 0) and every strategy are
+		// timed in alternation, each call including its Reset; a
+		// strategy's overhead is judged within a round.
+		errs := make([]error, len(runs))
+		alts := []func(){func() { inst.Reset(); kernels.RunSeq(inst) }}
+		for s, run := range runs {
+			alts = append(alts, func() {
 				inst.Reset()
-				if err := f(); err != nil && runErr == nil {
-					runErr = err
+				if err := run(); err != nil && errs[s] == nil {
+					errs[s] = err
 				}
 			})
-			if runErr != nil {
-				return fmt.Errorf("ablation: %s/%s failed: %w", name, strategy, runErr)
+		}
+		secs := autotune.Alternate(ablationReps, minTime, nil, alts...)
+		serial := autotune.Best(secs, 0)
+		for s, strategy := range strategies {
+			if errs[s] != nil {
+				return nil, fmt.Errorf("ablation: %s/%s failed: %w", name, strategy, errs[s])
 			}
 			rows = append(rows, AblationRow{
 				Kernel:      name,
 				Strategy:    strategy,
 				SerialSec:   serial,
-				VariantSec:  sec,
-				OverheadPct: (sec - serial) / serial * 100,
+				VariantSec:  autotune.Best(secs, s+1),
+				OverheadPct: (autotune.MedianRatio(secs, s+1, 0) - 1) * 100,
 			})
-			return nil
-		}
-
-		nestParams := k.NestParams(p)
-		if err := add("per-iteration", func() error {
-			b, err := res.Unranker.Bind(nestParams)
-			if err != nil {
-				return err
-			}
-			return core.ForRangeEvery(b, 1, b.Total(), func(pc int64, idx []int64) {
-				inst.RunCollapsed(idx)
-			})
-		}); err != nil {
-			return nil, err
-		}
-		if err := add("binary-search/per-iteration", func() error {
-			b, err := resBS.Unranker.Bind(nestParams)
-			if err != nil {
-				return err
-			}
-			return core.ForRangeEvery(b, 1, b.Total(), func(pc int64, idx []int64) {
-				inst.RunCollapsed(idx)
-			})
-		}); err != nil {
-			return nil, err
-		}
-		for _, c := range opts.Chunks {
-			c := c
-			if err := add(fmt.Sprintf("chunk=%d", c), func() error {
-				b, err := res.Unranker.Bind(nestParams)
-				if err != nil {
-					return err
-				}
-				total := b.Total()
-				nChunks := int((total + c - 1) / c)
-				return kernels.RunCollapsedSerialChunks(k, inst, res, p, nChunks)
-			}); err != nil {
-				return nil, err
-			}
-		}
-		if err := add("once-per-12", func() error {
-			return kernels.RunCollapsedSerialChunks(k, inst, res, p, 12)
-		}); err != nil {
-			return nil, err
 		}
 	}
 	return rows, nil

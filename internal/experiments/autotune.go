@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/autotune"
 	"repro/internal/kernels"
@@ -57,7 +56,7 @@ type AutotuneRow struct {
 	WorstSec  float64
 	// AutoVsBest is auto over best (1.0 = matched the optimum; the
 	// acceptance bar is ≤ 1.10). WorstVsAuto is worst over auto (the
-	// acceptance bar is ≥ 1.3).
+	// acceptance bar is ≥ 1.3). Both are median within-round ratios.
 	AutoVsBest  float64
 	WorstVsAuto float64
 	// CacheHit reports the end-of-row re-plan of the same shape was
@@ -87,7 +86,7 @@ type AutotuneOptions struct {
 	// Threads is the team size of the hand-picked panel and the
 	// tuner's worker cap (default 12, the paper's P).
 	Threads int
-	// Reps is the best-of repetition count per timing (default 3; 1 in
+	// Reps is the number of alternated timing rounds (default 3; 1 in
 	// Quick mode).
 	Reps int
 	// Warmups is how many tuned runs feed the refinement loop before
@@ -130,7 +129,7 @@ func (o *AutotuneOptions) fill() {
 }
 
 // Autotune runs the suite: every kernel through the tuned path and the
-// hand-picked panel, best-of-Reps wall time each, on one shared tuner
+// hand-picked panel, alternated for Reps rounds, on one shared tuner
 // whose telemetry registry supplies the report's counter totals.
 func Autotune(opts AutotuneOptions) (*AutotuneReport, error) {
 	opts.fill()
@@ -178,28 +177,8 @@ func Autotune(opts AutotuneOptions) (*AutotuneReport, error) {
 		row := AutotuneRow{Kernel: name, Params: p, Iterations: b.Total()}
 		body := func(tid int, idx []int64) { inst.RunCollapsed(idx) }
 
-		// Hand-picked panel, through the same chunk-instrumented driver
-		// the tuned path uses (nil registry: no publication), so the only
-		// variable between panel and auto is the scheduling decision.
-		for i, spec := range opts.Schedules {
-			sched := panel[i]
-			best := -1.0
-			for r := 0; r < opts.Reps; r++ {
-				inst.Reset()
-				start := time.Now()
-				if _, err := omp.CollapsedForChunkTelemetryCtx(ctx, res, nestParams, opts.Threads, sched, nil, body); err != nil {
-					return nil, fmt.Errorf("%s %s: %w", name, spec, err)
-				}
-				if s := time.Since(start).Seconds(); best < 0 || s < best {
-					best = s
-				}
-			}
-			opts.Verbose("%s: %-12s %.3fms", name, spec, best*1e3)
-			row.Choices = append(row.Choices, AutotuneChoice{Spec: spec, Sec: best})
-		}
-
 		// Tuned path: warmup runs feed Observe so the refinement loop
-		// settles, then best-of-Reps timed runs.
+		// settles.
 		var lastRun autotune.Run
 		for w := 0; w < opts.Warmups; w++ {
 			inst.Reset()
@@ -207,39 +186,64 @@ func Autotune(opts AutotuneOptions) (*AutotuneReport, error) {
 				return nil, fmt.Errorf("%s auto warmup: %w", name, err)
 			}
 		}
-		autoBest := -1.0
-		for r := 0; r < opts.Reps; r++ {
-			inst.Reset()
+		// Then the hand-picked panel, through the same chunk-instrumented
+		// driver the tuned path uses (nil registry: no publication), so
+		// the only variable between panel and auto is the scheduling
+		// decision, and the tuned path as the last alternative, timed in
+		// alternation with an untimed Reset before every run.
+		errs := make([]error, len(panel)+1)
+		var alts []func()
+		for i, sched := range panel {
+			alts = append(alts, func() {
+				if _, err := omp.CollapsedForChunkTelemetryCtx(ctx, res, nestParams, opts.Threads, sched, nil, body); err != nil && errs[i] == nil {
+					errs[i] = err
+				}
+			})
+		}
+		auto := len(panel)
+		alts = append(alts, func() {
 			run, err := tuner.CollapsedFor(ctx, res, nestParams, body)
-			if err != nil {
-				return nil, fmt.Errorf("%s auto: %w", name, err)
-			}
-			if s := run.Actual.Seconds(); autoBest < 0 || s < autoBest {
-				autoBest = s
+			if err != nil && errs[auto] == nil {
+				errs[auto] = err
 			}
 			lastRun = run
+		})
+		secs := autotune.Alternate(opts.Reps, 0, func(int) { inst.Reset() }, alts...)
+		for i, spec := range opts.Schedules {
+			if errs[i] != nil {
+				return nil, fmt.Errorf("%s %s: %w", name, spec, errs[i])
+			}
+			best := autotune.Best(secs, i)
+			opts.Verbose("%s: %-12s %.3fms", name, spec, best*1e3)
+			row.Choices = append(row.Choices, AutotuneChoice{Spec: spec, Sec: best})
 		}
-		row.AutoSec = autoBest
+		if errs[auto] != nil {
+			return nil, fmt.Errorf("%s auto: %w", name, errs[auto])
+		}
+		row.AutoSec = autotune.Best(secs, auto)
 		row.Decision = lastRun.Plan.Decision.String()
 		row.PredictedSec = lastRun.Plan.Decision.PredictedSec
 		opts.Verbose("%s: auto -> %s, %.3fms (predicted %.3fms)",
-			name, row.Decision, autoBest*1e3, row.PredictedSec*1e3)
+			name, row.Decision, row.AutoSec*1e3, row.PredictedSec*1e3)
 
 		// Re-plan the settled shape: must come straight from the cache.
 		if _, cached, err := tuner.Plan(res, nestParams); err == nil {
 			row.CacheHit = cached
 		}
 
-		for _, c := range row.Choices {
-			if row.BestSec == 0 || c.Sec < row.BestSec {
-				row.BestSec, row.BestSpec = c.Sec, c.Spec
+		best, worst := 0, 0
+		for i, c := range row.Choices {
+			if c.Sec < row.Choices[best].Sec {
+				best = i
 			}
-			if c.Sec > row.WorstSec {
-				row.WorstSec, row.WorstSpec = c.Sec, c.Spec
+			if c.Sec > row.Choices[worst].Sec {
+				worst = i
 			}
 		}
-		row.AutoVsBest = row.AutoSec / row.BestSec
-		row.WorstVsAuto = row.WorstSec / row.AutoSec
+		row.BestSec, row.BestSpec = row.Choices[best].Sec, row.Choices[best].Spec
+		row.WorstSec, row.WorstSpec = row.Choices[worst].Sec, row.Choices[worst].Spec
+		row.AutoVsBest = autotune.MedianRatio(secs, auto, best)
+		row.WorstVsAuto = autotune.MedianRatio(secs, worst, auto)
 		rep.Kernels = append(rep.Kernels, row)
 	}
 
@@ -275,7 +279,7 @@ func (r *AutotuneReport) Doc() BenchDoc {
 // RenderAutotune renders the report as a text table.
 func RenderAutotune(r *AutotuneReport) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Schedule autotuning vs hand-picked panel (%d threads, best of %d, %d warmups%s)\n",
+	fmt.Fprintf(&sb, "Schedule autotuning vs hand-picked panel (%d threads, best of %d alternated rounds, %d warmups%s)\n",
 		r.Threads, r.Reps, r.Warmups, map[bool]string{true: ", quick", false: ""}[r.Quick])
 	fmt.Fprintf(&sb, "%-14s %-16s %10s %10s %-14s %10s %-14s %9s %9s\n",
 		"kernel", "auto decision", "auto ms", "best ms", "best", "worst ms", "worst", "auto/best", "worst/auto")

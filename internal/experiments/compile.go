@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/autotune"
 	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/unrank"
@@ -32,8 +33,8 @@ type CompileRow struct {
 	// Microseconds per Collapse, cold and through the warm cache.
 	ColdSerialUs float64
 	CachedUs     float64
-	// SpeedupCached is cold over warm cached compile (the cache's
-	// contribution on repeated collapses).
+	// SpeedupCached is the median within-round ratio of cold over warm
+	// cached compile (the cache's contribution on repeated collapses).
 	SpeedupCached float64
 }
 
@@ -51,7 +52,7 @@ type CompileReport struct {
 // CompileOptions configure the suite.
 type CompileOptions struct {
 	Quick bool // fewer timing repetitions (CI smoke)
-	// Reps is the best-of repetition count per timing (default 3; 1 in
+	// Reps is the number of alternated timing rounds (default 3; 1 in
 	// Quick mode).
 	Reps int
 	// MinTime is the minimum accumulated duration per timing sample
@@ -83,33 +84,33 @@ func Compile(opts CompileOptions) (*CompileReport, error) {
 	opts.fill()
 	rep := &CompileReport{Quick: opts.Quick, Reps: opts.Reps}
 	cache := core.NewCollapseCache(64)
-	best := func(f func()) float64 {
-		return bestSecPerCall(opts.Reps, opts.MinTime, f) * 1e6 // microseconds
-	}
 	for _, k := range kernels.All() {
 		row := CompileRow{Kernel: k.Name, Depth: k.Nest.Depth(), C: k.Collapse}
 		var err error
-		row.ColdSerialUs = best(func() {
-			if _, cerr := core.Collapse(k.Nest, k.Collapse, unrank.Options{}); cerr != nil && err == nil {
+		keep := func(cerr error) {
+			if cerr != nil && err == nil {
 				err = cerr
 			}
-		})
-		// Warm phase: first call populates the shared cache, the timed
-		// calls hit it.
-		if _, cerr := core.CollapseCached(cache, k.Nest, k.Collapse, unrank.Options{}); cerr != nil && err == nil {
-			err = cerr
 		}
-		row.CachedUs = best(func() {
-			if _, cerr := core.CollapseCached(cache, k.Nest, k.Collapse, unrank.Options{}); cerr != nil && err == nil {
-				err = cerr
-			}
-		})
+		// The first cached call populates the shared cache; the timed
+		// ones hit it, in alternation with the cold pipeline.
+		_, cerr := core.CollapseCached(cache, k.Nest, k.Collapse, unrank.Options{})
+		keep(cerr)
+		secs := autotune.Alternate(opts.Reps, opts.MinTime, nil,
+			func() {
+				_, cerr := core.Collapse(k.Nest, k.Collapse, unrank.Options{})
+				keep(cerr)
+			},
+			func() {
+				_, cerr := core.CollapseCached(cache, k.Nest, k.Collapse, unrank.Options{})
+				keep(cerr)
+			})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
-		if row.CachedUs > 0 {
-			row.SpeedupCached = row.ColdSerialUs / row.CachedUs
-		}
+		row.ColdSerialUs = autotune.Best(secs, 0) * 1e6
+		row.CachedUs = autotune.Best(secs, 1) * 1e6
+		row.SpeedupCached = autotune.MedianRatio(secs, 0, 1)
 		opts.Verbose("%s: cold %.0fus, cached %.1fus (x%.1f)",
 			k.Name, row.ColdSerialUs, row.CachedUs, row.SpeedupCached)
 		rep.Kernels = append(rep.Kernels, row)
@@ -139,7 +140,7 @@ func (r *CompileReport) Doc() BenchDoc {
 // RenderCompile prints the report as an aligned table.
 func RenderCompile(r *CompileReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Compile suite — µs per Collapse (GOMAXPROCS=%d, best of %d)\n",
+	fmt.Fprintf(&b, "Compile suite — µs per Collapse (GOMAXPROCS=%d, best of %d alternated rounds)\n",
 		runtime.GOMAXPROCS(0), r.Reps)
 	fmt.Fprintf(&b, "%-18s %5s %12s %10s %9s\n", "kernel", "d/c", "cold", "cached", "cache-x")
 	for _, row := range r.Kernels {

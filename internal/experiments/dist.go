@@ -9,8 +9,8 @@ import (
 	"runtime"
 	"strings"
 	"sync/atomic"
-	"time"
 
+	"repro/internal/autotune"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/faults"
@@ -46,8 +46,8 @@ type DistRow struct {
 	Seconds     float64
 	MIterPerSec float64
 	// OverheadPct is the slowdown versus the clean run at the same
-	// worker count (journal fsyncs, crash recovery); 0 for the clean
-	// rows themselves.
+	// worker count (journal fsyncs, crash recovery), from their median
+	// within-round ratio; 0 for the clean rows themselves.
 	OverheadPct float64
 
 	// Recovery ledger of the run.
@@ -210,38 +210,56 @@ func Dist(opts DistOptions) (*DistReport, error) {
 
 	// Each row is the fastest of distReps attempts: the scenarios are
 	// single runs of a few milliseconds, so one preemption or one slow
-	// fsync would otherwise decide a row. The attempts run in rounds
-	// over every scenario, so a slow spell of the host is spread over
-	// the rows instead of hitting one row's every attempt.
-	rep.Scenarios = make([]DistRow, len(scenarios))
-	for round := 0; round < distReps; round++ {
-		for i, sc := range scenarios {
-			cfg, cleanup, err := sc.prepare()
-			if err != nil {
-				return nil, fmt.Errorf("dist experiment %s: %w", sc.name, err)
-			}
-			start := time.Now()
-			r, err := dist.Run(context.Background(), res, params, cfg, distBody)
-			sec := time.Since(start).Seconds()
-			cleanup()
-			if err != nil {
-				return nil, fmt.Errorf("dist experiment %s: %w", sc.name, err)
-			}
-			if round > 0 && sec >= rep.Scenarios[i].Seconds {
-				continue
-			}
-			rep.Scenarios[i] = DistRow{
-				Scenario: sc.name, Workers: cfg.Workers, Shards: r.PlannedShards,
-				Total: r.Total, Seconds: sec,
-				MIterPerSec: float64(r.Executed) / sec / 1e6,
-				Retries:     r.Retries, Duplicates: r.Duplicates, Resumed: r.Resumed,
-			}
+	// fsync would otherwise decide a row. The attempts alternate over
+	// every scenario, so a slow spell of the host is spread over the
+	// rows, and a scenario's overhead is judged against the clean
+	// max-worker run of the same round. A scenario's prepare runs
+	// untimed before each attempt, after the previous attempt's cleanup.
+	cfgs := make([]dist.Config, len(scenarios))
+	reports := make([][]*dist.Report, len(scenarios))
+	errs := make([]error, len(scenarios))
+	cleanup := nothing
+	prepare := func(i int) {
+		cleanup()
+		var err error
+		if cfgs[i], cleanup, err = scenarios[i].prepare(); err != nil && errs[i] == nil {
+			errs[i] = err
 		}
 	}
-	cleanMax := rep.Scenarios[len(opts.Workers)-1].Seconds
+	alts := make([]func(), len(scenarios))
+	for i := range scenarios {
+		alts[i] = func() {
+			r, err := dist.Run(context.Background(), res, params, cfgs[i], distBody)
+			if err != nil && errs[i] == nil {
+				errs[i] = err
+			}
+			reports[i] = append(reports[i], r)
+		}
+	}
+	secs := autotune.Alternate(distReps, 0, prepare, alts...)
+	cleanup()
+	cleanMax := len(opts.Workers) - 1
+	rep.Scenarios = make([]DistRow, len(scenarios))
 	for i, sc := range scenarios {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("dist experiment %s: %w", sc.name, errs[i])
+		}
+		// The recovery ledger is the fastest attempt's.
+		fastest := 0
+		for round := range secs {
+			if secs[round][i] < secs[fastest][i] {
+				fastest = round
+			}
+		}
+		r, sec := reports[i][fastest], secs[fastest][i]
+		rep.Scenarios[i] = DistRow{
+			Scenario: sc.name, Workers: cfgs[i].Workers, Shards: r.PlannedShards,
+			Total: r.Total, Seconds: sec,
+			MIterPerSec: float64(r.Executed) / sec / 1e6,
+			Retries:     r.Retries, Duplicates: r.Duplicates, Resumed: r.Resumed,
+		}
 		if sc.overhead {
-			rep.Scenarios[i].OverheadPct = (rep.Scenarios[i].Seconds - cleanMax) / cleanMax * 100
+			rep.Scenarios[i].OverheadPct = (autotune.MedianRatio(secs, i, cleanMax) - 1) * 100
 		}
 	}
 	return rep, nil

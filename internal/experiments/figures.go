@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/autotune"
 	"repro/internal/ehrhart"
 	"repro/internal/kernels"
 	"repro/internal/nest"
@@ -179,12 +180,33 @@ func fig9Kernel(k *kernels.Kernel, opts Fig9Options) (Fig9Row, error) {
 	}
 	nestParams := k.NestParams(p)
 
-	// 1. Serial reference and per-work-unit cost. Short-running kernels
-	// are repeated until ~25 ms accumulate (the per-run value is the
-	// average), and everything is best-of-3, to tame shared-machine
-	// noise. Repetition runs without Reset — every kernel's body is
-	// timing-idempotent (same operation count on every run).
-	serial := measureRepeated(func() { kernels.RunSeq(inst) }, inst)
+	// 1. Serial reference and the §V collapsed serial run (recover once
+	// per chunk, fused body+increment — the paper's Fig. 10 protocol),
+	// timed in alternation for fig9Rounds rounds, each sample repeated
+	// until fig9MinTime accumulates (2 ms at Quick sizes). Repetition runs without Reset —
+	// every kernel's body is timing-idempotent (same operation count on
+	// every run). The collapsed run is judged against the serial one
+	// within a round, so a slow spell of the host cannot land on one
+	// side of the comparison.
+	P := opts.Threads
+	minTime := fig9MinTime
+	if opts.Quick {
+		minTime = 2 * time.Millisecond // the other suites' quick floor
+	}
+	inst.Reset()
+	var collErr error
+	secs := autotune.Alternate(fig9Rounds, minTime, nil,
+		func() { kernels.RunSeq(inst) },
+		func() {
+			if err := kernels.RunCollapsedSerialChunks(k, inst, res, p, P); err != nil && collErr == nil {
+				collErr = err
+			}
+		})
+	if collErr != nil {
+		return row, collErr
+	}
+	serial := autotune.Best(secs, 0)
+	collapsedSerial := serial * autotune.MedianRatio(secs, 1, 0)
 	row.SerialSec = serial
 	lo, hi := inst.OuterRange()
 	outerWork := make([]float64, hi-lo)
@@ -206,31 +228,16 @@ func fig9Kernel(k *kernels.Kernel, opts Fig9Options) (Fig9Row, error) {
 	opts.Verbose("%s: serial %.3fs, unit %.2fns, dequeue %.1fns, recovery %.0fns, increment %.1fns",
 		k.Name, serial, perUnit*1e9, cal.Dequeue*1e9, cal.Recovery*1e9, cal.Increment*1e9)
 
-	// 3. Simulated makespans for the three Fig. 9 configurations.
-	P := opts.Threads
+	// 3. Simulated makespans for the three Fig. 9 configurations. The
+	// collapsed static makespan distributes the measured collapsed
+	// serial work over P threads, with one recovery per thread chunk.
 	row.StaticSec = schedsim.Static(outerWork, P, 0)
 	row.DynamicSec = schedsim.Dynamic(outerWork, P, 1, cal.Dequeue)
-
-	// Collapsed static: ground the per-iteration cost of the transformed
-	// program in a measured serial execution of the §V scheme itself
-	// (recover once per chunk, fused body+increment) — the same run the
-	// paper uses for its Fig. 10 overhead protocol. The simulated
-	// makespan then distributes that measured work over P threads, with
-	// one recovery per thread chunk.
 	b, err := res.Unranker.Bind(nestParams)
 	if err != nil {
 		return row, err
 	}
 	total := b.Total()
-	var collErr error
-	collapsedSerial := measureRepeated(func() {
-		if err := kernels.RunCollapsedSerialChunks(k, inst, res, p, P); err != nil && collErr == nil {
-			collErr = err
-		}
-	}, inst)
-	if collErr != nil {
-		return row, collErr
-	}
 	bodyTime := collapsedSerial - float64(P)*cal.Recovery
 	if bodyTime < 0 {
 		bodyTime = collapsedSerial
@@ -278,31 +285,12 @@ func fig9Kernel(k *kernels.Kernel, opts Fig9Options) (Fig9Row, error) {
 	return row, nil
 }
 
-// measureRepeated times f (after one Reset), repeating short runs until
-// about 25 ms accumulate, and returns the best-of-3 per-run seconds.
-func measureRepeated(f func(), inst kernels.Instance) float64 {
-	inst.Reset()
-	best := -1.0
-	reps := 1
-	for attempt := 0; attempt < 3; attempt++ {
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			f()
-		}
-		sec := time.Since(start).Seconds() / float64(reps)
-		if best < 0 || sec < best {
-			best = sec
-		}
-		if tot := sec * float64(reps); tot < 0.025 {
-			grow := int(0.025/tot) + 1
-			if grow > 32 {
-				grow = 32
-			}
-			reps *= grow
-		}
-	}
-	return best
-}
+// Fig. 9 timing: rounds of alternated serial and collapsed samples,
+// each accumulating at least fig9MinTime at bench sizes.
+const (
+	fig9Rounds  = 3
+	fig9MinTime = 25 * time.Millisecond
+)
 
 // kernelHasUniformCollapsedWork reports whether every collapsed
 // iteration performs identical work (so the simulator can use the closed
@@ -355,7 +343,7 @@ type Fig10Row struct {
 type Fig10Options struct {
 	Chunks int  // number of serial chunks, each with one recovery; paper uses 12
 	Quick  bool // use small test sizes
-	Reps   int  // timing repetitions; best-of is reported (default 3)
+	Reps   int  // alternated timing rounds (default 3)
 }
 
 func (o *Fig10Options) fill() {
@@ -403,29 +391,21 @@ func fig10Kernel(k *kernels.Kernel, opts Fig10Options) (Fig10Row, error) {
 	if err != nil {
 		return row, err
 	}
-	best := func(f func() error) (float64, error) {
-		bestSec := -1.0
-		for r := 0; r < opts.Reps; r++ {
-			inst.Reset()
-			start := time.Now()
-			if err := f(); err != nil {
-				return 0, err
+	// One untimed Reset before every single-run sample; the overhead is
+	// the median within-round ratio of collapsed to original.
+	var runErr error
+	secs := autotune.Alternate(opts.Reps, 0, func(int) { inst.Reset() },
+		func() { kernels.RunSeq(inst) },
+		func() {
+			if err := kernels.RunCollapsedSerialChunks(k, inst, res, p, opts.Chunks); err != nil && runErr == nil {
+				runErr = err
 			}
-			if s := time.Since(start).Seconds(); bestSec < 0 || s < bestSec {
-				bestSec = s
-			}
-		}
-		return bestSec, nil
+		})
+	if runErr != nil {
+		return row, runErr
 	}
-	if row.SerialSec, err = best(func() error { kernels.RunSeq(inst); return nil }); err != nil {
-		return row, err
-	}
-	if row.CollapsedSec, err = best(func() error {
-		return kernels.RunCollapsedSerialChunks(k, inst, res, p, opts.Chunks)
-	}); err != nil {
-		return row, err
-	}
-	row.OverheadPct = (row.CollapsedSec - row.SerialSec) / row.SerialSec * 100
+	row.SerialSec, row.CollapsedSec = autotune.Best(secs, 0), autotune.Best(secs, 1)
+	row.OverheadPct = (autotune.MedianRatio(secs, 1, 0) - 1) * 100
 	return row, nil
 }
 

@@ -96,8 +96,9 @@ func TestFig9QuickShape(t *testing.T) {
 //   - collapsing beats or ties outer-dynamic on most kernels;
 //   - dynamic beats collapsing on ltmp (inner-dependence anomaly, §VII).
 //
-// This runs each kernel serially once (a few seconds total), so it is
-// skipped under -short.
+// It times each kernel's serial and collapsed runs in three alternated
+// rounds and judges collapsed against serial by the median within-round
+// ratio (a few seconds total), so it is skipped under -short.
 func TestFig9BenchShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench-size experiment skipped in -short mode")

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/autotune"
 	"repro/internal/core"
 	"repro/internal/nest"
 	"repro/internal/unrank"
@@ -47,7 +48,8 @@ type InvertChunk struct {
 	// view).
 	SearchRecPerSec float64
 	TableRecPerSec  float64
-	// Speedups over per-pc binary search (>1: the faster inverter wins).
+	// Speedups over per-pc binary search, median within-round ratios
+	// (>1: the faster inverter wins).
 	SpeedupTable  float64
 	SpeedupClosed float64
 }
@@ -77,7 +79,7 @@ type InvertReport struct {
 // InvertOptions configure the suite.
 type InvertOptions struct {
 	Quick bool // small problem sizes (CI smoke) instead of bench sizes
-	// Reps is the best-of repetition count per timing (default 3; 1 in
+	// Reps is the number of alternated timing rounds (default 3; 1 in
 	// Quick mode).
 	Reps int
 	// MinTime is the minimum accumulated duration per timing sample
@@ -252,21 +254,27 @@ func invertChunk(bS, bT, bC *unrank.Bound, total, chunk int64, opts InvertOption
 	idx := make([]int64, bS.Depth())
 	want := make([]int64, bS.Depth())
 
-	// nsPerRecovery is the best-of-Reps per-pc Unrank cost on b.
-	nsPerRecovery := func(b *unrank.Bound) (float64, error) {
-		var ferr error
-		s := bestSecPerCall(opts.Reps, opts.MinTime, func() {
+	// The engines are timed in alternation; a speedup over search is
+	// judged within a round.
+	var uerr error
+	recoverAll := func(b *unrank.Bound) func() {
+		return func() {
 			for _, pc := range pcs {
-				if err := b.Unrank(pc, idx); err != nil && ferr == nil {
-					ferr = err
+				if err := b.Unrank(pc, idx); err != nil && uerr == nil {
+					uerr = err
 				}
 			}
-		})
-		if ferr != nil {
-			return 0, ferr
 		}
-		return s / float64(len(pcs)) * 1e9, nil
 	}
+	alts := []func(){recoverAll(bS), recoverAll(bT)}
+	if bC != nil {
+		alts = append(alts, recoverAll(bC))
+	}
+	secs := autotune.Alternate(opts.Reps, opts.MinTime, nil, alts...)
+	if uerr != nil {
+		return cell, uerr
+	}
+	nsPerRecovery := func(a int) float64 { return autotune.Best(secs, a) / float64(len(pcs)) * 1e9 }
 	// Bit-identical answers are the whole point: every engine must
 	// agree with the oracle on every start.
 	check := func(b *unrank.Bound, name string) error {
@@ -286,33 +294,19 @@ func invertChunk(bS, bT, bC *unrank.Bound, total, chunk int64, opts InvertOption
 		return nil
 	}
 
-	var err error
-	if cell.SearchNs, err = nsPerRecovery(bS); err != nil {
-		return cell, err
-	}
-	if cell.TableNs, err = nsPerRecovery(bT); err != nil {
-		return cell, err
-	}
+	cell.SearchNs, cell.TableNs = nsPerRecovery(0), nsPerRecovery(1)
 	if err := check(bT, "table"); err != nil {
 		return cell, err
 	}
-	if cell.SearchNs > 0 {
-		cell.SearchRecPerSec = 1e9 / cell.SearchNs
-	}
-	if cell.TableNs > 0 {
-		cell.TableRecPerSec = 1e9 / cell.TableNs
-		cell.SpeedupTable = cell.SearchNs / cell.TableNs
-	}
+	cell.SearchRecPerSec = 1e9 / cell.SearchNs
+	cell.TableRecPerSec = 1e9 / cell.TableNs
+	cell.SpeedupTable = autotune.MedianRatio(secs, 0, 1)
 	if bC != nil {
-		if cell.ClosedNs, err = nsPerRecovery(bC); err != nil {
-			return cell, err
-		}
+		cell.ClosedNs = nsPerRecovery(2)
 		if err := check(bC, "closed-form"); err != nil {
 			return cell, err
 		}
-		if cell.ClosedNs > 0 {
-			cell.SpeedupClosed = cell.SearchNs / cell.ClosedNs
-		}
+		cell.SpeedupClosed = autotune.MedianRatio(secs, 0, 2)
 	}
 	return cell, nil
 }
@@ -346,7 +340,7 @@ func (r *InvertReport) Doc() BenchDoc {
 // RenderInvert prints the report as an aligned table.
 func RenderInvert(r *InvertReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Invert suite — ns per chunk-start recovery (best of %d)\n", r.Reps)
+	fmt.Fprintf(&b, "Invert suite — ns per chunk-start recovery (best of %d alternated rounds)\n", r.Reps)
 	fmt.Fprintf(&b, "%-16s %7s %8s %10s %10s %10s %8s %8s\n",
 		"nest", "chunk", "starts", "search", "table", "closed", "tbl-x", "closed-x")
 	for _, row := range r.Nests {

@@ -19,8 +19,6 @@
 package experiments
 
 import (
-	"time"
-
 	"repro/internal/autotune"
 	"repro/internal/core"
 	"repro/internal/kernels"
@@ -39,48 +37,11 @@ type Calibration struct {
 	Increment float64
 }
 
-// secPerCallOver measures f, repeating until the total elapsed time
-// exceeds minDuration, and returns seconds per call. Through
-// bestSecPerCall it times the overhead, compile, invert and ablation
-// suites; the calibration probes below run fixed pass counts.
-func secPerCallOver(minDuration time.Duration, f func()) float64 {
-	reps := 1
-	for {
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			f()
-		}
-		el := time.Since(start)
-		if el >= minDuration || reps >= 1<<28 {
-			return el.Seconds() / float64(reps)
-		}
-		if el <= 0 {
-			reps *= 64
-			continue
-		}
-		grow := int(float64(minDuration)/float64(el)) + 1
-		if grow > 64 {
-			grow = 64
-		}
-		reps *= grow
-	}
-}
-
-// bestSecPerCall runs secPerCallOver reps times (at least once) and
-// returns the fastest seconds per call, the least disturbed sample.
-func bestSecPerCall(reps int, minDuration time.Duration, f func()) float64 {
-	best := secPerCallOver(minDuration, f)
-	for r := 1; r < reps; r++ {
-		best = min(best, secPerCallOver(minDuration, f))
-	}
-	return best
-}
-
 // Increment probe size: up to incrementSteps increments from the first
-// tuple per pass, fastest of incrementPasses passes.
+// tuple per round, fastest of incrementRounds rounds.
 const (
 	incrementSteps  = 1 << 15
-	incrementPasses = 4
+	incrementRounds = 4
 )
 
 // measureIncrement calibrates one lexicographic incrementation.
@@ -91,14 +52,14 @@ func measureIncrement(b *unrank.Bound) float64 {
 	}
 	idx := make([]int64, b.Depth())
 	span := min(total-1, incrementSteps)
-	return autotune.MinPassSec(incrementPasses, func() {
+	return autotune.Best(autotune.Alternate(incrementRounds, 0, nil, func() {
 		if err := b.Unrank(1, idx); err != nil {
 			return
 		}
 		for s := int64(0); s < span; s++ {
 			b.Increment(idx)
 		}
-	}) / float64(span)
+	}), 0) / float64(span)
 }
 
 // Calibrate performs all host measurements for a collapse result. The
@@ -114,15 +75,6 @@ func Calibrate(res *core.Result, params map[string]int64) (Calibration, error) {
 		Recovery:  autotune.RecoverySec(b),
 		Increment: measureIncrement(b),
 	}, nil
-}
-
-// MeasureSerial times one full sequential execution of a kernel instance
-// (resetting it first).
-func MeasureSerial(inst kernels.Instance) float64 {
-	inst.Reset()
-	start := time.Now()
-	kernels.RunSeq(inst)
-	return time.Since(start).Seconds()
 }
 
 // buildResult is a convenience wrapper caching nothing; collapse

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/autotune"
 	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/omp"
@@ -43,8 +44,8 @@ type OverheadSched struct {
 	// the mean flat-run length the body enjoyed.
 	Batches    int64
 	MeanRunLen float64
-	// SpeedupRanges is per-iteration ns over range-batched ns (>1 means
-	// the range engine wins).
+	// SpeedupRanges is the median within-round ratio of per-iteration
+	// over range-batched time (>1 means the range engine wins).
 	SpeedupRanges float64
 }
 
@@ -67,8 +68,9 @@ type OverheadRow struct {
 	// core.ForRanges traversal — the steady-state inner loop; 0 means the
 	// engine allocates nothing per iteration.
 	SteadyAllocs float64
-	// RangesOverheadPct is the best range-batched schedule vs the
-	// original nest: (ranges − original) / original · 100.
+	// RangesOverheadPct is the fastest range-batched schedule vs the
+	// original nest: (ranges/original − 1) · 100, from their median
+	// within-round ratio.
 	RangesOverheadPct float64
 	Schedules         []OverheadSched
 }
@@ -90,7 +92,7 @@ type OverheadOptions struct {
 	// (Fig. 10): with one thread, ns/iter is pure control cost, not
 	// parallel speedup.
 	Threads int
-	// Reps is the best-of repetition count per timing (default 3; 1 in
+	// Reps is the number of alternated timing rounds (default 3; 1 in
 	// Quick mode).
 	Reps int
 	// MinTime is the minimum accumulated duration per timing sample
@@ -173,35 +175,7 @@ func overheadKernel(k *kernels.Kernel, opts OverheadOptions) (OverheadRow, error
 	row.Iterations = total
 	row.SpecializedBounds, row.TotalBounds = b.Instance().SpecializedBounds()
 
-	// Every engine runs the identical per-iteration body
-	// (Instance.RunCollapsed), so differences are pure control overhead.
-	// Bodies are timing-idempotent (same operation count every run), so
-	// one Reset before timing suffices — the measureRepeated convention.
-	inst.Reset()
-	perIterNs := func(sec float64) float64 { return sec / float64(total) * 1e9 }
-
-	// 1. Original nest.
-	row.OriginalNsPerIter = perIterNs(bestSecPerCall(opts.Reps, opts.MinTime, func() { kernels.RunSeq(inst) }))
-
-	// 2. Recover-every over a capped window (constant per-iteration cost).
-	window := total
-	if window > opts.EveryCap {
-		window = opts.EveryCap
-	}
-	var everyErr error
-	everySec := bestSecPerCall(opts.Reps, opts.MinTime, func() {
-		if err := core.ForRangeEvery(b, 1, window, func(pc int64, idx []int64) {
-			inst.RunCollapsed(idx)
-		}); err != nil && everyErr == nil {
-			everyErr = err
-		}
-	})
-	if everyErr != nil {
-		return row, everyErr
-	}
-	row.RecoverEveryNsPerIter = everySec / float64(window) * 1e9
-
-	// 3. Steady-state allocations of a full warmed range traversal.
+	// Steady-state allocations of a full warmed range traversal.
 	noop := func(pc int64, prefix []int64, lo, hi int64) {}
 	if err := core.ForRanges(b, 1, total, nil, noop); err != nil {
 		return row, err
@@ -210,62 +184,81 @@ func overheadKernel(k *kernels.Kernel, opts OverheadOptions) (OverheadRow, error
 		_ = core.ForRanges(b, 1, total, nil, noop)
 	})
 
-	// 4. The two chunk-scheduled engines, per schedule.
+	// Every engine runs the identical per-iteration body
+	// (Instance.RunCollapsed), so differences are pure control overhead.
+	// Bodies are timing-idempotent (same operation count every run), so
+	// one Reset before timing suffices. The engines are timed in
+	// alternation: the original nest, recover-every over a capped window
+	// (its per-iteration cost is constant), then per schedule the
+	// per-iteration driver and the range-batched engine, whose speedup
+	// is judged within a round.
+	inst.Reset()
+	perIterNs := func(sec float64) float64 { return sec / float64(total) * 1e9 }
+	window := min(total, opts.EveryCap)
 	prefixScratch := make([][]int64, opts.Threads)
 	for t := range prefixScratch {
 		prefixScratch[t] = make([]int64, res.C)
 	}
-	bestRanges := -1.0
-	for _, sched := range opts.Schedules {
-		os := OverheadSched{Schedule: schedName(sched)}
-		var runErr error
-		perIterBody := func(tid int, idx []int64) { inst.RunCollapsed(idx) }
-		rangeBody := func(tid int, pc int64, prefix []int64, lo, hi int64) {
-			idx := prefixScratch[tid]
-			copy(idx, prefix)
-			for i := lo; i < hi; i++ {
-				idx[res.C-1] = i
-				inst.RunCollapsed(idx)
-			}
+	perIterBody := func(tid int, idx []int64) { inst.RunCollapsed(idx) }
+	rangeBody := func(tid int, pc int64, prefix []int64, lo, hi int64) {
+		idx := prefixScratch[tid]
+		copy(idx, prefix)
+		for i := lo; i < hi; i++ {
+			idx[res.C-1] = i
+			inst.RunCollapsed(idx)
 		}
+	}
+	var runErr error
+	keep := func(err error) {
+		if err != nil && runErr == nil {
+			runErr = err
+		}
+	}
+	alts := []func(){
+		func() { kernels.RunSeq(inst) },
+		func() {
+			keep(core.ForRangeEvery(b, 1, window, func(pc int64, idx []int64) { inst.RunCollapsed(idx) }))
+		},
+	}
+	stats := make([]core.RangeStats, len(opts.Schedules))
+	for s, sched := range opts.Schedules {
+		alts = append(alts,
+			func() { keep(omp.CollapsedFor(res, nestParams, opts.Threads, sched, perIterBody)) },
+			func() {
+				st, err := omp.CollapsedForRangesStats(res, nestParams, opts.Threads, sched, nil, rangeBody)
+				keep(err)
+				stats[s] = st
+			})
+	}
+	secs := autotune.Alternate(opts.Reps, opts.MinTime, nil, alts...)
+	if runErr != nil {
+		return row, runErr
+	}
+	row.OriginalNsPerIter = perIterNs(autotune.Best(secs, 0))
+	row.RecoverEveryNsPerIter = autotune.Best(secs, 1) / float64(window) * 1e9
 
-		sec := bestSecPerCall(opts.Reps, opts.MinTime, func() {
-			if err := omp.CollapsedFor(res, nestParams, opts.Threads, sched, perIterBody); err != nil && runErr == nil {
-				runErr = err
-			}
-		})
-		os.PerIterNs = perIterNs(sec)
-
-		var rs core.RangeStats
-		sec = bestSecPerCall(opts.Reps, opts.MinTime, func() {
-			st, err := omp.CollapsedForRangesStats(res, nestParams, opts.Threads, sched, nil, rangeBody)
-			if err != nil && runErr == nil {
-				runErr = err
-			}
-			rs = st
-		})
-		if runErr != nil {
-			return row, runErr
+	bestRanges := -1 // alternative index of the fastest range-batched schedule
+	for s, sched := range opts.Schedules {
+		perIter, ranges := 2+2*s, 3+2*s
+		os := OverheadSched{
+			Schedule:      schedName(sched),
+			PerIterNs:     perIterNs(autotune.Best(secs, perIter)),
+			RangesNs:      perIterNs(autotune.Best(secs, ranges)),
+			Batches:       stats[s].Batches,
+			SpeedupRanges: autotune.MedianRatio(secs, perIter, ranges),
 		}
-		os.RangesNs = perIterNs(sec)
-		os.Batches = rs.Batches
-		if rs.Batches > 0 {
-			os.MeanRunLen = float64(rs.Iterations) / float64(rs.Batches)
+		if stats[s].Batches > 0 {
+			os.MeanRunLen = float64(stats[s].Iterations) / float64(stats[s].Batches)
 		}
-		if os.RangesNs > 0 {
-			os.SpeedupRanges = os.PerIterNs / os.RangesNs
-		}
-		if bestRanges < 0 || os.RangesNs < bestRanges {
-			bestRanges = os.RangesNs
+		if bestRanges < 0 || autotune.Best(secs, ranges) < autotune.Best(secs, bestRanges) {
+			bestRanges = ranges
 		}
 		opts.Verbose("%s/%s: original %.2f, per-iter %.2f, ranges %.2f ns/iter (x%.2f, runs avg %.1f)",
 			k.Name, os.Schedule, row.OriginalNsPerIter, os.PerIterNs,
 			os.RangesNs, os.SpeedupRanges, os.MeanRunLen)
 		row.Schedules = append(row.Schedules, os)
 	}
-	if row.OriginalNsPerIter > 0 {
-		row.RangesOverheadPct = (bestRanges - row.OriginalNsPerIter) / row.OriginalNsPerIter * 100
-	}
+	row.RangesOverheadPct = (autotune.MedianRatio(secs, bestRanges, 0) - 1) * 100
 	return row, nil
 }
 
@@ -307,7 +300,7 @@ func (r *OverheadReport) Doc() BenchDoc {
 // RenderOverhead prints the report as an aligned table.
 func RenderOverhead(r *OverheadReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Overhead suite — ns per collapsed iteration (threads=%d, best of %d)\n",
+	fmt.Fprintf(&b, "Overhead suite — ns per collapsed iteration (threads=%d, best of %d alternated rounds)\n",
 		r.Threads, r.Reps)
 	fmt.Fprintf(&b, "%-18s %-12s %10s %10s %10s %10s %8s %10s\n",
 		"kernel", "schedule", "original", "per-iter", "ranges", "rec-every", "speedup", "runlen")

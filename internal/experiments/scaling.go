@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
+	"repro/internal/autotune"
 	"repro/internal/kernels"
 	"repro/internal/schedsim"
 )
@@ -59,10 +59,23 @@ func Scaling(opts ScalingOptions) ([]ScalingRow, error) {
 		}
 		nestParams := k.NestParams(p)
 
-		serial := MeasureSerial(inst)
-		if s := MeasureSerial(inst); s < serial {
-			serial = s
+		// The serial run and the §V collapsed serial run (12 chunks),
+		// alternated for two rounds with an untimed Reset before each;
+		// the collapsed per-iteration cost is scaled from the median
+		// within-round ratio.
+		var collErr error
+		secs := autotune.Alternate(2, 0, func(int) { inst.Reset() },
+			func() { kernels.RunSeq(inst) },
+			func() {
+				if err := kernels.RunCollapsedSerialChunks(k, inst, res, p, 12); err != nil && collErr == nil {
+					collErr = err
+				}
+			})
+		if collErr != nil {
+			return nil, collErr
 		}
+		serial := autotune.Best(secs, 0)
+		collapsedSerial := serial * autotune.MedianRatio(secs, 1, 0)
 		lo, hi := inst.OuterRange()
 		outerWork := make([]float64, hi-lo)
 		var totalUnits float64
@@ -83,19 +96,6 @@ func Scaling(opts ScalingOptions) ([]ScalingRow, error) {
 		}
 		total := b.Total()
 
-		// Measure the §V collapsed serial run once (12 chunks) and scale
-		// per-iteration cost from it.
-		collapsedSerial := -1.0
-		for r := 0; r < 2; r++ {
-			inst.Reset()
-			start := time.Now()
-			if err := kernels.RunCollapsedSerialChunks(k, inst, res, p, 12); err != nil {
-				return nil, err
-			}
-			if s := time.Since(start).Seconds(); collapsedSerial < 0 || s < collapsedSerial {
-				collapsedSerial = s
-			}
-		}
 		bodyTime := collapsedSerial - 12*cal.Recovery
 		if bodyTime < 0 {
 			bodyTime = collapsedSerial

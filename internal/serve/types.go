@@ -20,7 +20,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/cparse"
@@ -38,8 +37,8 @@ type LoopSpec struct {
 }
 
 // NestSpec is a structured loop nest. When Params is empty, the free
-// identifiers of the bound expressions become the parameters (sorted),
-// matching the rankq front end.
+// identifiers of the bound expressions become the parameters (sorted,
+// nest.FreeParams), as in the rankq and mini-C front ends.
 type NestSpec struct {
 	Params []string   `json:"params,omitempty"`
 	Loops  []LoopSpec `json:"loops"`
@@ -214,7 +213,6 @@ func buildStructured(spec *NestSpec) (*nest.Nest, error) {
 		return nil, fmt.Errorf("nest has no loops")
 	}
 	loops := make([]nest.Loop, 0, len(spec.Loops))
-	indexSet := map[string]bool{}
 	for _, ls := range spec.Loops {
 		idx := strings.TrimSpace(ls.Index)
 		if idx == "" {
@@ -229,22 +227,10 @@ func buildStructured(spec *NestSpec) (*nest.Nest, error) {
 			return nil, fmt.Errorf("loop %s upper %q: %w", idx, ls.Upper, err)
 		}
 		loops = append(loops, nest.Loop{Index: idx, Lower: lo, Upper: hi})
-		indexSet[idx] = true
 	}
 	params := spec.Params
 	if len(params) == 0 {
-		pset := map[string]bool{}
-		for _, l := range loops {
-			for _, v := range append(l.Lower.Vars(), l.Upper.Vars()...) {
-				if !indexSet[v] {
-					pset[v] = true
-				}
-			}
-		}
-		for p := range pset {
-			params = append(params, p)
-		}
-		sort.Strings(params)
+		params = nest.FreeParams(loops)
 	}
 	return nest.New(params, loops...)
 }

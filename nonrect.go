@@ -45,9 +45,9 @@
 // Rank/Unrank queries (res.Unranker.Bind).
 //
 // The source-to-source tool of the paper lives in cmd/collapsetool; the
-// figure-regeneration harness in cmd/benchfig; rank/unrank queries in
-// cmd/rankq. See DESIGN.md for the system inventory and EXPERIMENTS.md
-// for the paper-vs-measured record.
+// figure-regeneration harness in cmd/benchfig; count, rank and unrank
+// queries on ad-hoc nests in cmd/rankq. See DESIGN.md for the system
+// inventory and EXPERIMENTS.md for the paper-vs-measured record.
 package nonrect
 
 import (
