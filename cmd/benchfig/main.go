@@ -102,7 +102,7 @@ func main() {
 	flag.Int64Var(&o.srcN, "srcn", 200, "parameter value for every parameter of the -src nest")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write the imbalance chunk timeline as Chrome trace-event JSON")
 	flag.StringVar(&o.jsonOut, "json", "", "write the suite report (-fig overhead|compile|invert|autotune|dist) as JSON to this file")
-	flag.IntVar(&o.reps, "reps", 0, "best-of repetitions for the measured suites (default 3, quick: 1)")
+	flag.IntVar(&o.reps, "reps", 0, "alternated timing rounds for the measured suites (default 3, quick: 1)")
 	flag.BoolVar(&o.verbose, "v", false, "print calibration details")
 	flag.StringVar(&o.serve, "serve", "", "serve the observability plane on this address (/metrics, /snapshot, /trace, /debug/pprof) during the run")
 	flag.DurationVar(&o.hold, "hold", 0, "with -serve, keep the plane up this long after the run (negative: until interrupted)")
