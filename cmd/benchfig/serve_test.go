@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // captureF redirects stdout around an arbitrary function (captureRun
@@ -63,13 +61,12 @@ func TestServeFlag(t *testing.T) {
 	if !strings.Contains(healthz, "ok") {
 		t.Errorf("/healthz = %q", healthz)
 	}
-	fams, perr := obs.ParseExposition(strings.NewReader(exposition))
-	if perr != nil {
-		t.Fatalf("served exposition invalid: %v", perr)
+	if !strings.HasSuffix(exposition, "\n# EOF\n") {
+		t.Fatalf("served exposition does not end with # EOF:\n%s", exposition)
 	}
 	// Even with no instrumented figure the process gauges are live.
-	if _, ok := fams["process_goroutines"]; !ok {
-		t.Errorf("process gauges missing; families: %v", obs.FamilyNames(fams))
+	if !strings.Contains("\n"+exposition, "\n# TYPE process_goroutines gauge\n") {
+		t.Errorf("process gauges missing:\n%s", exposition)
 	}
 }
 

@@ -462,9 +462,22 @@ func runStats(res *core.Result, prog *cparse.Program, o options,
 	fmt.Printf("\n=== telemetry (params=%d, threads=%d, schedule %s, %d iterations) ===\n",
 		o.statsN, o.threads, sched.Kind, cs.Total)
 	fmt.Printf("\nload imbalance:\n%s", cs.ImbalanceReport())
-	fmt.Printf("\nrecovery stats (all threads): %s\n", cs.Stats)
+	printRecovery(cs)
 	fmt.Printf("\n%s", tel.Report())
 	return nil
+}
+
+// printRecovery prints the team's recovery counters and how its chunk
+// starts were positioned: recovered from the rank, or seeded by
+// skipping forward from the worker's previous chunk.
+func printRecovery(cs omp.CollapsedStats) {
+	var chunks, seeded int64
+	for _, t := range cs.PerThread {
+		chunks += t.Chunks
+		seeded += t.Seeded
+	}
+	fmt.Printf("\nrecovery stats (all threads): %s\n", cs.Stats)
+	fmt.Printf("chunk starts: %d recovered, %d seeded\n", chunks-seeded, seeded)
 }
 
 // runTunedStats is the -sched auto form of runStats: the autotuner
@@ -494,7 +507,7 @@ func runTunedStats(ctx context.Context, res *core.Result, params map[string]int6
 	fmt.Printf("  calibration: dequeue %.1fns, recovery %.1fns (%s), unit cost %.1fns\n",
 		run.Plan.Cal.Dequeue*1e9, run.Plan.Cal.Recovery*1e9, recovery, run.Plan.UnitSec*1e9)
 	fmt.Printf("\nload imbalance:\n%s", run.Stats.ImbalanceReport())
-	fmt.Printf("\nrecovery stats (all threads): %s\n", run.Stats.Stats)
+	printRecovery(run.Stats)
 	fmt.Printf("\n%s", tel.Report())
 	return nil
 }

@@ -131,6 +131,7 @@ func TestRunStats(t *testing.T) {
 		"load imbalance:",
 		"thread", "iterations", "recovery",
 		"recovery stats (all threads): root evals",
+		"chunk starts: ",
 		"compile/ehrhart.Ranking",
 		"compile/unrank.selectRoots",
 		"unrank.root_evals",

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // scrapeOnce GETs one path and returns the body ("" on any error).
@@ -75,20 +73,12 @@ func TestServeFlag(t *testing.T) {
 	if !strings.Contains(healthz, "ok") {
 		t.Errorf("/healthz = %q", healthz)
 	}
-	fams, perr := obs.ParseExposition(strings.NewReader(exposition))
-	if perr != nil {
-		t.Fatalf("served exposition invalid: %v", perr)
+	if !strings.HasSuffix(exposition, "\n# EOF\n") {
+		t.Fatalf("served exposition does not end with # EOF:\n%s", exposition)
 	}
 	for _, prefix := range []string{"compile_", "cache_", "omp_", "unrank_"} {
-		found := false
-		for name := range fams {
-			if strings.HasPrefix(name, prefix) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("no %s* family in served exposition; families: %v", prefix, obs.FamilyNames(fams))
+		if !strings.Contains("\n"+exposition, "\n# TYPE "+prefix) {
+			t.Errorf("no %s* family in served exposition:\n%s", prefix, exposition)
 		}
 	}
 	if !strings.Contains(snapshot, `"counters"`) {

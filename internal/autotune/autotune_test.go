@@ -290,14 +290,20 @@ func TestRecoveryP50OverridesSampling(t *testing.T) {
 	tel := telemetry.New()
 	res := triangular(t)
 	params := map[string]int64{"N": 50}
-	// Fill the histogram the way production does: one instrumented
-	// collapsed run on the same registry, one observation per chunk.
+	// Fill the histogram the way production does: instrumented collapsed
+	// runs on the same registry, one observation per chunk whose start
+	// was recovered. Seeded starts are not recoveries and are not
+	// observed, so a run contributes little more than its first chunk
+	// per worker; repeat runs until the histogram is full enough.
 	sched := omp.Schedule{Kind: omp.Dynamic, Chunk: 8}
-	if _, err := omp.CollapsedForChunkTelemetryCtx(context.Background(), res, params, 2, sched, tel,
-		func(int, []int64) {}); err != nil {
-		t.Fatal(err)
+	observed := func() int64 { return tel.Snapshot().Histograms[omp.RecoverySecondsMetric].Count }
+	for run := 0; run < 200 && observed() < 2*minRecoveryObservations; run++ {
+		if _, err := omp.CollapsedForChunkTelemetryCtx(context.Background(), res, params, 2, sched, tel,
+			func(int, []int64) {}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if n := tel.Snapshot().Histograms[omp.RecoverySecondsMetric].Count; n < 2*minRecoveryObservations {
+	if n := observed(); n < 2*minRecoveryObservations {
 		t.Fatalf("instrumented run observed %d recoveries, want >= %d", n, 2*minRecoveryObservations)
 	}
 	tuner := New(Options{Registry: tel})

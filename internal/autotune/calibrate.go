@@ -168,9 +168,10 @@ func RecoverySec(b *unrank.Bound) float64 {
 	}), 0) / recoveryRanks
 }
 
-// recoveryP50 returns the p50 of the live per-chunk recovery histogram
+// recoveryP50 returns the p50 of the live chunk-start recovery histogram
 // (omp.RecoverySecondsMetric, observed by the instrumented collapsed
-// executor) when it has enough observations, else (0, false).
+// executor for every start it recovered with Unrank, never for a
+// seeded one) when it has enough observations, else (0, false).
 func recoveryP50(reg *telemetry.Registry) (float64, bool) {
 	if reg == nil {
 		return 0, false

@@ -231,7 +231,9 @@ func ForRanges(b *unrank.Bound, pcLo, pcHi int64, st *RangeStats,
 
 // ForRangesFrom is ForRanges with the recovery already paid: start must
 // be the exact iteration tuple of rank pcLo. start is read, never
-// written (it may be b.Scratch() itself).
+// written (it may be b.Scratch() itself). Like ForRangeFrom, a
+// successful call leaves b.Scratch() at the tuple of pcHi, from which
+// the collapsed engine may skip forward to the worker's next chunk.
 func ForRangesFrom(b *unrank.Bound, pcLo, pcHi int64, start []int64, st *RangeStats,
 	body func(pc int64, prefix []int64, lo, hi int64)) error {
 	if pcLo > pcHi {
@@ -259,6 +261,7 @@ func ForRangesFrom(b *unrank.Bound, pcLo, pcHi int64, start []int64, st *RangeSt
 			st.Iterations += hi - lo
 		}
 		if pc > pcHi {
+			idx[last] = hi - 1 // leave the scratch at the tuple of pcHi
 			return nil
 		}
 		if !inst.NextRun(idx) {
@@ -294,9 +297,9 @@ func ForRange(b *unrank.Bound, pcLo, pcHi int64, body func(pc int64, idx []int64
 
 // ForRangeFrom is ForRange with the recovery already paid: start must be
 // the exact iteration tuple of rank pcLo (the collapsed engine passes
-// the chunk-start tuple it just recovered into b.Scratch()), and the
+// the chunk-start tuple it just positioned in b.Scratch()), and the
 // driver goes straight to the §V incrementation. start is read, never
-// written.
+// written. A successful call leaves b.Scratch() at the tuple of pcHi.
 func ForRangeFrom(b *unrank.Bound, pcLo, pcHi int64, start []int64,
 	body func(pc int64, idx []int64)) error {
 	if pcLo > pcHi {

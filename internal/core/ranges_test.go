@@ -79,8 +79,8 @@ func TestForRangesMatchesForRange(t *testing.T) {
 				t.Fatalf("enumerated %d tuples, total says %d", len(truth), total)
 			}
 			for _, chunk := range []int64{1, 2, 3, 5, total, total + 7} {
-				gotRange := collect(t, b, total, chunk, false)
-				gotRanges := collect(t, b, total, chunk, true)
+				gotRange := collect(t, b, truth, chunk, false)
+				gotRanges := collect(t, b, truth, chunk, true)
 				assertVisits(t, fmt.Sprintf("chunk %d per-iteration", chunk), truth, gotRange)
 				assertVisits(t, fmt.Sprintf("chunk %d range-batched", chunk), truth, gotRanges)
 			}
@@ -89,9 +89,12 @@ func TestForRangesMatchesForRange(t *testing.T) {
 }
 
 // collect runs the collapsed space serially in chunks of the given size
-// through ForRange or ForRanges and returns the visit sequence.
-func collect(t *testing.T, b *unrank.Bound, total, chunk int64, ranges bool) []visit {
+// through ForRange or ForRanges and returns the visit sequence. After
+// each chunk the driver must have left b.Scratch() at the tuple of the
+// chunk's last rank, which the collapsed engine skips forward from.
+func collect(t *testing.T, b *unrank.Bound, truth []visit, chunk int64, ranges bool) []visit {
 	t.Helper()
+	total := int64(len(truth))
 	var out []visit
 	for lo := int64(1); lo <= total; lo += chunk {
 		hi := lo + chunk - 1
@@ -124,6 +127,9 @@ func collect(t *testing.T, b *unrank.Bound, total, chunk int64, ranges bool) []v
 		}
 		if err != nil {
 			t.Fatalf("chunk [%d,%d]: %v", lo, hi, err)
+		}
+		if got, want := fmt.Sprint(b.Scratch()), truth[hi-1].idx; got != want {
+			t.Fatalf("chunk [%d,%d] (ranges=%v) left the scratch at %s, want %s", lo, hi, ranges, got, want)
 		}
 	}
 	return out

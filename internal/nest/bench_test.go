@@ -72,3 +72,43 @@ func BenchmarkBoundsGeneric(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) { benchBounds(b, inst) })
 	}
 }
+
+// BenchmarkSkip measures what one carry of Skip costs: each op skips
+// from the first tuple to the last, crossing every innermost run, and
+// ns/carry divides the op's time by the runs crossed. The collapsed
+// engine's carry bound (omp's seedCarries) is a recovery's cost over
+// this figure.
+func BenchmarkSkip(b *testing.B) {
+	for _, c := range benchNests() {
+		inst, err := c.n.Bind(c.params)
+		if err != nil {
+			b.Fatal(err)
+		}
+		first := make([]int64, inst.Depth())
+		inst.First(first)
+		var total, runs int64
+		last := inst.Depth() - 1
+		prev := append([]int64(nil), first...)
+		inst.Enumerate(func(idx []int64) bool {
+			total++
+			for k := 0; k < last; k++ {
+				if idx[k] != prev[k] {
+					runs++
+					break
+				}
+			}
+			copy(prev, idx)
+			return true
+		})
+		idx := make([]int64, inst.Depth())
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(idx, first)
+				if !inst.Skip(idx, total-1, int(runs)) {
+					b.Fatal("skip fell short")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*max(runs, 1)), "ns/carry")
+		})
+	}
+}

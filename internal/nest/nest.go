@@ -466,6 +466,28 @@ func (inst *Instance) NextRun(idx []int64) bool {
 	return false
 }
 
+// Skip advances the valid tuple idx by n lexicographic successors,
+// reporting false when the iteration space ends first or when getting
+// there would take more than maxCarries NextRun carries (idx is then
+// unspecified). Within a run the innermost index moves by n at once,
+// so the cost is one bound evaluation per carry however far n reaches.
+// The collapsed engine uses it to reach a chunk's first tuple from the
+// worker's previous one instead of recovering it from its rank.
+func (inst *Instance) Skip(idx []int64, n int64, maxCarries int) bool {
+	last := inst.Depth() - 1
+	for carries := 0; ; carries++ {
+		room := inst.UpperAt(last, idx) - 1 - idx[last] // successors left in this run
+		if n <= room {
+			idx[last] += n
+			return true
+		}
+		if carries == maxCarries || !inst.NextRun(idx) {
+			return false
+		}
+		n -= room + 1
+	}
+}
+
 // Enumerate calls f for every iteration tuple in lexicographic order.
 // Enumeration stops early if f returns false. The slice passed to f is
 // reused across calls.

@@ -114,6 +114,75 @@ func TestNextRunCoversSpace(t *testing.T) {
 	}
 }
 
+// TestSkipMatchesEnumeration starts Skip from every tuple of each nest
+// and, for every distance n to past the end of the space and several
+// carry bounds, judges it by enumeration: it must land on the tuple n
+// ranks later exactly when that tuple exists and lies at most maxCarries
+// non-empty runs ahead, and report false otherwise.
+func TestSkipMatchesEnumeration(t *testing.T) {
+	cases := []struct {
+		name   string
+		n      *Nest
+		params map[string]int64
+	}{
+		{"tri", MustNew([]string{"N"}, L("i", "0", "N-1"), L("j", "i+1", "N")), map[string]int64{"N": 12}},
+		{"tetra", MustNew([]string{"N"}, L("i", "0", "N-1"), L("j", "0", "i+1"), L("k", "j", "i+1")),
+			map[string]int64{"N": 7}},
+		{"trapezoid", MustNew([]string{"N", "M"}, L("i", "0", "N"), L("j", "0", "i+M")),
+			map[string]int64{"N": 8, "M": 3}},
+		// Empty runs at both inner levels: i=0 has no j, j=0 has no k.
+		{"empty-runs", MustNew([]string{"N"}, L("i", "0", "N"), L("j", "0", "i"), L("k", "0", "j")),
+			map[string]int64{"N": 7}},
+		{"depth1", MustNew([]string{"N"}, L("i", "3", "N")), map[string]int64{"N": 40}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			inst, err := tc.n.Bind(tc.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// tuples[r] is the tuple of rank r and run[r] the index of its
+			// innermost run among the non-empty ones.
+			var tuples [][]int64
+			var run []int
+			last := inst.Depth() - 1
+			inst.Enumerate(func(idx []int64) bool {
+				r := 0
+				if k := len(tuples); k > 0 {
+					r = run[k-1]
+					if fmt.Sprint(tuples[k-1][:last]) != fmt.Sprint(idx[:last]) {
+						r++
+					}
+				}
+				tuples = append(tuples, append([]int64(nil), idx...))
+				run = append(run, r)
+				return true
+			})
+			if len(tuples) == 0 {
+				t.Fatal("empty space")
+			}
+			idx := make([]int64, inst.Depth())
+			for _, maxCarries := range []int{0, 1, 3, 64} {
+				for from := range tuples {
+					for n := 0; from+n <= len(tuples); n++ {
+						copy(idx, tuples[from])
+						got := inst.Skip(idx, int64(n), maxCarries)
+						to := from + n
+						want := to < len(tuples) && run[to]-run[from] <= maxCarries
+						if got != want {
+							t.Fatalf("maxCarries=%d: Skip(%v, %d) = %v, want %v", maxCarries, tuples[from], n, got, want)
+						}
+						if got && fmt.Sprint(idx) != fmt.Sprint(tuples[to]) {
+							t.Fatalf("maxCarries=%d: Skip(%v, %d) reached %v, want %v",
+								maxCarries, tuples[from], n, idx, tuples[to])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestParamAccessors checks the non-allocating parameter accessors
 // against the copying Params map.
 func TestParamAccessors(t *testing.T) {

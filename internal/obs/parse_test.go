@@ -9,11 +9,9 @@ import (
 	"strings"
 )
 
-// The scrape side of the plane: a small, strict parser for the
-// OpenMetrics text exposition the exporter produces. It exists so the
-// repo can verify its own exposition in tests (parser round-trip), and
-// so the future collapsed daemon's client tooling can scrape a plane
-// without pulling in a Prometheus dependency.
+// A small, strict parser for the OpenMetrics text exposition the
+// exporter produces: the round-trip tests verify the exporter's format
+// against it.
 
 // Sample is one parsed exposition line.
 type Sample struct {

@@ -15,9 +15,12 @@ import (
 
 // CollapsedFor executes the collapsed iteration space of r (pc =
 // 1..Total) in parallel. Within each schedule chunk the §V scheme is
-// used: the costly closed-form recovery runs once at the first iteration
-// of the chunk, and subsequent index tuples come from lexicographic
-// incrementation, mirroring the code of paper Figs. 4 and §V.
+// used: the chunk's first index tuple is positioned once, and subsequent
+// tuples come from lexicographic incrementation, mirroring the code of
+// paper Figs. 4 and §V. The first tuple costs one closed-form recovery,
+// except when the worker's previous chunk ended a few innermost runs
+// before it: the worker then increments on from its last tuple instead
+// (a seeded start), so fine schedules pay few recoveries.
 //
 // Each worker owns a private unrank.Bound (the OpenMP codes privatize the
 // recovery state the same way). body must be safe for concurrent
@@ -44,8 +47,9 @@ func CollapsedForCtx(ctx context.Context, r *core.Result, params map[string]int6
 }
 
 // CollapsedForRanges executes the collapsed space with the range-batched
-// §V engine: each chunk performs one costly recovery, then the body
-// receives maximal flat innermost runs instead of single iterations.
+// §V engine: each chunk positions its first tuple once (a recovery, or a
+// seeded start as in CollapsedFor), then the body receives maximal flat
+// innermost runs instead of single iterations.
 // body(tid, pc, prefix, lo, hi) covers collapsed ranks
 // pc .. pc+(hi-lo)-1, whose tuples share the outer prefix (levels
 // 0..C-2; slice reused per worker, do not retain) and take every
@@ -77,7 +81,7 @@ func CollapsedForRangesStats(r *core.Result, params map[string]int64, threads in
 	if err != nil {
 		return agg, err
 	}
-	stats := make([]core.RangeStats, len(e.bounds))
+	stats := make([]core.RangeStats, len(e.members))
 	_, runErr := e.run(nil, tel, true, rangeStep(stats, body))
 	for _, s := range stats {
 		agg.Add(s)
@@ -88,15 +92,17 @@ func CollapsedForRangesStats(r *core.Result, params map[string]int64, threads in
 }
 
 // RecoverySecondsMetric names the histogram into which the instrumented
-// collapsed executor observes each chunk's index-recovery time. The
-// autotune planner reads its p50 back as live calibration, so writer
+// collapsed executor observes the index-recovery time of each chunk
+// whose start was recovered by Bound.Unrank; seeded starts are left out.
+// The autotune planner reads its p50 back as live calibration, so writer
 // and reader share this one name.
 const RecoverySecondsMetric = "omp.recovery_seconds"
 
 // CollapsedForChunkTelemetryCtx is the instrumented collapsed executor:
 // it runs the §V scheme like CollapsedForCtx while recording, per chunk,
-// its duration, its recovery time, the live per-worker gauges and the
-// worker's unrank statistics, and returns the per-thread breakdown.
+// its duration, the time spent positioning its start, whether that start
+// was seeded, the live per-worker gauges and the worker's unrank
+// statistics, and returns the per-thread breakdown.
 // Nothing is timed inside a chunk, so the body loop runs at CollapsedFor
 // speed. When tel is non-nil, every chunk additionally becomes a
 // "chunk"-category trace event (named after the schedule kind) and the
@@ -190,7 +196,12 @@ func CollapsedForWarp(r *core.Result, params map[string]int64, W int,
 }
 
 // chunkStep runs the collapsed ranks [clo, chi) on worker tid once the
-// engine has recovered the tuple of rank clo into idx (b's scratch).
+// engine has positioned idx (b's scratch) at the tuple of rank clo.
+// A step that returns nil must leave idx at the tuple of rank chi-1:
+// the engine skips forward from there to the worker's next chunk. The
+// core.ForRangeFrom and core.ForRangesFrom drivers do. The warp step
+// does not, which is safe only because each lane gets exactly one chunk
+// and so never starts another from its scratch.
 type chunkStep func(tid int, b *unrank.Bound, clo, chi int64, idx []int64) error
 
 // tupleStep hands body every tuple of the chunk (core.ForRangeFrom).
@@ -218,14 +229,56 @@ func rangeStep(stats []core.RangeStats, body func(tid int, pc int64, prefix []in
 // engine is the one collapsed executor behind every entry point of this
 // package: the team's recovery state is bound once, the collapsed ranks
 // [lo, hi) are workshared by a single ParallelForChunksCtx, and every
-// chunk recovers its start tuple once before a chunkStep advances
+// chunk positions its start tuple once before a chunkStep advances
 // through it by lexicographic incrementation (paper §V). Per-tuple and
 // per-range bodies, §VI.A SIMD windows, §VI.B warp lanes and dist shard
 // attempts differ only in their chunkStep.
+//
+// A chunk start is positioned by the §V recovery (Bound.Unrank) unless
+// the worker's previous chunk ended a few runs before it: the worker
+// then skips forward from the tuple its last step left in the scratch
+// (nest.Instance.Skip). That is the same lexicographic incrementation
+// the step trusts inside a chunk, so it is exact by construction; under
+// fine schedules it replaces almost every recovery.
 type engine struct {
-	bounds []*unrank.Bound // one per worker: the bound and its clones
-	lo, hi int64
-	sched  Schedule
+	members []*member
+	lo, hi  int64
+	sched   Schedule
+}
+
+// seedCarries bounds the carries a worker may take to skip from its
+// last tuple to its next chunk start before the engine recovers the
+// start with Bound.Unrank instead. On a 2-vCPU host a recovery cost
+// 840 ns on the fine-grain benchmark workload (unrank.recover_ns) and
+// one carry 22-26 ns (BenchmarkSkip in the nest package), so a skip of
+// at most 840/24 ≈ 35 carries costs no more than the recovery it
+// replaces.
+const seedCarries = 35
+
+// member is one team member's private engine state: its bound, whose
+// scratch holds the tuple the member last ran, and seed, the rank of
+// that tuple, or 0 when the next chunk must recover its start. A member
+// is its own 64-byte allocation, so the seed written after every chunk
+// shares no cache line with another member's.
+type member struct {
+	b    *unrank.Bound
+	seed int64
+	_    [48]byte
+}
+
+// start positions the member's scratch at the tuple of rank clo and
+// reports whether it got there by skipping from the seed rather than
+// by Bound.Unrank. The seed is cleared: the caller records a new one
+// only once the chunk's step has succeeded, so a failed or panicking
+// chunk never seeds the next.
+func (m *member) start(clo int64) (idx []int64, seeded bool, err error) {
+	idx = m.b.Scratch()
+	seed := m.seed
+	m.seed = 0
+	if seed > 0 && clo > seed && m.b.Instance().Skip(idx, clo-seed, seedCarries) {
+		return idx, true, nil
+	}
+	return idx, false, m.b.Unrank(clo, idx)
 }
 
 // newEngine privatizes recovery state for a team: the collapse result is
@@ -243,12 +296,12 @@ func newEngine(r *core.Result, params map[string]int64, threads int, sched Sched
 	if err != nil {
 		return nil, err
 	}
-	bounds := make([]*unrank.Bound, threads)
-	bounds[0] = b0
+	members := make([]*member, threads)
+	members[0] = &member{b: b0}
 	for t := 1; t < threads; t++ {
-		bounds[t] = b0.Clone()
+		members[t] = &member{b: b0.Clone()}
 	}
-	return &engine{bounds: bounds, lo: 1, hi: end, sched: sched}, nil
+	return &engine{members: members, lo: 1, hi: end, sched: sched}, nil
 }
 
 // pcEnd returns the exclusive upper bound last+1 of a collapsed pc
@@ -263,12 +316,6 @@ func pcEnd(last int64) (int64, error) {
 	return last + 1, nil
 }
 
-// startTuple recovers the tuple of rank clo into b's scratch.
-func startTuple(b *unrank.Bound, clo int64) ([]int64, error) {
-	idx := b.Scratch()
-	return idx, b.Unrank(clo, idx)
-}
-
 // run executes step over every chunk. It has two instrumentation states,
 // chosen by the entry point from whether its caller asked for stats or
 // passed a registry: off (metered false) reads no clock at all;
@@ -277,19 +324,23 @@ func startTuple(b *unrank.Bound, clo int64) ([]int64, error) {
 // tel (which may be nil) and returns the per-thread breakdown.
 func (e *engine) run(ctx context.Context, tel *telemetry.Registry, metered bool,
 	step chunkStep) (CollapsedStats, error) {
-	threads := len(e.bounds)
+	threads := len(e.members)
 	if !metered {
 		err := ParallelForChunksCtx(ctx, threads, e.lo, e.hi, e.sched, func(tid int, clo, chi int64) error {
-			b := e.bounds[tid]
-			idx, err := startTuple(b, clo)
+			m := e.members[tid]
+			idx, _, err := m.start(clo)
 			if err != nil {
 				return err
 			}
-			return step(tid, b, clo, chi, idx)
+			if err := step(tid, m.b, clo, chi, idx); err != nil {
+				return err
+			}
+			m.seed = chi - 1
+			return nil
 		})
 		return CollapsedStats{}, err
 	}
-	cs := CollapsedStats{Threads: threads, Total: e.bounds[0].Total(), PerThread: make([]ThreadStats, threads)}
+	cs := CollapsedStats{Threads: threads, Total: e.members[0].b.Total(), PerThread: make([]ThreadStats, threads)}
 	for t := range cs.PerThread {
 		cs.PerThread[t].TID = t
 	}
@@ -300,37 +351,46 @@ func (e *engine) run(ctx context.Context, tel *telemetry.Registry, metered bool,
 	published := make([]unrank.Stats, threads)
 	evName := e.sched.Kind.String()
 	runErr := ParallelForChunksCtx(ctx, threads, e.lo, e.hi, e.sched, func(tid int, clo, chi int64) error {
-		b := e.bounds[tid]
+		m := e.members[tid]
 		var startOff time.Duration
 		if tr != nil {
 			startOff = tr.Now()
 		}
 		live.chunkStart(tid, startOff)
 		t0 := time.Now()
-		idx, err := startTuple(b, clo)
+		idx, seeded, err := m.start(clo)
 		if err != nil {
 			return err
 		}
 		recovery := time.Since(t0)
-		// The per-chunk recovery histogram is the autotuner's measured
-		// cost input: its p50 replaces the calibrated constant when the
-		// planner charges the §V recovery per simulated chunk.
-		recHist.Observe(recovery.Seconds())
-		if err := step(tid, b, clo, chi, idx); err != nil {
+		if !seeded {
+			// The per-chunk recovery histogram is the autotuner's measured
+			// cost input: its p50 replaces the calibrated constant when the
+			// planner charges the §V recovery per simulated chunk, so it
+			// observes real recoveries only, never a skip.
+			recHist.Observe(recovery.Seconds())
+		}
+		if err := step(tid, m.b, clo, chi, idx); err != nil {
 			return err
 		}
+		m.seed = chi - 1
 		busy := time.Since(t0)
 		st := &cs.PerThread[tid]
 		st.Chunks++
 		st.Iterations += chi - clo
 		st.Busy += busy
 		st.Recovery += recovery
+		seededArg := int64(0)
+		if seeded {
+			st.Seeded++
+			seededArg = 1
+		}
 		hist.Observe(busy.Seconds())
 		if live != nil {
 			// Live progress: advance the per-worker gauges and publish the
 			// recovery-counter deltas of this chunk, so a mid-run scrape
 			// sees escalations and imbalance as they happen.
-			s := b.Stats()
+			s := m.b.Stats()
 			live.chunkEnd(tid, chi-clo, s.Sub(published[tid]))
 			published[tid] = s
 		}
@@ -342,6 +402,7 @@ func (e *engine) run(ctx context.Context, tel *telemetry.Registry, metered bool,
 					{Name: "pc_hi", Value: chi},
 					{Name: "iters", Value: chi - clo},
 					{Name: "recovery_ns", Value: recovery.Nanoseconds()},
+					{Name: "seeded", Value: seededArg},
 				},
 			})
 		}
@@ -354,8 +415,8 @@ func (e *engine) run(ctx context.Context, tel *telemetry.Registry, metered bool,
 	// canceled or failed run publishes the work actually done.
 	var remainder unrank.Stats
 	var done int64
-	for t, b := range e.bounds {
-		s := b.Stats()
+	for t, m := range e.members {
+		s := m.b.Stats()
 		cs.PerThread[t].Unrank = s
 		cs.Stats.Add(s)
 		remainder.Add(s.Sub(published[t]))
@@ -375,16 +436,23 @@ func (e *engine) run(ctx context.Context, tel *telemetry.Registry, metered bool,
 
 // ThreadStats is the per-thread runtime record of an instrumented
 // collapsed run: how many chunks and iterations the thread completed,
-// how long it was busy (recovery plus incrementation plus body), how
-// much of that was the once-per-chunk closed-form recovery, and the
-// thread's own unranker counters.
+// how long it was busy (chunk-start positioning plus incrementation
+// plus body), how much of that went to positioning the chunk starts,
+// how many of those starts were seeded, and the thread's own unranker
+// counters.
 type ThreadStats struct {
 	TID        int
 	Chunks     int64
 	Iterations int64
 	Busy       time.Duration
-	Recovery   time.Duration
-	Unrank     unrank.Stats
+	// Recovery is the time spent positioning chunk starts, by
+	// Bound.Unrank or by skipping forward from the previous chunk.
+	Recovery time.Duration
+	// Seeded counts the chunk starts reached by skipping forward from
+	// the worker's previous chunk instead of by Bound.Unrank; the other
+	// Chunks - Seeded starts were recovered.
+	Seeded int64
+	Unrank unrank.Stats
 }
 
 // CollapsedStats aggregates the runtime statistics of one collapsed

@@ -3,8 +3,11 @@
 // paper's evaluation (§VII): worksharing of an integer iteration range
 // across a fixed team of threads under the static, static-chunked,
 // dynamic and guided schedules, plus the collapsed-loop execution schemes
-// of §V (one costly index recovery per chunk, then lexicographic
-// incrementation), §VI.A (SIMD batches) and §VI.B (warp-strided lanes).
+// of §V (each chunk's first index tuple positioned once, then
+// lexicographic incrementation), §VI.A (SIMD batches) and §VI.B
+// (warp-strided lanes). A chunk start costs one closed-form index
+// recovery unless the worker's previous chunk ended a few innermost runs
+// before it; the worker then increments on from its last tuple instead.
 //
 // Scheduling semantics follow the OpenMP 4.0 description:
 //

@@ -249,3 +249,142 @@ func diffMultiset(t *testing.T, label string, want, got map[string]int) {
 		}
 	}
 }
+
+// TestSeededChunkStarts forces seeded chunk starts on and off through
+// the schedule alone and checks the count of seeded starts as well as
+// the visited multiset. The collapse runs in verify mode, which checks
+// every Bound.Unrank, so Stats.Verifies counts the starts that were
+// recovered rather than seeded; so must the recovery histogram.
+func TestSeededChunkStarts(t *testing.T) {
+	// One thread with static,1 or dynamic,1 starts every chunk but the
+	// first one rank after its last tuple: seeding is forced on.
+	on := []Schedule{{Kind: StaticChunk, Chunk: 1}, {Kind: Dynamic, Chunk: 1}}
+	// The off nest's innermost runs have 3 ranks, so two threads with
+	// static chunks of 3·(seedCarries+2) start each chunk more than
+	// seedCarries carries past the worker's last tuple: seeding is
+	// forced off.
+	const run = 3
+	off := []Schedule{{Kind: StaticChunk, Chunk: run * (seedCarries + 2)}}
+	cases := []struct {
+		name    string
+		n       *nest.Nest
+		params  map[string]int64
+		threads int
+		scheds  []Schedule
+		seeding bool // every chunk but the first seeded, else none
+	}{
+		{"on/tri", nest.MustNew([]string{"N"}, nest.L("i", "0", "N-1"), nest.L("j", "i+1", "N")),
+			map[string]int64{"N": 40}, 1, on, true},
+		{"on/tetra", nest.MustNew([]string{"N"},
+			nest.L("i", "0", "N-1"), nest.L("j", "0", "i+1"), nest.L("k", "j", "i+1")),
+			map[string]int64{"N": 9}, 1, on, true},
+		{"on/depth1", nest.MustNew([]string{"N"}, nest.L("i", "3", "N")),
+			map[string]int64{"N": 41}, 1, on, true},
+		{"off/short-runs", nest.MustNew([]string{"N"}, nest.L("i", "0", "N"), nest.L("j", "0", fmt.Sprint(run))),
+			map[string]int64{"N": 4 * (seedCarries + 2)}, 2, off, false},
+	}
+	for _, tc := range cases {
+		res, err := core.Collapse(tc.n, tc.n.Depth(), unrank.Options{Verify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth := map[string]int{}
+		tc.n.MustBind(tc.params).Enumerate(func(idx []int64) bool {
+			truth[fmt.Sprint(idx)]++
+			return true
+		})
+		for _, sched := range tc.scheds {
+			for _, ranged := range []bool{false, true} {
+				label := fmt.Sprintf("%s/%v,%d/ranges=%v", tc.name, sched.Kind, sched.Chunk, ranged)
+				got := map[string]int{}
+				var mu sync.Mutex
+				visit := func(idx []int64) {
+					mu.Lock()
+					got[fmt.Sprint(idx)]++
+					mu.Unlock()
+				}
+				e, err := newEngine(res, tc.params, tc.threads, sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				step := tupleStep(func(_ int, idx []int64) { visit(idx) })
+				if ranged {
+					step = rangeStep(nil, func(_ int, _ int64, prefix []int64, lo, hi int64) {
+						for i := lo; i < hi; i++ {
+							visit(append(append([]int64(nil), prefix...), i))
+						}
+					})
+				}
+				tel := telemetry.New()
+				cs, err := e.run(nil, tel, true, step)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				diffMultiset(t, label, truth, got)
+				var chunks, seeded int64
+				for _, ts := range cs.PerThread {
+					chunks += ts.Chunks
+					seeded += ts.Seeded
+				}
+				want := int64(0)
+				if tc.seeding {
+					want = chunks - 1
+				}
+				if seeded != want {
+					t.Errorf("%s: %d of %d chunk starts seeded, want %d", label, seeded, chunks, want)
+				}
+				if cs.Stats.Verifies != chunks-seeded {
+					t.Errorf("%s: %d recoveries verified, want %d (chunks %d - seeded %d)",
+						label, cs.Stats.Verifies, chunks-seeded, chunks, seeded)
+				}
+				// The autotuner's recovery input observes recovered starts only.
+				if n := tel.Snapshot().Histograms[RecoverySecondsMetric].Count; n != chunks-seeded {
+					t.Errorf("%s: %s observed %d starts, want the %d recovered ones",
+						label, RecoverySecondsMetric, n, chunks-seeded)
+				}
+			}
+		}
+	}
+}
+
+// TestShardSeedsInternalChunks runs whole shards of several internal
+// chunks each: only an attempt's first chunk recovers its start, every
+// later one is seeded, and no seed crosses from one attempt to the
+// next on the reused bound.
+func TestShardSeedsInternalChunks(t *testing.T) {
+	n := nest.MustNew([]string{"N"}, nest.L("i", "0", "N-1"), nest.L("j", "i+1", "N"))
+	params := map[string]int64{"N": 40}
+	res, err := core.Collapse(n, 2, unrank.Options{Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := map[string]int{}
+	n.MustBind(params).Enumerate(func(idx []int64) bool {
+		truth[fmt.Sprint(idx)]++
+		return true
+	})
+	b, err := res.Unranker.Bind(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int{}
+	const shards, chunk = 4, 7
+	total := b.Total()
+	for s := int64(0); s < shards; s++ {
+		lo, hi := 1+total*s/shards, total*(s+1)/shards
+		before := b.Stats().Verifies
+		done, err := ShardForCtx(context.Background(), int(s), b, lo, hi, chunk, func(_ int64, idx []int64) {
+			got[fmt.Sprint(idx)]++
+		})
+		if err != nil || done != hi-lo+1 {
+			t.Fatalf("shard [%d,%d]: done %d, err %v", lo, hi, done, err)
+		}
+		if hi-lo+1 <= 2*chunk {
+			t.Fatalf("shard [%d,%d] spans too few internal chunks", lo, hi)
+		}
+		if v := b.Stats().Verifies - before; v != 1 {
+			t.Errorf("shard [%d,%d]: %d chunk starts recovered, want 1", lo, hi, v)
+		}
+	}
+	diffMultiset(t, "shards", truth, got)
+}

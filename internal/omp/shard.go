@@ -12,7 +12,9 @@ import (
 // DefaultShardChunk is the internal chunking of a shard attempt: the
 // interval between cancellation checks. Small enough that a canceled
 // run stops within a few hundred microseconds on trivial bodies, large
-// enough that the §V recovery amortizes.
+// enough that the per-chunk cancellation check and dispatch amortize.
+// Only an attempt's first chunk pays the §V recovery: each later one
+// starts right after its predecessor, so the engine skips to it.
 const DefaultShardChunk = 4096
 
 // ShardForCtx executes the collapsed ranks [pcLo, pcHi] (inclusive)
@@ -20,8 +22,9 @@ const DefaultShardChunk = 4096
 // dist coordinator's executors run on. The shard is processed by the
 // collapsed engine as a one-worker team over internal chunks of `chunk`
 // iterations (DefaultShardChunk when <= 0), each chunk driven by the §V
-// scheme (one costly recovery per chunk, lexicographic advance within),
-// with two guarantees:
+// scheme (lexicographic advance within; the costly recovery only at the
+// attempt's first chunk, later ones skip on from their predecessor's
+// last tuple), with two guarantees:
 //
 //   - ctx is checked at every chunk boundary, so a canceled context —
 //     the run failed elsewhere, or its caller gave up — stops the
@@ -59,7 +62,7 @@ func ShardForCtx(ctx context.Context, worker int, b *unrank.Bound,
 	if err := faults.InjectShard(worker, pcLo, pcHi); err != nil {
 		return 0, fmt.Errorf("omp: injected fault at shard [%d,%d]: %w", pcLo, pcHi, err)
 	}
-	e := &engine{bounds: []*unrank.Bound{b}, lo: pcLo, hi: end,
+	e := &engine{members: []*member{{b: b}}, lo: pcLo, hi: end,
 		sched: Schedule{Kind: Dynamic, Chunk: chunk}}
 	_, err = e.run(ctx, nil, false, func(_ int, b *unrank.Bound, clo, chi int64, idx []int64) error {
 		if err := core.ForRangeFrom(b, clo, chi-1, idx, body); err != nil {

@@ -19,7 +19,8 @@
 //     the costly recovery hoisted to once per chunk and cheap
 //     lexicographic incrementation in between (§V of the paper), under
 //     static, static-chunked, dynamic and guided schedules on a
-//     goroutine team.
+//     goroutine team. The runtime also skips a chunk's recovery when the
+//     worker's previous chunk ended a few innermost runs before it.
 //
 // # Quick start
 //
@@ -266,8 +267,9 @@ func CollapseAt(n *Nest, from, c int, opts ...Option) (*Result, error) {
 }
 
 // CollapsedFor executes the collapsed iteration space on a goroutine
-// team with the §V once-per-chunk recovery scheme. body receives the
-// worker id and the recovered original indices (slice reused per
+// team with the §V scheme: at most one recovery per chunk, none when
+// the worker's previous chunk ended a few innermost runs earlier. body
+// receives the worker id and the original indices (slice reused per
 // worker). WithTelemetry instruments the run at chunk granularity (see
 // CollapsedForStats); nothing is timed inside a chunk.
 func CollapsedFor(res *Result, params map[string]int64, threads int, sched Schedule,
@@ -400,7 +402,7 @@ func CollapsedForTuned(ctx context.Context, tuner *Tuner, res *Result, params ma
 // CollapsedForStats is CollapsedFor returning the per-thread runtime
 // breakdown (chunks, iterations, busy and recovery time, unrank
 // counters), measured at chunk granularity: each chunk's duration and
-// its once-per-chunk recovery are timed, the iterations inside it are
+// the positioning of its start are timed, the iterations inside it are
 // not. Pass WithTelemetry to additionally record the chunk timeline as
 // trace events and publish the run's counters.
 func CollapsedForStats(res *Result, params map[string]int64, threads int, sched Schedule,
