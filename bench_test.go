@@ -190,8 +190,8 @@ func BenchmarkCollapseConstruction(b *testing.B) {
 }
 
 // BenchmarkCollapse measures repeated Collapse of the same nest shapes
-// with and without the structural collapse cache — the warm path is a
-// signature computation plus a shallow rename of the cached artifact.
+// with and without the collapse cache — the warm path is the integer
+// key of the canonical band plus a view of the cached artifact.
 func BenchmarkCollapse(b *testing.B) {
 	nests := map[string]*Nest{
 		"triangular-2d":  MustNewNest([]string{"N"}, L("i", "0", "N-1"), L("j", "i+1", "N")),

@@ -286,13 +286,14 @@ func run(o options) error {
 		fmt.Printf("parsed nest (collapse %d, schedule %q):\n%s\n",
 			prog.CollapseCount, prog.Schedule, indent(prog.Nest.String(), "  "))
 		fmt.Printf("ranking polynomial:\n  r(%s) = %s\n",
-			strings.Join(prog.Nest.Indices(), ", "), res.Ranking)
-		fmt.Printf("total iterations:\n  %s\n", res.Total)
+			strings.Join(prog.Nest.Indices(), ", "), res.Ranking())
+		fmt.Printf("total iterations:\n  %s\n", res.Total())
+		fmt.Printf("rebase: %s\n", rebaseLine(res))
 		for k := 0; k < res.C-1; k++ {
 			fmt.Printf("level %d (%s): %d symbolic root candidate(s); convenient root #%d:\n",
 				k, prog.Nest.Loops[k].Index, len(res.Unranker.RootCandidates(k)), res.Unranker.RootIndex(k))
-			fmt.Printf("  %s = floor(Re( %s ))\n",
-				prog.Nest.Loops[k].Index, roots.String(res.Unranker.RootExpr(k)))
+			fmt.Printf("  %s = floor(Re( %s ))%s\n",
+				prog.Nest.Loops[k].Index, roots.String(res.Unranker.RootExpr(k)), codegen.PlusOffset(res.Unranker.Offset(k)))
 		}
 		fmt.Println()
 	}
@@ -611,4 +612,18 @@ func indent(s, pad string) string {
 		lines[i] = pad + lines[i]
 	}
 	return strings.Join(lines, "\n") + "\n"
+}
+
+// rebaseLine lists, per collapsed level, the constant shift of the
+// compiled canonical form (paper §IV.A: lower bounds rebased to 0),
+// e.g. "i = i' + 517, j none".
+func rebaseLine(res *core.Result) string {
+	parts := make([]string, res.C)
+	for k, l := range res.SubNest.Loops {
+		parts[k] = l.Index + " none"
+		if d := res.Unranker.Offset(k); d != 0 {
+			parts[k] = l.Index + " = " + l.Index + "'" + codegen.PlusOffset(d)
+		}
+	}
+	return strings.Join(parts, ", ")
 }

@@ -33,7 +33,7 @@ func main() {
 	}
 	params := map[string]int64{"N": *N, "M": *M}
 	total := *N * *M
-	fmt.Printf("rhomboid %dx%d: ranking r(i,j) = %s, total = %s\n", *N, *M, res.Ranking, res.Total)
+	fmt.Printf("rhomboid %dx%d: ranking r(i,j) = %s, total = %s\n", *N, *M, res.Ranking(), res.Total())
 
 	// Output vector indexed by rank-1: both schemes must fill it fully.
 	out := make([]int64, total)

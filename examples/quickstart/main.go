@@ -29,8 +29,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("ranking polynomial:  r(i,j) =", res.Ranking)
-	fmt.Println("total iterations:    ", res.Total)
+	fmt.Println("ranking polynomial:  r(i,j) =", res.Ranking())
+	fmt.Println("total iterations:    ", res.Total())
 
 	// Run the collapsed loop: every goroutine receives one contiguous,
 	// equally sized chunk of ranks; original indices are recovered once

@@ -35,8 +35,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nranking polynomial:", res.Ranking)
-	fmt.Println("total iterations:  ", res.Total)
+	fmt.Println("\nranking polynomial:", res.Ranking())
+	fmt.Println("total iterations:  ", res.Total())
 
 	schemes := []struct {
 		name string

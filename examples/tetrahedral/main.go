@@ -34,8 +34,8 @@ func main() {
 	fmt.Println("nest:")
 	fmt.Print(n)
 	fmt.Println("\nranking polynomial (paper §IV.C):")
-	fmt.Println("  r(i,j,k) =", res.Ranking)
-	fmt.Println("total iterations:", res.Total)
+	fmt.Println("  r(i,j,k) =", res.Ranking())
+	fmt.Println("total iterations:", res.Total())
 
 	fmt.Println("\nconvenient roots (selected automatically):")
 	for lvl := 0; lvl < 2; lvl++ {

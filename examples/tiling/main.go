@@ -36,7 +36,7 @@ func main() {
 	}
 	params := map[string]int64{"NT": *NT}
 	fmt.Printf("tile space: %d x %d triangular, %s = %d tiles\n",
-		*NT, *NT, res.Total, (*NT)*(*NT+1)/2)
+		*NT, *NT, res.Total(), (*NT)*(*NT+1)/2)
 
 	// Tile weights: off-diagonal tiles hold T^2 points, diagonal tiles
 	// T(T+1)/2 (incomplete). Compare per-thread loads.

@@ -117,7 +117,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nCollapseAt(1,2) of {i; j=i..N; k=j..N}: ranking over params %v:\n  r = %s\n",
-		band.SubNest.Params, band.Ranking)
+		band.SubNest.Params, band.Ranking())
 	bb, err := band.Unranker.Bind(map[string]int64{"N": 10, "i": 4})
 	if err != nil {
 		log.Fatal(err)

@@ -12,7 +12,7 @@
 // plus a penalty for thread-load imbalance.
 //
 // Decisions are cached in the Tuner's own LRU plan table keyed by
-// NestSignature × params bucket × core count, so a plan invalidates
+// core.Key × params bucket × core count, so a plan invalidates
 // implicitly when the problem size leaves its bucket or GOMAXPROCS
 // changes. Observed makespans feed back: when a run deviates more than
 // replanDeviation from the prediction, the per-unit cost estimate is
@@ -24,11 +24,10 @@ package autotune
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -155,41 +154,33 @@ func (t *Tuner) putPlan(key string, p *Plan) {
 	t.plans.Put(key, p)
 }
 
-// planKey derives the cache key: the structural NestSignature extended
-// with the log2 bucket of every parameter value and the core count.
-// Bucketing means nearby problem sizes share a plan while order-of-
-// magnitude changes (or a GOMAXPROCS change) re-plan.
+// planKey derives the cache key: the full nest's core.Key extended
+// with the collapse count, the log2 bucket of every parameter value (by
+// position) and the core count. Bucketing means nearby problem sizes
+// share a plan while order-of-magnitude changes (or a GOMAXPROCS change)
+// re-plan; constant translates and α-renamings of a nest, which have
+// one work profile, share a plan too.
 func planKey(res *core.Result, params map[string]int64, cores int) string {
 	// The decision depends on the nest shape and the work profile, not on
-	// the compile options the artifact was built with, so the signature is
+	// the compile options the artifact was built with, so the key is
 	// taken at default options. It is taken at FULL depth — not res.C —
-	// because NestSignature only renders the collapsed prefix, and two
-	// nests sharing a prefix but differing in inner loops (syrk vs ltmp)
-	// have different work profiles and must not share a plan; the actual
-	// collapse count is appended separately. Non-canonicalizable nests
-	// still plan, keyed on the raw shape dimensions.
-	sig, ok := core.NestSignature(res.Nest, len(res.Nest.Loops), unrank.Options{})
+	// because two nests sharing a collapsed prefix but differing in inner
+	// loops (syrk vs ltmp) have different work profiles and must not
+	// share a plan; the actual collapse count is appended separately.
+	// Nests without a key still plan, keyed on the raw shape dimensions.
+	key, _, ok := core.Key(res.Nest, len(res.Nest.Loops), unrank.Options{})
 	if !ok {
-		sig = fmt.Sprintf("raw|np=%d|d=%d", len(res.Nest.Params), len(res.Nest.Loops))
+		key = fmt.Sprintf("raw|np=%d|d=%d", len(res.Nest.Params), len(res.Nest.Loops))
 	}
-	sig = fmt.Sprintf("%s|collapse=%d", sig, res.C)
-	names := make([]string, 0, len(params))
-	for name := range params {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var sb strings.Builder
-	sb.WriteString(sig)
-	for _, name := range names {
-		v := params[name]
+	buf := binary.AppendVarint([]byte(key), int64(res.C))
+	for _, name := range res.SubNest.Params {
 		bucket := -1 // bucket for v <= 0
-		if v > 0 {
+		if v := params[name]; v > 0 {
 			bucket = int(math.Round(math.Log2(float64(v))))
 		}
-		fmt.Fprintf(&sb, "|%s~%d", name, bucket)
+		buf = binary.AppendVarint(buf, int64(bucket))
 	}
-	fmt.Fprintf(&sb, "|cores=%d", cores)
-	return sb.String()
+	return string(binary.AppendVarint(buf, int64(cores)))
 }
 
 // Plan returns the cached plan for (res, params) or computes, caches

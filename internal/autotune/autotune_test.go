@@ -332,9 +332,10 @@ func TestDecisionString(t *testing.T) {
 
 // TestPlanKeyDistinguishesInnerLoops pins the regression where two
 // nests sharing a collapsed prefix but differing in non-collapsed inner
-// loops (syrk vs ltmp) collided to one plan key: the structural
-// signature must cover the FULL nest, because the work profile the
-// planner schedules lives in the inner loops.
+// loops (syrk vs ltmp) collided to one plan key: the key must cover
+// the FULL nest, because the work profile the planner schedules lives
+// in the inner loops. A renamed constant translate has the same work
+// profile and shares the plan.
 func TestPlanKeyDistinguishesInnerLoops(t *testing.T) {
 	syrkLike := nest.MustNew([]string{"N"},
 		nest.L("i", "0", "N"), nest.L("j", "0", "i+1"), nest.L("k", "0", "N"))
@@ -359,5 +360,14 @@ func TestPlanKeyDistinguishesInnerLoops(t *testing.T) {
 	}
 	if a, c := planKey(resA, params, 8), planKey(resC, params, 8); a == c {
 		t.Fatalf("distinct collapse counts share plan key %q", a)
+	}
+	moved := nest.MustNew([]string{"M"},
+		nest.L("x", "40", "M+40"), nest.L("y", "0", "x-39"), nest.L("z", "0", "M"))
+	resD, err := core.Collapse(moved, 2, unrank.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, d := planKey(resA, params, 8), planKey(resD, map[string]int64{"M": 32}, 8); a != d {
+		t.Fatalf("a renamed translate plans apart: %q vs %q", a, d)
 	}
 }

@@ -94,7 +94,8 @@ func TestDequeueProbedOncePerProcess(t *testing.T) {
 // fresh tuner: calibration probes run a fixed number of passes, so a
 // cold plan costs about half a millisecond. The 5ms bound (best of 3)
 // leaves room for a loaded machine and fails if duration-based timing
-// loops come back.
+// loops come back. Under -race only the functional checks run: the
+// race detector's slowdown is not part of the budget.
 func TestColdPlanBudget(t *testing.T) {
 	res := triangular(t)
 	params := map[string]int64{"N": 2000}
@@ -106,7 +107,7 @@ func TestColdPlanBudget(t *testing.T) {
 		}
 		best = min(best, time.Since(start))
 	}
-	if best >= 5*time.Millisecond {
+	if best >= 5*time.Millisecond && !raceEnabled {
 		t.Fatalf("cold plan took %v (best of 3), want < 5ms", best)
 	}
 }

@@ -92,39 +92,49 @@ func defaultBody(r *core.Result) string {
 	return "S(" + strings.Join(r.Nest.Indices(), ", ") + ");"
 }
 
-// closedForm fails unless every recovered level of r has a closed-form
-// root to print. Results compiled in table or binary-search mode
-// recover their indices at run time and have no radical to emit.
-func closedForm(r *core.Result) error {
-	for k := 0; k < r.C-1; k++ {
-		if r.Unranker.RootExpr(k) == nil {
-			return fmt.Errorf("codegen: level %d (%s) has no closed-form root to emit: %w",
+// closedForm returns the printed root of every recovered level of r,
+// or an error when one has none. Results compiled in table or
+// binary-search mode recover their indices at run time and have no
+// radical to emit.
+func closedForm(r *core.Result) ([]roots.Expr, error) {
+	rts := make([]roots.Expr, r.C-1)
+	for k := range rts {
+		if rts[k] = r.Unranker.RootExpr(k); rts[k] == nil {
+			return nil, fmt.Errorf("codegen: level %d (%s) has no closed-form root to emit: %w",
 				k, r.SubNest.Loops[k].Index, faults.ErrNoConvenientRoot)
 		}
 	}
-	return nil
+	return rts, nil
 }
 
 // recoveryC returns the C statements recovering the collapsed indices
-// from variable pcVar, one per line.
-func recoveryC(r *core.Result, pcVar string) []string {
+// from pc, one per line, given the roots closedForm returned.
+func recoveryC(r *core.Result, rts []roots.Expr) []string {
 	var lines []string
-	for k := 0; k < r.C-1; k++ {
-		e := r.Unranker.RootExpr(k)
-		expr := roots.CString(e)
-		if pcVar != "pc" {
-			expr = strings.ReplaceAll(expr, "pc", pcVar)
-		}
-		lines = append(lines, fmt.Sprintf("%s = floor(creal(%s));",
-			r.SubNest.Loops[k].Index, expr))
+	for k, e := range rts {
+		lines = append(lines, fmt.Sprintf("%s = floor(creal(%s))%s;",
+			r.SubNest.Loops[k].Index, roots.CString(e), PlusOffset(r.Unranker.Offset(k))))
 	}
 	// Last collapsed index: i = lb + (pc - r(prefix, lb)).
 	last := r.SubNest.Loops[r.C-1]
-	tail := r.SubNest.LexMinTail(r.C - 2)
-	base := r.Ranking.SubstAll(tail)
-	lines = append(lines, fmt.Sprintf("%s = %s + (%s - (%s));",
-		last.Index, roots.PolyInt(last.Lower), pcVar, roots.PolyInt(base)))
+	base := r.Unranker.RunStart()
+	lines = append(lines, fmt.Sprintf("%s = %s + (pc - (%s));",
+		last.Index, roots.PolyInt(last.Lower), roots.PolyInt(base)))
 	return lines
+}
+
+// PlusOffset renders a rebase offset (unrank.Unranker.Offset) as a
+// trailing " + d" or " - d", empty when zero. A root yields the index
+// of the compiled, rebased nest; emitted code adds the offset after the
+// floor, so that rounding near an integer can never carry across it.
+func PlusOffset(d int64) string {
+	switch {
+	case d > 0:
+		return fmt.Sprintf(" + %d", d)
+	case d < 0:
+		return fmt.Sprintf(" - %d", -d)
+	}
+	return ""
 }
 
 // incrementC returns the C statements advancing the collapsed indices to
@@ -180,7 +190,8 @@ func privateList(r *core.Result) string {
 // EmitC renders the collapsed nest as C code in the requested scheme.
 // A result without closed-form roots is an error (see closedForm).
 func EmitC(r *core.Result, opts Options) (string, error) {
-	if err := closedForm(r); err != nil {
+	rts, err := closedForm(r)
+	if err != nil {
 		return "", err
 	}
 	opts.fill()
@@ -190,13 +201,13 @@ func EmitC(r *core.Result, opts Options) (string, error) {
 	}
 	var b strings.Builder
 	w := func(format string, args ...interface{}) { fmt.Fprintf(&b, format+"\n", args...) }
-	total := roots.PolyInt(r.Total)
+	total := roots.PolyInt(r.Total())
 
 	switch opts.Scheme {
 	case PerIteration:
 		w("#pragma omp parallel for private(%s) schedule(%s)", privateList(r), opts.Schedule)
 		w("for (pc = 1 ; pc <= %s ; pc++) {", total)
-		for _, l := range recoveryC(r, "pc") {
+		for _, l := range recoveryC(r, rts) {
 			w("  %s", l)
 		}
 		for _, l := range innerLoopsC(r, body, "  ") {
@@ -210,7 +221,7 @@ func EmitC(r *core.Result, opts Options) (string, error) {
 			privateList(r), opts.Schedule)
 		w("for (pc = 1 ; pc <= %s ; pc++) {", total)
 		w("  if (first_iteration) {")
-		for _, l := range recoveryC(r, "pc") {
+		for _, l := range recoveryC(r, rts) {
 			w("    %s", l)
 		}
 		w("    first_iteration = 0;")
@@ -227,7 +238,7 @@ func EmitC(r *core.Result, opts Options) (string, error) {
 		w("#pragma omp parallel for private(%s) schedule(static, %d)", privateList(r), opts.Chunk)
 		w("for (pc = 1 ; pc <= %s ; pc++) {", total)
 		w("  if ((pc-1) %% %d == 0) {", opts.Chunk)
-		for _, l := range recoveryC(r, "pc") {
+		for _, l := range recoveryC(r, rts) {
 			w("    %s", l)
 		}
 		w("  }")
@@ -249,7 +260,7 @@ func EmitC(r *core.Result, opts Options) (string, error) {
 			privateList(r), opts.Schedule)
 		w("for (pc = 1 ; pc <= %s ; pc += %d) {", total, v)
 		w("  if (first_iteration) {")
-		for _, l := range recoveryC(r, "pc") {
+		for _, l := range recoveryC(r, rts) {
 			w("    %s", l)
 		}
 		w("    first_iteration = 0;")
@@ -275,7 +286,7 @@ func EmitC(r *core.Result, opts Options) (string, error) {
 		w("for (thread = 0 ; thread < %d ; thread++) {", W)
 		w("  for (pc = thread+1 ; pc <= %s ; pc += %d) {", total, W)
 		w("    if (pc == thread+1) {")
-		for _, l := range recoveryC(r, "pc") {
+		for _, l := range recoveryC(r, rts) {
 			w("      %s", l)
 		}
 		w("    }")

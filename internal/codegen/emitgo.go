@@ -24,7 +24,8 @@ import (
 // generated Go code is a readable serial reference; parallel execution is
 // provided by the library runtime itself (internal/omp).
 func EmitGo(r *core.Result, opts Options) (string, error) {
-	if err := closedForm(r); err != nil {
+	rts, err := closedForm(r)
+	if err != nil {
 		return "", err
 	}
 	opts.fill()
@@ -54,17 +55,15 @@ func EmitGo(r *core.Result, opts Options) (string, error) {
 	if len(params) > 0 {
 		w("\t_ = %s", params[0])
 	}
-	w("\ttotal := int64(%s)", roots.PolyGo(r.Total))
+	w("\ttotal := int64(%s)", roots.PolyGo(r.Total()))
 	w("\tvar %s float64", strings.Join(indices, ", "))
 
 	recovery := func(indent string) {
-		for k := 0; k < r.C-1; k++ {
-			e := r.Unranker.RootExpr(k)
-			w("%s%s = math.Floor(real(%s))", indent, r.SubNest.Loops[k].Index, roots.GoString(e))
+		for k, e := range rts {
+			w("%s%s = math.Floor(real(%s))%s", indent, r.SubNest.Loops[k].Index, roots.GoString(e), PlusOffset(r.Unranker.Offset(k)))
 		}
 		last := r.SubNest.Loops[r.C-1]
-		tail := r.SubNest.LexMinTail(r.C - 2)
-		base := r.Ranking.SubstAll(tail)
+		base := r.Unranker.RunStart()
 		w("%s%s = (%s) + (pc - (%s))", indent, last.Index, roots.PolyGo(last.Lower), roots.PolyGo(base))
 	}
 	emitBody := func(indent string) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/list"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -13,19 +14,23 @@ import (
 
 // CollapseCache memoizes the outcome of the expensive symbolic phase of
 // Collapse — the ranking construction, radical solving, root selection
-// and evaluator compilation — keyed by NestSignature, i.e. by the
-// structure of the collapsed band modulo variable spelling. A hit adapts
-// the cached Unranker to the caller's names with a shallow rename
-// (compiled evaluators are positional and shared), so collapsing the same
-// nest shape repeatedly — sweeps over parameter values, per-rank tools,
-// long-running services — pays the compile cost once.
+// and evaluator compilation — under Key, the integer encoding of the
+// collapsed band's canonical form: spellings that differ in names or in
+// constant translations of their loops share one entry. Collapse
+// compiles that canonical form whatever the spelling, so a hit only
+// builds a view of the cached Unranker with the caller's names and
+// offsets (compiled evaluators are positional and shared), and
+// collapsing the same nest shape repeatedly — sweeps over parameter
+// values, per-rank tools, long-running services — pays the compile cost
+// once.
 //
 // A shape that fails with an applicability error (faults.Collapsible:
 // non-affine bounds, a ranking beyond radicals, no convenient root,
 // overflow) fails the same way on every compile, because those
-// conditions depend on the signature alone; the cache stores that error
-// too and answers later lookups with it. Panics and every other error
-// are returned uncached, so a transient fault never sticks to a shape.
+// conditions depend on the canonical form alone; the cache stores that
+// error too and answers later lookups with it. Panics and every other
+// error are returned uncached, so a transient fault never sticks to a
+// shape.
 //
 // The cache is safe for concurrent use and bounded: one mutex guards an
 // exact LRU table that evicts its least recently used entry when over
@@ -40,7 +45,7 @@ type CollapseCache struct {
 	evictions atomic.Int64
 }
 
-// outcome is one signature's compile result: the artifact, or the
+// outcome is one key's compile result: the artifact, or the
 // applicability error the shape fails with.
 type outcome struct {
 	u   *unrank.Unranker
@@ -135,79 +140,83 @@ func (c *CollapseCache) Stats() CacheStats {
 	}
 }
 
-// get returns the outcome stored under sig, promoting the entry to most
+// get returns the outcome stored under key, promoting the entry to most
 // recently used.
-func (c *CollapseCache) get(sig string) (outcome, bool) {
+func (c *CollapseCache) get(key string) (outcome, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.art.Get(sig)
+	return c.art.Get(key)
 }
 
-// put stores o under sig, evicting the least recently used outcome when
+// put stores o under key, evicting the least recently used outcome when
 // over capacity. evicted reports how many entries were dropped.
-func (c *CollapseCache) put(sig string, o outcome) (evicted int) {
+func (c *CollapseCache) put(key string, o outcome) (evicted int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.art.Get(sig); ok {
-		// Concurrent miss on the same signature: keep the resident entry
+	if _, ok := c.art.Get(key); ok {
+		// Concurrent miss on the same key: keep the resident entry
 		// (the outcomes are interchangeable).
 		return 0
 	}
-	evicted = c.art.Put(sig, o)
+	evicted = c.art.Put(key, o)
 	c.evictions.Add(int64(evicted))
 	return evicted
 }
 
-// CollapseCached is Collapse routed through cache: a structural hit skips
-// the whole symbolic pipeline and adapts the cached artifact to the
-// caller's variable names (or returns the shape's memoized applicability
-// error); a miss compiles normally and populates the cache. A nil cache,
-// or a request NestSignature declines to canonicalize (custom
-// SampleParams), degrades to a plain Collapse. Telemetry, when
-// configured in opts, receives cache.hits / cache.misses /
-// cache.evictions counters.
-func CollapseCached(cache *CollapseCache, n *nest.Nest, c int, opts unrank.Options) (res *Result, err error) {
-	if cache == nil {
-		return Collapse(n, c, opts)
-	}
-	defer guard(&res, &err)
-	sig, ok := NestSignature(n, c, opts)
-	if !ok {
-		return Collapse(n, c, opts)
-	}
-	res, _, err = CollapseSigned(cache, sig, n, c, opts)
+// CollapseCached is Collapse routed through cache: a hit on the key of
+// the band's canonical form (Key) skips the whole symbolic pipeline and
+// returns a view of the cached artifact in the caller's names and
+// offsets (or returns the shape's memoized applicability error); a miss
+// compiles normally and populates the cache. A nil cache, or a request
+// Key declines (custom SampleParams), degrades to a plain Collapse.
+// Telemetry, when configured in opts, receives cache.hits /
+// cache.misses / cache.evictions counters.
+func CollapseCached(cache *CollapseCache, n *nest.Nest, c int, opts unrank.Options) (*Result, error) {
+	res, _, err := collapseCached(cache, n, c, opts, false)
 	return res, err
 }
 
-// CollapseSigned is CollapseCached for a caller that already holds sig,
-// the NestSignature of (n, c, opts), and wants to know whether the cache
-// answered: hit reports a structural hit, successful or not. A memoized
-// failure is returned as first stored, so its message may spell the nest
-// the way the request that compiled it did.
-func CollapseSigned(cache *CollapseCache, sig string, n *nest.Nest, c int, opts unrank.Options) (res *Result, hit bool, err error) {
+// CollapseCachedExact is CollapseCached with one entry per translation:
+// the rebase offsets join the key, so only spellings that differ in
+// their names alone share an entry, and a constant translate of a
+// cached nest compiles cold. hit reports whether the cache answered,
+// successfully or not; a memoized failure is returned as first stored.
+// The serve daemon uses it, so that its answers report a cache hit only
+// for a nest it has compiled before up to renaming.
+func CollapseCachedExact(cache *CollapseCache, n *nest.Nest, c int, opts unrank.Options) (res *Result, hit bool, err error) {
+	return collapseCached(cache, n, c, opts, true)
+}
+
+func collapseCached(cache *CollapseCache, n *nest.Nest, c int, opts unrank.Options, exact bool) (res *Result, hit bool, err error) {
+	if cache == nil {
+		res, err = Collapse(n, c, opts)
+		return res, false, err
+	}
 	defer guard(&res, &err)
+	key, rb, ok := Key(n, c, opts)
+	if !ok {
+		res, err = Collapse(n, c, opts)
+		return res, false, err
+	}
+	if exact {
+		buf := []byte(key)
+		for _, d := range rb.Offset {
+			buf = binary.AppendVarint(buf, d)
+		}
+		key = string(buf)
+	}
 	tel := opts.Telemetry
-	if o, ok := cache.get(sig); ok {
+	if o, ok := cache.get(key); ok {
 		cache.hits.Add(1)
 		tel.Counter("cache.hits").Add(1)
 		if o.err != nil {
 			return nil, true, o.err
 		}
 		sp := tel.StartSpan("compile", "core.CollapseCached.hit", 0)
-		sub := &nest.Nest{
-			Params: append([]string(nil), n.Params...),
-			Loops:  append([]nest.Loop(nil), n.Loops[:c]...),
-		}
-		ru := o.u.Renamed(sub)
+		sub := band(n, 0, c)
+		res = &Result{Nest: n, C: c, SubNest: sub, Unranker: o.u.View(sub, rb.Offset)}
 		sp.End()
-		return &Result{
-			Nest:     n,
-			C:        c,
-			SubNest:  sub,
-			Ranking:  ru.Ranking(),
-			Total:    ru.Count(),
-			Unranker: ru,
-		}, true, nil
+		return res, true, nil
 	}
 	cache.misses.Add(1)
 	tel.Counter("cache.misses").Add(1)
@@ -221,7 +230,7 @@ func CollapseSigned(cache *CollapseCache, sig string, n *nest.Nest, c int, opts 
 	default:
 		return res, false, err
 	}
-	if ev := cache.put(sig, o); ev > 0 {
+	if ev := cache.put(key, o); ev > 0 {
 		tel.Counter("cache.evictions").Add(int64(ev))
 	}
 	return res, false, err

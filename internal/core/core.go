@@ -29,6 +29,7 @@ import (
 	"repro/internal/nest"
 	"repro/internal/poly"
 	"repro/internal/telemetry"
+	"repro/internal/transform"
 	"repro/internal/unrank"
 )
 
@@ -40,15 +41,20 @@ type Result struct {
 	C int
 	// SubNest is the collapsed sub-nest (the C outermost loops).
 	SubNest *nest.Nest
-	// Ranking is the ranking Ehrhart polynomial of SubNest.
-	Ranking *poly.Poly
-	// Total is the iteration-count polynomial of SubNest in the
-	// parameters; the collapsed loop header is
-	// for (pc = 1; pc <= Total; pc++).
-	Total *poly.Poly
-	// Unranker recovers (i_0,…,i_{C-1}) from pc.
+	// Unranker recovers (i_0,…,i_{C-1}) from pc. It is this caller's
+	// view of the artifact compiled for the band's canonical form (see
+	// Collapse), in SubNest's names and coordinates.
 	Unranker *unrank.Unranker
 }
+
+// Ranking returns the ranking Ehrhart polynomial of SubNest, spelled
+// in its names.
+func (r *Result) Ranking() *poly.Poly { return r.Unranker.Ranking() }
+
+// Total returns the iteration-count polynomial of SubNest in the
+// parameters; the collapsed loop header is
+// for (pc = 1; pc <= Total; pc++).
+func (r *Result) Total() *poly.Poly { return r.Unranker.Count() }
 
 // guard converts a compile-pipeline panic into a *faults.PanicError so
 // the public Collapse API never panics on malformed input; provable
@@ -64,6 +70,16 @@ func guard(res **Result, err *error) {
 // Collapse builds the collapsed form of the c outermost loops of n.
 // opts configures the unranking construction (recovery mode, root
 // selection samples).
+//
+// What Collapse compiles is the band's canonical form (paper §IV.A):
+// every loop whose lower bound is a constant, once the outer loops are
+// rebased, is shifted to start at 0, and parameters and indices take
+// positional names (transform.Rebase). The caller gets a view of that
+// artifact in its own names, with the shifts as a constant offset
+// vector that Bind, Unrank and Rank apply at their boundary. A nest and
+// its constant translates thus compile to one artifact and share one
+// cache entry (CollapseCached); a nest whose coefficients leave int64
+// is compiled as spelled.
 //
 // Failures are typed (see internal/faults): applicability limits wrap
 // ErrNonAffine, ErrDegreeTooHigh or ErrNoConvenientRoot; arithmetic
@@ -82,25 +98,53 @@ func Collapse(n *nest.Nest, c int, opts unrank.Options) (res *Result, err error)
 	if c < 1 || c > n.Depth() {
 		return nil, fmt.Errorf("core: collapse count %d out of range 1..%d", c, n.Depth())
 	}
-	sub := &nest.Nest{
-		Params: append([]string(nil), n.Params...),
-		Loops:  append([]nest.Loop(nil), n.Loops[:c]...),
-	}
+	sub := band(n, 0, c)
 	if err := sub.Validate(); err != nil {
 		return nil, fmt.Errorf("core: collapsed sub-nest invalid: %w", err)
 	}
-	u, err := unrank.New(sub, opts)
+	u, err := compile(sub, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Nest:     n,
-		C:        c,
-		SubNest:  sub,
-		Ranking:  u.Ranking(),
-		Total:    u.Count(),
-		Unranker: u,
-	}, nil
+	return &Result{Nest: n, C: c, SubNest: sub, Unranker: u}, nil
+}
+
+// band is the sub-nest of loops [from, from+c) of n, with n's params.
+func band(n *nest.Nest, from, c int) *nest.Nest {
+	return &nest.Nest{
+		Params: append([]string(nil), n.Params...),
+		Loops:  append([]nest.Loop(nil), n.Loops[from:from+c]...),
+	}
+}
+
+// compile builds the unranker of sub. When sub has a canonical form
+// (transform.Rebase) it compiles that positional nest and returns the
+// view in sub's spelling, re-keying custom SampleParams to the
+// positional parameter names first; otherwise it compiles sub as
+// spelled.
+func compile(sub *nest.Nest, opts unrank.Options) (*unrank.Unranker, error) {
+	rb, ok := transform.Rebase(sub, sub.Depth())
+	if !ok {
+		return unrank.New(sub, opts)
+	}
+	canon := rb.Nest()
+	if opts.SampleParams != nil {
+		samples := make([]map[string]int64, len(opts.SampleParams))
+		for s, m := range opts.SampleParams {
+			samples[s] = make(map[string]int64, len(m))
+			for i, p := range sub.Params {
+				if v, has := m[p]; has {
+					samples[s][canon.Params[i]] = v
+				}
+			}
+		}
+		opts.SampleParams = samples
+	}
+	u, err := unrank.New(canon, opts)
+	if err != nil {
+		return nil, err
+	}
+	return u.View(sub, rb.Offset), nil
 }
 
 // MustCollapse is Collapse but panics on error.
@@ -142,13 +186,9 @@ func CollapseAt(n *nest.Nest, from, c int, opts unrank.Options) (res *Result, er
 	if c < 1 || from+c > n.Depth() {
 		return nil, fmt.Errorf("core: band [%d,%d) exceeds depth %d", from, from+c, n.Depth())
 	}
-	params := append([]string(nil), n.Params...)
+	sub := band(n, from, c)
 	for _, l := range n.Loops[:from] {
-		params = append(params, l.Index)
-	}
-	sub := &nest.Nest{
-		Params: params,
-		Loops:  append([]nest.Loop(nil), n.Loops[from:from+c]...),
+		sub.Params = append(sub.Params, l.Index)
 	}
 	if err := sub.Validate(); err != nil {
 		return nil, fmt.Errorf("core: collapsed band invalid: %w", err)
@@ -160,7 +200,7 @@ func CollapseAt(n *nest.Nest, from, c int, opts unrank.Options) (res *Result, er
 	if opts.SampleParams == nil {
 		for _, size := range []int64{6, 9, 13} {
 			for _, ov := range []int64{0, 1, 2} {
-				m := make(map[string]int64, len(params))
+				m := make(map[string]int64, len(sub.Params))
 				for _, p := range n.Params {
 					m[p] = size
 				}
@@ -171,18 +211,11 @@ func CollapseAt(n *nest.Nest, from, c int, opts unrank.Options) (res *Result, er
 			}
 		}
 	}
-	u, err := unrank.New(sub, opts)
+	u, err := compile(sub, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Nest:     n,
-		C:        c,
-		SubNest:  sub,
-		Ranking:  u.Ranking(),
-		Total:    u.Count(),
-		Unranker: u,
-	}, nil
+	return &Result{Nest: n, C: c, SubNest: sub, Unranker: u}, nil
 }
 
 // RangeStats counts the range-batched engine's events over one or more

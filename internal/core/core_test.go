@@ -29,11 +29,11 @@ func TestCollapseCorrelationTwoOfThree(t *testing.T) {
 	if r.C != 2 || r.SubNest.Depth() != 2 {
 		t.Fatalf("sub-nest depth %d", r.SubNest.Depth())
 	}
-	if want := poly.MustParse("(2*i*N + 2*j - i^2 - 3*i)/2"); !r.Ranking.Equal(want) {
-		t.Errorf("Ranking = %s", r.Ranking)
+	if want := poly.MustParse("(2*i*N + 2*j - i^2 - 3*i)/2"); !r.Ranking().Equal(want) {
+		t.Errorf("Ranking = %s", r.Ranking())
 	}
-	if want := poly.MustParse("(N-1)*N/2"); !r.Total.Equal(want) {
-		t.Errorf("Total = %s", r.Total)
+	if want := poly.MustParse("(N-1)*N/2"); !r.Total().Equal(want) {
+		t.Errorf("Total = %s", r.Total())
 	}
 	if err := r.CheckTotalMatchesRanking(map[string]int64{"N": 9}); err != nil {
 		t.Error(err)

@@ -8,11 +8,13 @@ import (
 	"repro/internal/unrank"
 )
 
-// FuzzNestSignature checks the canonical signature's defining property
-// on arbitrary bound expressions: α-renaming every parameter and
-// iterator never changes the signature (nor cacheability), and signature
-// computation never panics — a collision here would make the collapse
-// cache serve one nest's artifact for a structurally different nest.
+// FuzzNestSignature checks the nest signature's (Key's) defining
+// property on arbitrary bound expressions: α-renaming every parameter
+// and iterator never changes the key (nor cacheability), and key
+// computation never panics; and whenever the key exists the nest is
+// valid and its canonical form is a valid nest with the same point
+// count — a collision here would make the collapse cache serve one
+// nest's artifact for a structurally different nest.
 func FuzzNestSignature(f *testing.F) {
 	f.Add("0", "N-1", "i+1", "N", uint8(2))
 	f.Add("0", "N", "0", "i+1", uint8(2))
@@ -46,13 +48,38 @@ func FuzzNestSignature(f *testing.F) {
 			},
 		}
 		c := int(cc)%2 + 1
-		s1, ok1 := NestSignature(n1, c, unrank.Options{})
-		s2, ok2 := NestSignature(n2, c, unrank.Options{})
+		s1, rb, ok1 := Key(n1, c, unrank.Options{})
+		s2, _, ok2 := Key(n2, c, unrank.Options{})
 		if ok1 != ok2 {
 			t.Fatalf("cacheability differs under renaming: %v vs %v", ok1, ok2)
 		}
 		if s1 != s2 {
-			t.Fatalf("signature not α-invariant (c=%d):\n  %s\n  %s", c, s1, s2)
+			t.Fatalf("signature not α-invariant (c=%d):\n  %q\n  %q", c, s1, s2)
+		}
+		if !ok1 {
+			return
+		}
+		canon := rb.Nest()
+		if err := canon.Validate(); err != nil {
+			t.Fatalf("canonical form of a keyed nest invalid: %v\n%s", err, canon)
+		}
+		for _, row := range append(rb.Lower, rb.Upper...) {
+			for _, v := range row {
+				if v < -50 || v > 50 {
+					return // keep the enumeration below small
+				}
+			}
+		}
+		sub := &nest.Nest{Params: n1.Params, Loops: n1.Loops[:c]}
+		for _, N := range []int64{0, 3, 6} {
+			want := sub.MustBind(map[string]int64{"N": N})
+			if want.CheckRegular() != nil {
+				continue
+			}
+			got := canon.MustBind(map[string]int64{"p0": N})
+			if a, b := want.Count(), got.Count(); a != b {
+				t.Fatalf("N=%d: canonical form has %d points, nest %d", N, b, a)
+			}
 		}
 	})
 }

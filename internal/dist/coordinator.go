@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -142,28 +141,32 @@ func (e *ShardError) Error() string {
 func (e *ShardError) Unwrap() []error { return []error{faults.ErrShardFailed, e.Err} }
 
 // Fingerprint is the identity a checkpoint journal is bound to: the
-// α-invariant structural signature of the collapse request, the sorted
-// parameter binding, and the exact total. Two runs may exchange
-// journals exactly when their fingerprints are equal.
+// collapse request's core.Key, its rebase offsets — a constant translate
+// shares the key, but its pc range covers other tuples, so a journal
+// must not cross translations — the parameter binding by position, and
+// the exact total. Two runs may exchange journals exactly when their
+// fingerprints are equal, which α-renamed spellings of one run do.
 func Fingerprint(res *core.Result, params map[string]int64, total int64) string {
-	sig, ok := core.NestSignature(res.Nest, res.C, unrank.Options{})
-	if !ok {
-		// Not α-canonicalizable (custom sampling etc.): fall back to the
-		// deterministic rendering of the collapsed sub-nest.
-		sig = "nest:" + strings.ReplaceAll(res.SubNest.String(), "\n", ";")
-	}
-	names := make([]string, 0, len(params))
-	for name := range params {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var b strings.Builder
-	fmt.Fprintf(&b, "fp1|%s|params:", sig)
-	for i, name := range names {
+	if key, rb, ok := core.Key(res.Nest, res.C, unrank.Options{}); ok {
+		fmt.Fprintf(&b, "fp2|%x|off:", key)
+		for k, d := range rb.Offset {
+			if k > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%d", d)
+		}
+	} else {
+		// No key (custom sampling etc.): fall back to the deterministic
+		// rendering of the collapsed sub-nest.
+		b.WriteString("nest:" + strings.ReplaceAll(res.SubNest.String(), "\n", ";"))
+	}
+	b.WriteString("|params:")
+	for i, name := range res.SubNest.Params {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%d", name, params[name])
+		fmt.Fprintf(&b, "%d", params[name])
 	}
 	fmt.Fprintf(&b, "|total:%d", total)
 	return b.String()

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -224,6 +225,48 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 		Config{Workers: 2, Journal: journal, Resume: true}, distBody)
 	if !errors.Is(err, faults.ErrFingerprintMismatch) {
 		t.Fatalf("cross-run resume = %v, want ErrFingerprintMismatch", err)
+	}
+}
+
+// TestResumeFingerprintTranslation pins journals to one translation: a
+// triangle translated by d shares its collapse key with every other
+// translate, but its pc range covers other tuples, so a journal it wrote
+// is refused for d+1 — and still accepted for an α-renamed spelling
+// with the same d, which resumes to the same run sum.
+func TestResumeFingerprintTranslation(t *testing.T) {
+	translated := func(d int64, N, i, j string) *core.Result {
+		n := nest.MustNew([]string{N},
+			nest.L(i, fmt.Sprint(d), fmt.Sprintf("%s+%d", N, d-1)),
+			nest.L(j, fmt.Sprintf("%s-%d", i, d-1), N))
+		res, err := core.Collapse(n, 2, unrank.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	const d = 518
+	seed := translated(d, "N", "i", "j")
+	journal := filepath.Join(t.TempDir(), "ckpt.journal")
+	params := map[string]int64{"N": 20}
+	total, want := seqBaseline(t, seed, params)
+	if _, err := Run(context.Background(), seed, params,
+		Config{Workers: 2, Journal: journal}, distBody); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Run(context.Background(), translated(d+1, "N", "i", "j"), params,
+		Config{Workers: 2, Journal: journal, Resume: true}, distBody)
+	if !errors.Is(err, faults.ErrFingerprintMismatch) {
+		t.Fatalf("resume across translations = %v, want ErrFingerprintMismatch", err)
+	}
+	renamed := translated(d, "M", "x", "y")
+	rep, err := Run(context.Background(), renamed, map[string]int64{"M": 20},
+		Config{Workers: 2, Journal: journal, Resume: true}, distBody)
+	if err != nil {
+		t.Fatalf("resume from an α-renamed spelling: %v", err)
+	}
+	if rep.Resumed != total || rep.Executed != 0 || rep.Sum != want {
+		t.Fatalf("α-renamed resume: resumed %d, executed %d, sum %#x; want %d, 0, %#x",
+			rep.Resumed, rep.Executed, rep.Sum, total, want)
 	}
 }
 

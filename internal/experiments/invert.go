@@ -198,7 +198,7 @@ func invertNest(c invertCase, opts InvertOptions) (InvertRow, error) {
 	if err != nil {
 		return row, err
 	}
-	row.Degree = resS.Ranking.TotalDegree()
+	row.Degree = resS.Ranking().TotalDegree()
 	bS, err := resS.Unranker.Bind(params)
 	if err != nil {
 		return row, err

@@ -20,9 +20,11 @@ package nest
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/faults"
+	"repro/internal/numeric"
 	"repro/internal/poly"
 )
 
@@ -376,6 +378,74 @@ func (inst *Instance) UpperAt(k int, idx []int64) int64 {
 // range-batched hot path, where both bounds are always needed together.
 func (inst *Instance) BoundsAt(k int, idx []int64) (lo, hi int64) {
 	return inst.lower[k].eval(idx), inst.upper[k].eval(idx)
+}
+
+// Translate returns the instance in the coordinates i'_k = i_k − off[k]:
+// level k's bounds become lower_k(i' + off) − off[k] and likewise for
+// upper, folded into each bound's constant with checked arithmetic. ok
+// is false when a folded constant leaves int64. The translate shares
+// the nest and parameters; it is as cheap as copying the bounds.
+func (inst *Instance) Translate(off []int64) (*Instance, bool) {
+	out := *inst
+	out.lower = make([]*affineFn, len(inst.lower))
+	out.upper = make([]*affineFn, len(inst.upper))
+	for k := range inst.lower {
+		for _, fs := range [2][2][]*affineFn{{inst.lower, out.lower}, {inst.upper, out.upper}} {
+			f := *fs[0][k]
+			c, ok := numeric.AddInt64(f.c0, -off[k])
+			for _, t := range f.terms {
+				s, okM := numeric.MulInt64(t.coeff, off[t.level])
+				if ok = ok && okM; ok {
+					c, ok = numeric.AddInt64(c, s)
+				}
+			}
+			if !ok || off[k] == math.MinInt64 {
+				return nil, false
+			}
+			f.c0 = c
+			fs[1][k] = &f
+		}
+	}
+	return &out, true
+}
+
+// Extent returns, per level, an interval [lo[k], hi[k]] holding every
+// value that level's lower and upper bounds take while each outer index
+// ranges over its own level's interval — a box over-approximation of
+// the iteration space that contains every index value too. ok is false
+// when the interval arithmetic leaves int64.
+func (inst *Instance) Extent() (lo, hi []int64, ok bool) {
+	d := inst.Depth()
+	lo, hi = make([]int64, d), make([]int64, d)
+	for k := 0; k < d; k++ {
+		l0, l1, ok0 := inst.lower[k].interval(lo, hi)
+		u0, u1, ok1 := inst.upper[k].interval(lo, hi)
+		if !ok0 || !ok1 {
+			return nil, nil, false
+		}
+		lo[k], hi[k] = min(l0, u0), max(l1, u1)
+	}
+	return lo, hi, true
+}
+
+// interval bounds f over the box where each index slot q ranges over
+// [lo[q], hi[q]], with checked arithmetic.
+func (f *affineFn) interval(lo, hi []int64) (fmin, fmax int64, ok bool) {
+	fmin, fmax = f.c0, f.c0
+	for _, t := range f.terms {
+		a, okA := numeric.MulInt64(t.coeff, lo[t.level])
+		b, okB := numeric.MulInt64(t.coeff, hi[t.level])
+		if !okA || !okB {
+			return 0, 0, false
+		}
+		if fmin, ok = numeric.AddInt64(fmin, min(a, b)); !ok {
+			return 0, 0, false
+		}
+		if fmax, ok = numeric.AddInt64(fmax, max(a, b)); !ok {
+			return 0, 0, false
+		}
+	}
+	return fmin, fmax, true
 }
 
 // SpecializedBounds reports how many of the instance's 2·depth compiled

@@ -373,29 +373,26 @@ func (e Pow) emit(b *strings.Builder, d dialect) {
 	}
 }
 
-// Rename returns e with every polynomial leaf's variables renamed through
-// m (names absent from m are kept). Compiled evaluators are positional,
-// so renaming is purely a symbolic-face concern: the collapse cache uses
-// it to re-spell a structurally cached root expression in the caller's
-// variable names without touching the shared compiled closures.
-func Rename(e Expr, m map[string]string) Expr {
+// MapPolys returns e with every polynomial leaf p replaced by f(p); the
+// tree shape is kept. Compiled evaluators are positional, so this is
+// purely a symbolic-face concern: an unranker view uses it to print a
+// shared root expression in its caller's names and coordinates.
+func MapPolys(e Expr, f func(*poly.Poly) *poly.Poly) Expr {
 	switch v := e.(type) {
-	case Num:
-		return v
 	case PolyExpr:
-		return PolyExpr{P: v.P.Rename(m)}
+		return PolyExpr{P: f(v.P)}
 	case Add:
-		return Add{A: Rename(v.A, m), B: Rename(v.B, m)}
+		return Add{A: MapPolys(v.A, f), B: MapPolys(v.B, f)}
 	case Sub:
-		return Sub{A: Rename(v.A, m), B: Rename(v.B, m)}
+		return Sub{A: MapPolys(v.A, f), B: MapPolys(v.B, f)}
 	case Mul:
-		return Mul{A: Rename(v.A, m), B: Rename(v.B, m)}
+		return Mul{A: MapPolys(v.A, f), B: MapPolys(v.B, f)}
 	case Div:
-		return Div{A: Rename(v.A, m), B: Rename(v.B, m)}
+		return Div{A: MapPolys(v.A, f), B: MapPolys(v.B, f)}
 	case Neg:
-		return Neg{A: Rename(v.A, m)}
+		return Neg{A: MapPolys(v.A, f)}
 	case Pow:
-		return Pow{Base: Rename(v.Base, m), Num: v.Num, Den: v.Den}
+		return Pow{Base: MapPolys(v.Base, f), Num: v.Num, Den: v.Den}
 	}
 	return e
 }

@@ -17,15 +17,12 @@ import (
 
 // compileFor compiles (or cache-hits) the collapsed form of the c
 // outermost loops. A shape that failed with an applicability error
-// before is answered from the collapse cache's memo of that error.
+// before is answered from the collapse cache's memo of that error. The
+// daemon's cache is exact per translation (core.CollapseCachedExact):
+// /v1/compile reports cached only for a nest compiled before up to
+// renaming, which load generators rely on to send never-seen shapes.
 func (s *Server) compileFor(n *nest.Nest, c int) (*core.Result, bool, error) {
-	opts := unrank.Options{Telemetry: s.reg}
-	sig, ok := core.NestSignature(n, c, opts)
-	if !ok {
-		res, err := core.Collapse(n, c, opts)
-		return res, false, err
-	}
-	return core.CollapseSigned(s.cache, sig, n, c, opts)
+	return core.CollapseCachedExact(s.cache, n, c, unrank.Options{Telemetry: s.reg})
 }
 
 func (s *Server) handleCompile(ctx context.Context, req *Request) (any, error) {
@@ -36,12 +33,15 @@ func (s *Server) handleCompile(ctx context.Context, req *Request) (any, error) {
 	res := e.res
 	out := &CompileResponse{
 		Collapse: e.c,
-		Ranking:  res.Ranking.String(),
-		Total:    res.Total.String(),
+		Ranking:  res.Ranking().String(),
+		Total:    res.Total().String(),
 		Cached:   cached,
 	}
 	for k := 0; k < res.C-1; k++ {
-		out.Roots = append(out.Roots, roots.String(res.Unranker.RootExpr(k)))
+		// The root yields the rebased index (see core.Collapse); a
+		// translated level adds its offset back.
+		out.Roots = append(out.Roots,
+			roots.String(res.Unranker.RootExpr(k))+codegen.PlusOffset(res.Unranker.Offset(k)))
 	}
 	return out, nil
 }

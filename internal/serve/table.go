@@ -14,8 +14,8 @@ import (
 // requestTable answers repeated requests without re-running the
 // symbolic front end: it maps a request's key (requestKey) to the nest
 // it parses to, the collapse result and the parameter binding, so a warm
-// rank, unrank or count skips parsing, the NestSignature, the cache
-// hit's rename and Bind — the paper's compile-once, recover-per-query
+// rank, unrank or count skips parsing, the collapse key, the cache
+// hit's view and Bind — the paper's compile-once, recover-per-query
 // split carried to the daemon. The table is an exact LRU bounded by
 // Config.CacheCapacity and holds only successful compiles; a failing
 // shape is answered by the collapse cache's memo of its error.

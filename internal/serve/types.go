@@ -11,7 +11,7 @@
 // derived from the refill state), a bounded concurrent-request semaphore,
 // per-request deadlines propagated into the context-aware runtime,
 // per-request panic isolation onto the internal/faults taxonomy,
-// compile failures memoized per core.NestSignature (a shape that fails
+// compile failures memoized per core.Key (a shape that fails
 // with an applicability error compiles once), and graceful degradation
 // tiers under load (shed codegen first, then force the uncollapsed
 // fallback, then shed). Graceful shutdown drains in-flight requests via

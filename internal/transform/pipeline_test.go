@@ -1,10 +1,11 @@
-package transform
+package transform_test
 
 import (
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/nest"
+	"repro/internal/transform"
 	"repro/internal/unrank"
 )
 
@@ -18,7 +19,7 @@ func TestSkewThenCollapse(t *testing.T) {
 		nest.L("i", "0", "N"),
 		nest.L("j", "0", "M"),
 	)
-	tr, err := Skew(rect, 1, 0, 2) // j' = j + 2i: parallelogram
+	tr, err := transform.Skew(rect, 1, 0, 2) // j' = j + 2i: parallelogram
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestNormalizeThenCollapse(t *testing.T) {
 		nest.L("i", "2", "N"),
 		nest.L("j", "i-1", "N+1"),
 	)
-	tr, err := Normalize(n)
+	tr, err := transform.Normalize(n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,9 @@
 //   - Normalize shifts every loop's lower bound to 0 (the paper's
 //     "without loss of generality, assume every loop's lower bound is
 //     equal to 0" — §IV.A);
+//   - Rebase is its pure-translation part: it shifts only constant
+//     lower bounds to 0 and returns the canonical integer form the
+//     collapse pipeline compiles and keys its caches on;
 //   - Skew replaces a loop index j by j' = j + f·i for an outer index i
 //     (producing the rhomboidal/parallelepiped shapes of the abstract);
 //   - Reverse flips a loop's direction.
@@ -20,8 +23,11 @@ package transform
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 
 	"repro/internal/nest"
+	"repro/internal/numeric"
 	"repro/internal/poly"
 )
 
@@ -122,6 +128,129 @@ func Normalize(n *nest.Nest) (*Transformed, error) {
 		return nil, fmt.Errorf("transform: normalized nest invalid: %w", err)
 	}
 	return &Transformed{Nest: out, offsets: offsets, signs: signs, src: n}, nil
+}
+
+// Rebased is the canonical form of the outermost loops of a nest: the
+// pure-translation part of Normalize, held as integer coefficient rows
+// over positional names. Row k of Lower and Upper has length NP+k+1:
+// the coefficients of the parameters p_0..p_{NP-1}, then of the outer
+// indices i_0..i_{k-1}, then the constant term. Two nests that differ
+// only in the spelling of their names and in constant translations of
+// their loops have equal rows.
+type Rebased struct {
+	NP           int
+	Lower, Upper [][]int64
+	// Offset[k] maps rebased index values back: i_k = i'_k + Offset[k].
+	Offset []int64
+}
+
+// Rebase puts the c outermost loops of n into canonical form. Walking
+// outermost first, it substitutes every rebased outer index
+// i_q = i'_q + Offset[q] into loop k's bounds; when loop k's lower bound
+// is then the constant d, the loop is shifted to start at 0 and
+// Offset[k] = d. Any other lower bound (i'_0 + 1, say) is kept, so the
+// triangular and tetrahedral shapes of the paper are their own
+// canonical form. This is the "without loss of generality, every lower
+// bound is 0" of §IV.A restricted to constant shifts; Normalize would
+// also rebase j = i+1 to j' = 0.
+//
+// ok is false when the names are empty or repeated, c is out of range,
+// a bound is not an affine combination of the parameters and enclosing
+// indices with int64 coefficients, or a shifted constant overflows
+// int64. No polynomial is built and no name is rendered.
+func Rebase(n *nest.Nest, c int) (r Rebased, ok bool) {
+	np := len(n.Params)
+	if c < 1 || c > n.Depth() {
+		return r, false
+	}
+	names := make([]string, 0, np+c)
+	names = append(names, n.Params...)
+	for _, l := range n.Loops[:c] {
+		names = append(names, l.Index)
+	}
+	for i, v := range names {
+		if v == "" {
+			return r, false
+		}
+		for _, w := range names[:i] {
+			if v == w {
+				return r, false
+			}
+		}
+	}
+	// One backing array for every row: loop k needs 2·(np+k+1) slots.
+	cells := make([]int64, 2*(c*(np+1)+c*(c-1)/2)+c)
+	r = Rebased{NP: np, Lower: make([][]int64, c), Upper: make([][]int64, c)}
+	r.Offset, cells = cells[:c:c], cells[c:]
+	for k, l := range n.Loops[:c] {
+		w := np + k + 1
+		lo, hi := cells[:w:w], cells[w:2*w:2*w]
+		cells = cells[2*w:]
+		if l.Lower == nil || l.Upper == nil ||
+			!l.Lower.AffineInt64(names[:np+k], lo) || !l.Upper.AffineInt64(names[:np+k], hi) {
+			return r, false
+		}
+		for q := 0; q < k; q++ {
+			d := r.Offset[q]
+			if d == 0 {
+				continue
+			}
+			for _, row := range [2][]int64{lo, hi} {
+				s, ok := numeric.MulInt64(row[np+q], d)
+				if ok {
+					s, ok = numeric.AddInt64(row[w-1], s)
+				}
+				if !ok {
+					return r, false
+				}
+				row[w-1] = s
+			}
+		}
+		if d := lo[w-1]; d != 0 && isConst(lo) {
+			u, ok := numeric.AddInt64(hi[w-1], -d)
+			if !ok || d == math.MinInt64 {
+				return r, false
+			}
+			lo[w-1], hi[w-1] = 0, u
+			r.Offset[k] = d
+		}
+		r.Lower[k], r.Upper[k] = lo, hi
+	}
+	return r, true
+}
+
+// isConst reports whether an affine row has no variable term.
+func isConst(row []int64) bool {
+	for _, v := range row[:len(row)-1] {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Nest spells the rebased loops with positional names: parameters p0,
+// p1, … and indices i0, i1, … outermost first.
+func (r Rebased) Nest() *nest.Nest {
+	c := len(r.Lower)
+	names := make([]string, r.NP+c)
+	for q := range names {
+		if q < r.NP {
+			names[q] = "p" + strconv.Itoa(q)
+		} else {
+			names[q] = "i" + strconv.Itoa(q-r.NP)
+		}
+	}
+	n := &nest.Nest{Params: names[:r.NP:r.NP], Loops: make([]nest.Loop, c)}
+	for k := range n.Loops {
+		vars := names[:r.NP+k]
+		n.Loops[k] = nest.Loop{
+			Index: names[r.NP+k],
+			Lower: poly.Affine(vars, r.Lower[k]),
+			Upper: poly.Affine(vars, r.Upper[k]),
+		}
+	}
+	return n
 }
 
 // Skew replaces loop `level`'s index j by j' = j + factor·i, where i is

@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -241,5 +242,57 @@ func TestIdentityAndCompose(t *testing.T) {
 	double(src, dst)
 	if dst[1] != 5 {
 		t.Error("compose broken")
+	}
+}
+
+// TestRebase checks the canonical form on a nest with two constant
+// lower bounds and one that is not: rows, offsets, and a point-by-point
+// bijection (original = rebased + Offset) at several sizes. Nests
+// outside the int64 affine model have no canonical form.
+func TestRebase(t *testing.T) {
+	n := nest.MustNew([]string{"N"},
+		nest.L("i", "3", "N+3"),
+		nest.L("j", "5", "i+2"),
+		nest.L("k", "i", "j+1"),
+	)
+	rb, ok := Rebase(n, 3)
+	if !ok {
+		t.Fatal("Rebase refused an affine nest")
+	}
+	if want := []int64{3, 5, 0}; fmt.Sprint(rb.Offset) != fmt.Sprint(want) {
+		t.Fatalf("offsets = %v, want %v", rb.Offset, want)
+	}
+	// j' ∈ [0, i'), k ∈ [i'+3, j'+6): rows over (N, i', j', 1).
+	if got := fmt.Sprint(rb.Lower, rb.Upper); got != "[[0 0] [0 0 0] [0 1 0 3]] [[1 0] [0 1 0] [0 0 1 6]]" {
+		t.Fatalf("rows = %s", got)
+	}
+	canon := rb.Nest()
+	if got := canon.String(); got != "params p0\nfor (i0 = 0 ; i0 < p0 ; i0++)\n  for (i1 = 0 ; i1 < i0 ; i1++)\n    for (i2 = i0 + 3 ; i2 < i1 + 6 ; i2++)\n" {
+		t.Fatalf("canonical nest:\n%s", got)
+	}
+	for _, N := range []int64{0, 4, 9} {
+		var want, got []string
+		n.MustBind(map[string]int64{"N": N}).Enumerate(func(idx []int64) bool {
+			want = append(want, fmt.Sprint(idx))
+			return true
+		})
+		canon.MustBind(map[string]int64{"p0": N}).Enumerate(func(idx []int64) bool {
+			got = append(got, fmt.Sprint([]int64{idx[0] + 3, idx[1] + 5, idx[2]}))
+			return true
+		})
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("N=%d: rebased points %v, want %v", N, got, want)
+		}
+	}
+	for _, bad := range []*nest.Nest{
+		{Params: []string{"N"}, Loops: []nest.Loop{nest.L("i", "0", "N*N")}},
+		{Params: []string{"N"}, Loops: []nest.Loop{nest.L("N", "0", "4")}},
+		{Params: []string{"N"}, Loops: []nest.Loop{nest.L("i", "0", "N"), nest.L("j", "0", "k")}},
+		{Params: []string{"N"}, Loops: []nest.Loop{nest.L("i", "0", "N/2")}},
+		{Params: []string{"N"}, Loops: []nest.Loop{nest.L("i", "-9223372036854775807", "N"), nest.L("j", "0", "2*i")}},
+	} {
+		if _, ok := Rebase(bad, bad.Depth()); ok {
+			t.Errorf("Rebase accepted %v", bad)
+		}
 	}
 }

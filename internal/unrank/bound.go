@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/nest"
+	"repro/internal/numeric"
 )
 
 // Stats counts recovery events, exposed for the overhead experiments
@@ -85,9 +86,19 @@ func (s Stats) String() string {
 // repeated Unrank/Rank/Increment calls. A Bound is not safe for
 // concurrent use — give each goroutine its own via Unranker.Bind (the
 // generated OpenMP code likewise privatizes the recovery state).
+//
+// Tuples in and out are in the caller's coordinates. Recovery itself
+// runs in the compiled artifact's: for a shifted view, Unrank adds the
+// offsets once per level on the way out, and Rank subtracts them on the
+// way in. Instance, First and Increment stay in the caller's
+// coordinates, so incrementation and the loop bodies never see an
+// offset.
 type Bound struct {
-	u        *Unranker
-	inst     *nest.Instance
+	u    *Unranker
+	inst *nest.Instance // the caller's coordinates
+	// rinst is the instance recovery evaluates bounds on: inst itself,
+	// or for a shifted view inst translated to the artifact's coordinates.
+	rinst    *nest.Instance
 	np       int
 	depth    int
 	total    int64
@@ -140,6 +151,7 @@ func (u *Unranker) Bind(params map[string]int64) (b *Bound, err error) {
 	b = &Bound{
 		u:     u,
 		inst:  inst,
+		rinst: inst,
 		np:    len(u.nest.Params),
 		depth: u.nest.Depth(),
 		vals:  make([]int64, len(u.order)),
@@ -149,6 +161,11 @@ func (u *Unranker) Bind(params map[string]int64) (b *Bound, err error) {
 		v := params[p]
 		b.vals[i] = v
 		cvals[i] = v
+	}
+	if u.off != nil {
+		if err := b.bindShifted(); err != nil {
+			return nil, fmt.Errorf("unrank: bind %v: %w", params, err)
+		}
 	}
 	b.fvals = make([][]float64, len(u.levels))
 	for k := range u.levels {
@@ -190,6 +207,34 @@ func (u *Unranker) Bind(params map[string]int64) (b *Bound, err error) {
 	return b, nil
 }
 
+// bindShifted readies a shifted view's Bound: recovery gets the
+// caller's instance translated into the compiled artifact's
+// coordinates, and every value the caller's coordinates can take — each
+// level's bounds and indices, bounded by the translated instance's
+// extent plus the level's offset — must fit int64, or the binding is
+// refused with faults.ErrOverflow instead of wrapping around in
+// Instance or on the way out of Unrank.
+func (b *Bound) bindShifted() error {
+	rinst, ok := b.inst.Translate(b.u.off)
+	var lo, hi []int64
+	if ok {
+		lo, hi, ok = rinst.Extent()
+	}
+	for k, d := range b.u.off {
+		if !ok {
+			break
+		}
+		_, okLo := numeric.AddInt64(lo[k], d)
+		_, okHi := numeric.AddInt64(hi[k], d)
+		ok = okLo && okHi
+	}
+	if !ok {
+		return fmt.Errorf("index values translated by %v leave int64: %w", b.u.off, faults.ErrOverflow)
+	}
+	b.rinst = rinst
+	return nil
+}
+
 // Clone returns an independent Bound over the same binding, sharing the
 // immutable compiled core — the bound nest instance (read-only after
 // Bind), the ranking/root evaluators and the precomputed totals — and
@@ -202,6 +247,7 @@ func (b *Bound) Clone() *Bound {
 	nb := &Bound{
 		u:        b.u,
 		inst:     b.inst,
+		rinst:    b.rinst,
 		np:       b.np,
 		depth:    b.depth,
 		total:    b.total,
@@ -332,7 +378,17 @@ func (b *Bound) Unrank(pc int64, idx []int64) (err error) {
 		b.setLevel(k, b.recoverLevel(k, pc, idx), idx)
 	}
 	b.lastLevel(pc, idx)
-	return b.maybeVerify(pc, idx)
+	if err := b.maybeVerify(pc, idx); err != nil {
+		return err
+	}
+	for k, d := range b.u.off {
+		v, ok := numeric.AddInt64(idx[k], d)
+		if !ok {
+			return fmt.Errorf("unrank: pc = %d: index %d + offset %d: %w", pc, idx[k], d, faults.ErrOverflow)
+		}
+		idx[k] = v
+	}
+	return nil
 }
 
 // recoverLevel recovers level k of pc in two rungs: the mode's fast
@@ -341,8 +397,8 @@ func (b *Bound) Unrank(pc int64, idx []int64) (err error) {
 // available and always exact. Search mode has no fast path.
 func (b *Bound) recoverLevel(k int, pc int64, idx []int64) int64 {
 	lv := &b.u.levels[k]
-	lo := b.inst.LowerAt(k, idx)
-	hi := b.inst.UpperAt(k, idx)
+	lo := b.rinst.LowerAt(k, idx)
+	hi := b.rinst.UpperAt(k, idx)
 	if lv.rootFn != nil {
 		if ik, ok := b.tryFloat64(lv, k, pc, lo, hi); ok {
 			return ik
@@ -367,7 +423,7 @@ func (b *Bound) maybeVerify(pc int64, idx []int64) error {
 	// with exact binary search over the monotone ranking polynomial.
 	b.stats.Escalations++
 	for k := 0; k < b.depth-1; k++ {
-		ik := b.searchLevel(k, pc, b.inst.LowerAt(k, idx), b.inst.UpperAt(k, idx))
+		ik := b.searchLevel(k, pc, b.rinst.LowerAt(k, idx), b.rinst.UpperAt(k, idx))
 		b.setLevel(k, ik, idx)
 	}
 	b.lastLevel(pc, idx)
@@ -444,7 +500,7 @@ func (b *Bound) setLevel(k int, ik int64, idx []int64) {
 // i = lb + (pc - rank of first iteration at this prefix).
 func (b *Bound) lastLevel(pc int64, idx []int64) {
 	base := b.u.lastRank.EvalExact(b.vals[:b.np+b.depth-1])
-	lb := b.inst.LowerAt(b.depth-1, idx)
+	lb := b.rinst.LowerAt(b.depth-1, idx)
 	idx[b.depth-1] = lb + (pc - base)
 }
 
@@ -456,7 +512,7 @@ func (b *Bound) lastLevel(pc int64, idx []int64) {
 func (b *Bound) verifyRank(pc int64, idx []int64) bool {
 	b.stats.Verifies++
 	for k := 0; k < b.depth; k++ {
-		if idx[k] < b.inst.LowerAt(k, idx) || idx[k] >= b.inst.UpperAt(k, idx) {
+		if idx[k] < b.rinst.LowerAt(k, idx) || idx[k] >= b.rinst.UpperAt(k, idx) {
 			return false
 		}
 	}
@@ -472,6 +528,13 @@ func (b *Bound) Rank(idx []int64) int64 {
 		panic("unrank: wrong index arity")
 	}
 	copy(b.vals[b.np:], idx)
+	for k, d := range b.u.off {
+		v, ok := subChecked(idx[k], d)
+		if !ok {
+			panic(fmt.Errorf("unrank: rank of %v: index %d − offset %d: %w", idx, idx[k], d, faults.ErrOverflow))
+		}
+		b.vals[b.np+k] = v
+	}
 	return b.u.rankComp.EvalExact(b.vals)
 }
 

@@ -61,7 +61,7 @@ func (b *Bound) buildTables() {
 	b.tpref = make([][]int64, d-1)
 	b.tvalid = make([]bool, d-1)
 	idxA := make([]int64, d)
-	if !b.inst.First(idxA) {
+	if !b.rinst.First(idxA) {
 		return // empty domain: nothing to recover, nothing to tabulate
 	}
 	// Coverage probing: affine bounds are monotone in each prefix
@@ -73,7 +73,7 @@ func (b *Bound) buildTables() {
 	// lookup punts on.
 	idxB := make([]int64, d)
 	for q := 0; q < d; q++ {
-		lo, hi := b.inst.BoundsAt(q, idxB)
+		lo, hi := b.rinst.BoundsAt(q, idxB)
 		if hi <= lo {
 			copy(idxB, idxA) // degenerate corner: fall back to the first tuple
 			break
@@ -88,12 +88,12 @@ func (b *Bound) buildTables() {
 		copy(tv, b.vals[:b.np])
 		b.tvals[k] = tv
 		b.tpref[k] = make([]int64, k)
-		lo := b.inst.LowerAt(k, idxA)
-		hi := b.inst.UpperAt(k, idxA)
-		if l2 := b.inst.LowerAt(k, idxB); l2 < lo {
+		lo := b.rinst.LowerAt(k, idxA)
+		hi := b.rinst.UpperAt(k, idxA)
+		if l2 := b.rinst.LowerAt(k, idxB); l2 < lo {
 			lo = l2
 		}
-		if h2 := b.inst.UpperAt(k, idxB); h2 > hi {
+		if h2 := b.rinst.UpperAt(k, idxB); h2 > hi {
 			hi = h2
 		}
 		b.tables[k] = b.buildLevelTable(k, lo, hi)

@@ -164,8 +164,7 @@ type Options struct {
 
 // Normalized returns o with every defaulted or clamped setting resolved
 // to the value New actually uses, so two Options that build the same
-// Unranker normalize equal (the collapse cache's signature relies on
-// this).
+// Unranker normalize equal (the collapse cache's key relies on this).
 func (o Options) Normalized() Options {
 	switch {
 	case o.TableMaxEntries <= 0:
@@ -200,10 +199,11 @@ type level struct {
 	gComp *poly.Compiled
 }
 
-// Unranker is the symbolic (parameter-independent) part of the inverse
-// ranking function for a nest.
-type Unranker struct {
-	nest     *nest.Nest
+// artifact is the compiled, spelling-independent part of the inverse
+// ranking function: everything New builds for one nest. It is immutable
+// once built, so any number of Unranker views share it.
+type artifact struct {
+	base     *nest.Nest // the nest the artifact was compiled from
 	ranking  *poly.Poly
 	count    *poly.Poly
 	mode     Mode
@@ -213,8 +213,23 @@ type Unranker struct {
 	order    []string // params..., all indices...
 	rankComp *poly.Compiled
 	levels   []level        // depth-1 entries
-	lastRank *poly.Compiled // r(prefix, lb_{d-1}) over [params..., i_0..i_{d-2}]
+	runStart *poly.Poly     // r(prefix, lb_{d-1}): the rank of a run's first tuple
+	lastRank *poly.Compiled // runStart over [params..., i_0..i_{d-2}]
 	countC   *poly.Compiled // over params
+}
+
+// Unranker is the symbolic (parameter-independent) part of the inverse
+// ranking function for a nest: one caller's view of a shared compiled
+// artifact. The view holds the caller's spelling of the nest and a
+// constant offset per level, index_k = compiled index_k + off[k]; Bind,
+// Unrank and Rank speak the caller's coordinates, and the symbolic
+// accessors (Ranking, Count, RootExpr, RunStart) re-spell the artifact
+// in the caller's names when called. New returns the view of a fresh
+// artifact in its own spelling; View derives others from it.
+type Unranker struct {
+	*artifact
+	nest *nest.Nest // the caller's spelling of base
+	off  []int64    // nil when every offset is zero
 }
 
 // New builds an Unranker for the nest, computing the ranking polynomial,
@@ -239,35 +254,35 @@ func New(n *nest.Nest, opts Options) (*Unranker, error) {
 			return nil, err
 		}
 	}
-	u := &Unranker{
-		nest:     n,
+	a := &artifact{
+		base:     n,
 		ranking:  ranking,
 		count:    count,
 		mode:     opts.Mode,
 		verify:   opts.Verify,
 		tableMax: opts.TableMaxEntries,
 	}
-	u.order = append(append([]string(nil), n.Params...), n.Indices()...)
+	a.order = append(append([]string(nil), n.Params...), n.Indices()...)
 	spPoly := tel.StartSpan("compile", "poly.Compile", 0)
 	var err error
-	u.rankComp, err = ranking.Compile(u.order)
+	a.rankComp, err = ranking.Compile(a.order)
 	if err != nil {
 		return nil, err
 	}
-	u.countC, err = u.count.Compile(n.Params)
+	a.countC, err = a.count.Compile(n.Params)
 	if err != nil {
 		return nil, err
 	}
 	spPoly.End()
 
 	d := n.Depth()
-	u.levels = make([]level, d-1)
+	a.levels = make([]level, d-1)
 	// Per-level construction (§IV per-level independence): the level-k
 	// ranking restriction, its exact compilation and the radical solve
 	// depend only on the shared ranking polynomial, never on other levels.
 	spLevels := tel.StartSpan("compile", "unrank.levels", 0)
-	for k := range u.levels {
-		if err = u.buildLevel(k, opts); err != nil {
+	for k := range a.levels {
+		if err = a.buildLevel(k, opts); err != nil {
 			break
 		}
 	}
@@ -276,40 +291,51 @@ func New(n *nest.Nest, opts Options) (*Unranker, error) {
 		return nil, err
 	}
 	// Last level: r(prefix, lexmin of the last index).
-	last := ranking
-	if d >= 1 {
-		tail := n.LexMinTail(d - 2) // substitutes only the last index
-		last = ranking.SubstAll(tail)
-	}
-	u.lastRank, err = last.Compile(u.order[:len(n.Params)+d-1])
+	a.runStart = ranking.SubstAll(n.LexMinTail(d - 2)) // substitutes only the last index
+	a.lastRank, err = a.runStart.Compile(a.order[:len(n.Params)+d-1])
 	if err != nil {
 		return nil, err
 	}
 
 	if opts.Mode == ModeClosedForm {
 		spSel := tel.StartSpan("compile", "unrank.selectRoots", 0)
-		err := u.selectRoots(opts)
-		spSel.End(telemetry.Arg{Name: "levels", Value: int64(len(u.levels))})
+		err := a.selectRoots(opts)
+		spSel.End(telemetry.Arg{Name: "levels", Value: int64(len(a.levels))})
 		if err != nil {
 			return nil, err
 		}
 		// The selected root's float64 evaluator was already compiled for
 		// selection; drop the other candidates' closures to keep them out
 		// of the cache footprint.
-		for k := range u.levels {
-			lv := &u.levels[k]
+		for k := range a.levels {
+			lv := &a.levels[k]
 			lv.rootFn = lv.candFns[lv.rootIdx]
 			lv.candFns = nil
 		}
 	}
-	return u, nil
+	return &Unranker{artifact: a, nest: n}, nil
+}
+
+// View returns u's compiled artifact seen through another spelling: n
+// must be the nest the artifact was compiled from with its parameters
+// and indices renamed positionally and level k translated by the
+// constant off[k] (index_k of n is the compiled index_k plus off[k]),
+// which is what equal canonical forms certify (transform.Rebase). off
+// may be nil. Nothing is copied or renamed: the view is one allocation.
+func (u *Unranker) View(n *nest.Nest, off []int64) *Unranker {
+	for _, d := range off {
+		if d != 0 {
+			return &Unranker{artifact: u.artifact, nest: n, off: off}
+		}
+	}
+	return &Unranker{artifact: u.artifact, nest: n}
 }
 
 // tablesEnabled reports whether this unranker's strategy uses the
 // breakpoint tables (ModeTable). Tables are built eagerly at Bind time
 // only when enabled, so the closed-form path pays nothing and the
 // binary-search oracle stays pure.
-func (u *Unranker) tablesEnabled() bool { return u.mode == ModeTable }
+func (a *artifact) tablesEnabled() bool { return a.mode == ModeTable }
 
 // isParam reports whether v names a parameter of n.
 func isParam(n *nest.Nest, v string) bool {
@@ -324,17 +350,17 @@ func isParam(n *nest.Nest, v string) bool {
 // buildLevel restricts the ranking polynomial to level k, compiles it
 // exactly, and in closed-form mode solves and compiles the level's root
 // candidates.
-func (u *Unranker) buildLevel(k int, opts Options) error {
-	n, tel := u.nest, opts.Telemetry
-	lv := &u.levels[k]
+func (a *artifact) buildLevel(k int, opts Options) error {
+	n, tel := a.base, opts.Telemetry
+	lv := &a.levels[k]
 	lv.varName = n.Loops[k].Index
-	rk := u.ranking.SubstAll(n.LexMinTail(k))
+	rk := a.ranking.SubstAll(n.LexMinTail(k))
 	var err error
-	lv.rk, err = rk.Compile(u.order[:len(n.Params)+k+1])
+	lv.rk, err = rk.Compile(a.order[:len(n.Params)+k+1])
 	if err != nil {
 		return err
 	}
-	if u.tablesEnabled() {
+	if a.tablesEnabled() {
 		// Separability split for the breakpoint table: rk = B + g with
 		// B = rk|_{x=0} (every monomial containing x killed) and g = rk − B
 		// carrying the whole x-dependence. The level is tabulable iff g
@@ -351,7 +377,7 @@ func (u *Unranker) buildLevel(k int, opts Options) error {
 			}
 		}
 		if separable {
-			gvars := append(append([]string(nil), u.order[:len(n.Params)]...), lv.varName)
+			gvars := append(append([]string(nil), a.order[:len(n.Params)]...), lv.varName)
 			if lv.gComp, err = g.Compile(gvars); err != nil {
 				return err
 			}
@@ -374,7 +400,7 @@ func (u *Unranker) buildLevel(k int, opts Options) error {
 		// compiled closures avoid the symbolic tree walk plus a
 		// big.Rat→float64 conversion per constant per evaluation (the
 		// dominant cost of the old compile path).
-		vars := append(append([]string(nil), u.order[:len(n.Params)+k]...), "pc")
+		vars := append(append([]string(nil), a.order[:len(n.Params)+k]...), "pc")
 		lv.candFns = make([]roots.EvalFunc, len(lv.candidates))
 		for ci, cand := range lv.candidates {
 			if lv.candFns[ci], err = roots.Compile(cand, vars); err != nil {
@@ -383,46 +409,6 @@ func (u *Unranker) buildLevel(k int, opts Options) error {
 		}
 	}
 	return nil
-}
-
-// Renamed returns a copy of u rewritten to the variable names of n,
-// which must be structurally identical to u's nest up to a renaming of
-// parameters and iterators (same depth, same bounds modulo the
-// positional renaming — exactly what an equal core.NestSignature
-// certifies). All compiled artifacts are positional and therefore shared
-// with u; only the symbolic faces — nest, ranking and counting
-// polynomials, root expressions, variable order — are re-spelled. This
-// is how a collapse-cache hit adapts to the caller's spelling for a few
-// map operations instead of a full symbolic rebuild.
-func (u *Unranker) Renamed(n *nest.Nest) *Unranker {
-	m := make(map[string]string, len(u.nest.Params)+len(u.nest.Loops))
-	for i, p := range u.nest.Params {
-		m[p] = n.Params[i]
-	}
-	for i, l := range u.nest.Loops {
-		m[l.Index] = n.Loops[i].Index
-	}
-	nu := *u
-	nu.nest = n
-	nu.ranking = u.ranking.Rename(m)
-	nu.count = u.count.Rename(m)
-	nu.order = append(append([]string(nil), n.Params...), n.Indices()...)
-	nu.levels = append([]level(nil), u.levels...)
-	for k := range nu.levels {
-		lv := &nu.levels[k]
-		lv.varName = n.Loops[k].Index
-		if lv.root != nil {
-			lv.root = roots.Rename(lv.root, m)
-		}
-		if len(lv.candidates) > 0 {
-			cs := make([]roots.Expr, len(lv.candidates))
-			for ci, c := range lv.candidates {
-				cs[ci] = roots.Rename(c, m)
-			}
-			lv.candidates = cs
-		}
-	}
-	return &nu
 }
 
 // MustNew is New but panics on error.
@@ -434,30 +420,68 @@ func MustNew(n *nest.Nest, opts Options) *Unranker {
 	return u
 }
 
-// Nest returns the underlying nest.
+// Nest returns the nest in the caller's spelling.
 func (u *Unranker) Nest() *nest.Nest { return u.nest }
 
-// Ranking returns the ranking Ehrhart polynomial.
-func (u *Unranker) Ranking() *poly.Poly { return u.ranking }
-
-// Count returns the Ehrhart counting polynomial (total iterations).
-func (u *Unranker) Count() *poly.Poly { return u.count }
-
-// RootExpr returns the selected convenient root of level k (0-based);
-// nil for the last level and in binary-search mode.
-func (u *Unranker) RootExpr(k int) roots.Expr {
-	if k < 0 || k >= len(u.levels) {
-		return nil
+// Ranking returns the ranking Ehrhart polynomial in the caller's names
+// and coordinates.
+func (u *Unranker) Ranking() *poly.Poly {
+	p := u.spell(u.ranking, false)
+	if u.off == nil {
+		return p
 	}
-	return u.levels[k].root
+	shift := make(map[string]*poly.Poly, len(u.off))
+	for k, d := range u.off {
+		if d != 0 {
+			name := u.nest.Loops[k].Index
+			shift[name] = poly.Var(name).Sub(poly.Int(d))
+		}
+	}
+	return p.SubstAll(shift)
 }
 
-// RootCandidates returns all symbolic root candidates of level k.
+// Count returns the Ehrhart counting polynomial (total iterations) in
+// the caller's parameter names.
+func (u *Unranker) Count() *poly.Poly { return u.spell(u.count, false) }
+
+// The printed forms below keep the artifact's coordinates: a translated
+// index x of offset d is spelled as the parenthesised pseudo-variable
+// "(x - d)" rather than substituted and expanded, so emitted code
+// evaluates the same float64 arithmetic as the untranslated nest (an
+// expanded (x-517)³ cancels catastrophically). Such an expression prints
+// correctly as C, Go or math, but Eval cannot bind the pseudo-variable.
+
+// RootExpr returns the selected convenient root of level k (0-based),
+// printed form, whose value is the caller's index k minus Offset(k);
+// nil for the last level and in binary-search mode.
+func (u *Unranker) RootExpr(k int) roots.Expr {
+	if k < 0 || k >= len(u.levels) || u.levels[k].root == nil {
+		return nil
+	}
+	return u.spellRoot(u.levels[k].root)
+}
+
+// RootCandidates returns all symbolic root candidates of level k,
+// printed form.
 func (u *Unranker) RootCandidates(k int) []roots.Expr {
 	if k < 0 || k >= len(u.levels) {
 		return nil
 	}
-	return append([]roots.Expr(nil), u.levels[k].candidates...)
+	out := make([]roots.Expr, len(u.levels[k].candidates))
+	for ci, c := range u.levels[k].candidates {
+		out[ci] = u.spellRoot(c)
+	}
+	return out
+}
+
+// Offset returns the constant that level k of the caller's nest is
+// translated by against the compiled artifact: index_k = compiled
+// index_k + Offset(k). Zero unless the view is shifted.
+func (u *Unranker) Offset(k int) int64 {
+	if u.off == nil || k < 0 || k >= len(u.off) {
+		return 0
+	}
+	return u.off[k]
 }
 
 // RootIndex returns the branch index of the convenient root of level k.
@@ -468,15 +492,66 @@ func (u *Unranker) RootIndex(k int) int {
 	return u.levels[k].rootIdx
 }
 
+// RunStart returns r(i_0..i_{d-2}, lb_{d-1}), printed form: the rank of
+// the first tuple of the innermost run at a prefix, from which the last
+// index is lb_{d-1} + (pc − RunStart) in any coordinates.
+func (u *Unranker) RunStart() *poly.Poly { return u.spell(u.runStart, true) }
+
+// spell renames a polynomial over the artifact's variables into the
+// caller's names: positionally, and, with printed set, each translated
+// index to its "(x - d)" pseudo-variable. Only printing and inspection
+// call it; recovery never does.
+func (u *Unranker) spell(p *poly.Poly, printed bool) *poly.Poly {
+	if u.nest == u.base {
+		return p
+	}
+	return p.Rename(u.names(printed))
+}
+
+// names is spell's rename map.
+func (u *Unranker) names(printed bool) map[string]string {
+	m := make(map[string]string, len(u.order))
+	for i, name := range u.base.Params {
+		m[name] = u.nest.Params[i]
+	}
+	for k, l := range u.base.Loops {
+		name := u.nest.Loops[k].Index
+		if printed && u.off != nil && u.off[k] != 0 {
+			name = "(" + poly.Var(name).Sub(poly.Int(u.off[k])).String() + ")"
+		}
+		m[l.Index] = name
+	}
+	return m
+}
+
+// spellRoot is the printed form of a root expression. Radical formulas
+// repeat subexpressions (Cardano's cube root appears twice), so each
+// distinct polynomial leaf is renamed once.
+func (u *Unranker) spellRoot(e roots.Expr) roots.Expr {
+	if u.nest == u.base {
+		return e
+	}
+	m := u.names(true)
+	done := map[*poly.Poly]*poly.Poly{}
+	return roots.MapPolys(e, func(p *poly.Poly) *poly.Poly {
+		q, ok := done[p]
+		if !ok {
+			q = p.Rename(m)
+			done[p] = q
+		}
+		return q
+	})
+}
+
 // defaultSamples builds small parameter bindings for root selection.
-func (u *Unranker) defaultSamples() []map[string]int64 {
-	if len(u.nest.Params) == 0 {
+func (a *artifact) defaultSamples() []map[string]int64 {
+	if len(a.base.Params) == 0 {
 		return []map[string]int64{{}}
 	}
 	var out []map[string]int64
 	for _, v := range []int64{4, 7, 11} {
 		m := map[string]int64{}
-		for _, p := range u.nest.Params {
+		for _, p := range a.base.Params {
 			m[p] = v
 		}
 		out = append(out, m)
@@ -488,30 +563,30 @@ func (u *Unranker) defaultSamples() []map[string]int64 {
 // part reproduces the ground-truth index for every iteration of every
 // sample binding (paper §IV.A selects by ⌊x(1)⌋ = first index; validating
 // over the whole range is strictly stronger and robust to FP noise).
-func (u *Unranker) selectRoots(opts Options) error {
+func (a *artifact) selectRoots(opts Options) error {
 	samples := opts.SampleParams
 	if samples == nil {
-		samples = u.defaultSamples()
+		samples = a.defaultSamples()
 	}
-	np := len(u.nest.Params)
-	mismatch := make([][]int64, len(u.levels))
-	tested := make([]int64, len(u.levels))
+	np := len(a.base.Params)
+	mismatch := make([][]int64, len(a.levels))
+	tested := make([]int64, len(a.levels))
 	// Level-k candidates evaluate over [params..., i_0..i_{k-1}, pc]
 	// through the positional closures compiled in New, so the
 	// per-iteration cost is a handful of float64 slots plus one closure
 	// call per candidate.
-	scratch := make([][]float64, len(u.levels))
-	for k := range u.levels {
-		mismatch[k] = make([]int64, len(u.levels[k].candidates))
+	scratch := make([][]float64, len(a.levels))
+	for k := range a.levels {
+		mismatch[k] = make([]int64, len(a.levels[k].candidates))
 		scratch[k] = make([]float64, np+k+1)
 	}
 	for _, sp := range samples {
-		inst, err := u.nest.Bind(sp)
+		inst, err := a.base.Bind(sp)
 		if err != nil {
 			return fmt.Errorf("unrank: sample binding: %w", err)
 		}
-		for k := range u.levels {
-			for pi, p := range u.nest.Params {
+		for k := range a.levels {
+			for pi, p := range a.base.Params {
 				scratch[k][pi] = float64(sp[p])
 			}
 		}
@@ -521,7 +596,7 @@ func (u *Unranker) selectRoots(opts Options) error {
 			if pc > MaxEnum {
 				return false
 			}
-			for k := range u.levels {
+			for k := range a.levels {
 				vals := scratch[k]
 				for q := 0; q < k; q++ {
 					vals[np+q] = float64(idx[q]) // ground-truth prefix
@@ -531,7 +606,7 @@ func (u *Unranker) selectRoots(opts Options) error {
 				// Only the first iteration of each (prefix, i_k) group has
 				// a distinct recovery obligation, but testing every pc
 				// exercises the in-between values too.
-				for ci, fn := range u.levels[k].candFns {
+				for ci, fn := range a.levels[k].candFns {
 					x := faults.PerturbRoot(k, fn(vals))
 					if !imagNegligible(x) || floorReal(x) != truth {
 						mismatch[k][ci]++
@@ -542,13 +617,13 @@ func (u *Unranker) selectRoots(opts Options) error {
 			return true
 		})
 	}
-	for k := range u.levels {
+	for k := range a.levels {
 		if tested[k] == 0 {
 			return fmt.Errorf("unrank: no sample iterations available to select root of level %d: %w",
 				k, faults.ErrNoConvenientRoot)
 		}
 		best := -1
-		for ci := range u.levels[k].candidates {
+		for ci := range a.levels[k].candidates {
 			if mismatch[k][ci] == 0 {
 				best = ci
 				break
@@ -568,8 +643,8 @@ func (u *Unranker) selectRoots(opts Options) error {
 					k, minMis, tested[k], faults.ErrNoConvenientRoot)
 			}
 		}
-		u.levels[k].root = u.levels[k].candidates[best]
-		u.levels[k].rootIdx = best
+		a.levels[k].root = a.levels[k].candidates[best]
+		a.levels[k].rootIdx = best
 	}
 	return nil
 }

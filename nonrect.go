@@ -41,7 +41,7 @@
 //		})
 //
 // The deeper machinery is exposed through the result value: the ranking
-// polynomial (res.Ranking), the iteration-count polynomial (res.Total),
+// polynomial (res.Ranking()), the iteration-count polynomial (res.Total()),
 // the symbolic convenient roots (res.Unranker.RootExpr), and exact
 // Rank/Unrank queries (res.Unranker.Bind).
 //
@@ -160,10 +160,12 @@ func WithVerify() Option {
 }
 
 // CollapseCache memoizes compile outcomes across Collapse calls, keyed
-// by the structure of the collapsed band modulo variable naming (see
-// core.NestSignature): the compiled artifact of a shape that collapses,
-// and the applicability error (Collapsible) of one that does not, so a
-// failing shape is not compiled again either. Panics and other errors
+// by the collapsed band's canonical form (see core.Key): its integer
+// coefficients once every constant lower bound is rebased to 0 (§IV.A),
+// so spellings that differ in their names or in constant translations
+// of their loops share an entry. It holds the compiled artifact of a
+// shape that collapses, and the applicability error (Collapsible) of
+// one that does not, so a failing shape is not compiled again either. Panics and other errors
 // are never stored. It is bounded (an exact LRU under one mutex) and
 // safe for concurrent use; construct one with NewCollapseCache and
 // attach it per call with WithCache.
@@ -178,10 +180,11 @@ type CacheStats = core.CacheStats
 func NewCollapseCache(capacity int) *CollapseCache { return core.NewCollapseCache(capacity) }
 
 // WithCache routes Collapse (and the collapse phase of CollapsedForAuto)
-// through cache: a structural hit — same nest shape and options modulo
-// parameter/iterator spelling — skips the symbolic pipeline entirely and
-// adapts the cached artifact to the caller's names, or returns the
-// shape's memoized applicability error. Repeated collapses of the same
+// through cache: a hit — same canonical band and options, whatever the
+// parameter/iterator spelling and constant translation — skips the
+// symbolic pipeline entirely and returns a view of the cached artifact
+// in the caller's names and offsets, or the shape's memoized
+// applicability error. Repeated collapses of the same
 // nest shape become cheap lookups (CollapsedForAuto's closed-form attempt
 // on a shape beyond radicals included); cache.hits /
 // cache.misses / cache.evictions counters appear in telemetry when
