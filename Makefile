@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short tier1-soak race check cover bench bench-json distchaos loadtest figures ablation scaling fuzz stress clean
+.PHONY: all build test test-short tier1-soak race check cover bench bench-json distchaos loadtest figures scaling fuzz stress clean
 
 all: build test
 
@@ -182,9 +182,7 @@ bench-json:
 figures:
 	$(GO) run ./cmd/benchfig -fig all
 
-ablation:
-	$(GO) run ./cmd/benchfig -fig ablation
-
+# Fig. 9 over 2 to 48 simulated threads, from one measurement per kernel.
 scaling:
 	$(GO) run ./cmd/benchfig -fig scaling
 

@@ -6,6 +6,8 @@
 //	benchfig -fig 8          Fig. 8  root curves r(i,0,0) - pc
 //	benchfig -fig 9          Fig. 9  gains of collapsing (simulated 12-thread makespans)
 //	benchfig -fig 10         Fig. 10 control overhead of 12 recoveries (measured)
+//	benchfig -fig scaling    Fig. 9 over 2, 4, 8, 12, 24 and 48 threads (one
+//	                         measurement per kernel, simulated at each)
 //	benchfig -fig imbalance  measured per-thread load distribution of the
 //	                         collapsed kernel under every schedule kind
 //	benchfig -fig overhead   per-kernel × schedule engine comparison
@@ -30,9 +32,8 @@
 // Flags: -threads (virtual thread count, default 12), -quick (small
 // problem sizes), -real (also run the goroutine runtime for Fig. 9),
 // -chunks (recovery count for Fig. 10, default 12), -n / -fig2threads
-// (Fig. 2 geometry), -kernel (kernel for -fig imbalance), -src / -srcn
-// (run -fig imbalance on the nest of an annotated C file instead of a
-// named kernel; parse errors are reported file:line:col), -trace-out
+// (Fig. 2 geometry), -kernel (kernel for -fig imbalance; the chunk
+// distribution of an annotated C file is collapsetool -stats'), -trace-out
 // (write the imbalance runs' chunk timeline as Chrome trace-event
 // JSON), -v (calibration details), -cpuprofile / -memprofile (write
 // pprof profiles of the run), -serve (start the live observability
@@ -43,15 +44,13 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"os"
-	"path/filepath"
+	"strings"
 	"time"
 
-	"repro/internal/cparse"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/profiling"
@@ -68,8 +67,6 @@ type options struct {
 	fig2N      int64
 	fig2T      int
 	kernel     string
-	src        string
-	srcN       int64
 	traceOut   string
 	jsonOut    string
 	reps       int
@@ -86,11 +83,14 @@ type options struct {
 
 // knownFigs are the accepted -fig values; anything else is rejected up
 // front instead of silently printing nothing.
-var knownFigs = []string{"2", "8", "9", "10", "imbalance", "ablation", "scaling", "overhead", "compile", "invert", "autotune", "dist", "all"}
+var knownFigs = []string{"2", "8", "9", "10", "imbalance", "scaling", "overhead", "compile", "invert", "autotune", "dist", "all"}
+
+// scalingThreads are the thread counts of -fig scaling.
+var scalingThreads = []int{2, 4, 8, 12, 24, 48}
 
 func main() {
 	var o options
-	flag.StringVar(&o.fig, "fig", "all", "figure to regenerate: 2|8|9|10|imbalance|all")
+	flag.StringVar(&o.fig, "fig", "all", "figure to regenerate: "+strings.Join(knownFigs, "|"))
 	flag.IntVar(&o.threads, "threads", 12, "simulated thread count (paper: 12)")
 	flag.BoolVar(&o.quick, "quick", false, "use small problem sizes")
 	flag.BoolVar(&o.real, "real", false, "also run the goroutine runtime for Fig. 9")
@@ -98,8 +98,6 @@ func main() {
 	flag.Int64Var(&o.fig2N, "n", 1000, "Fig. 2 problem size N")
 	flag.IntVar(&o.fig2T, "fig2threads", 5, "Fig. 2 thread count (paper: 5)")
 	flag.StringVar(&o.kernel, "kernel", "correlation", "kernel for -fig imbalance")
-	flag.StringVar(&o.src, "src", "", "annotated C file: run -fig imbalance on its nest instead of a named kernel")
-	flag.Int64Var(&o.srcN, "srcn", 200, "parameter value for every parameter of the -src nest")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write the imbalance chunk timeline as Chrome trace-event JSON")
 	flag.StringVar(&o.jsonOut, "json", "", "write the suite report (-fig overhead|compile|invert|autotune|dist) as JSON to this file")
 	flag.IntVar(&o.reps, "reps", 0, "alternated timing rounds for the measured suites (default 3, quick: 1)")
@@ -166,6 +164,12 @@ func run(o options) error {
 			plane.Shutdown(shCtx)
 		}()
 	}
+	var verbose func(format string, args ...interface{})
+	if o.verbose {
+		verbose = func(format string, args ...interface{}) {
+			fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
+		}
+	}
 	do := func(f string) bool { return o.fig == "all" || o.fig == f }
 	if do("2") {
 		fmt.Print(experiments.Fig2(o.fig2N, o.fig2T).Render())
@@ -175,18 +179,16 @@ func run(o options) error {
 		fmt.Print(experiments.RenderFig8(experiments.Fig8()))
 		fmt.Println()
 	}
-	if do("9") {
-		opts := experiments.Fig9Options{Threads: o.threads, Quick: o.quick, Real: o.real}
-		if o.verbose {
-			opts.Verbose = func(format string, args ...interface{}) {
-				fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
-			}
+	if do("9") || o.fig == "scaling" {
+		threads := []int{o.threads}
+		if o.fig == "scaling" {
+			threads = scalingThreads
 		}
-		rows, err := experiments.Fig9(opts)
+		rows, err := experiments.Fig9(experiments.Fig9Options{Threads: threads, Quick: o.quick, Real: o.real, Verbose: verbose})
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.RenderFig9(rows, o.threads, o.real))
+		fmt.Print(experiments.RenderFig9(rows, o.real))
 		fmt.Println()
 	}
 	if do("10") {
@@ -208,26 +210,11 @@ func run(o options) error {
 			Quick:     o.quick,
 			Telemetry: tel,
 		}
-		label := o.kernel
-		if o.src != "" {
-			prog, err := parseSrc(o.src)
-			if err != nil {
-				return err
-			}
-			opts.Nest = prog.Nest
-			opts.Collapse = prog.CollapseCount
-			opts.Params = map[string]int64{}
-			for _, p := range prog.Nest.Params {
-				opts.Params[p] = o.srcN
-			}
-			label = fmt.Sprintf("%s (collapse %d, params=%d)",
-				filepath.Base(o.src), prog.CollapseCount, o.srcN)
-		}
 		rows, err := experiments.Imbalance(opts)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.RenderImbalance(rows, label, o.threads))
+		fmt.Print(experiments.RenderImbalance(rows, o.kernel, o.threads))
 		fmt.Println()
 		if o.traceOut != "" {
 			f, err := os.Create(o.traceOut)
@@ -244,30 +231,8 @@ func run(o options) error {
 			fmt.Fprintf(os.Stderr, "trace written to %s (open in about:tracing or https://ui.perfetto.dev)\n", o.traceOut)
 		}
 	}
-	if o.fig == "ablation" {
-		rows, err := experiments.Ablation(experiments.AblationOptions{Quick: o.quick})
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderAblation(rows))
-		fmt.Println()
-	}
-	if o.fig == "scaling" {
-		rows, err := experiments.Scaling(experiments.ScalingOptions{Quick: o.quick})
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderScaling(rows))
-		fmt.Println()
-	}
 	if o.fig == "compile" {
-		opts := experiments.CompileOptions{Quick: o.quick, Reps: o.reps}
-		if o.verbose {
-			opts.Verbose = func(format string, args ...interface{}) {
-				fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
-			}
-		}
-		rep, err := experiments.Compile(opts)
+		rep, err := experiments.Compile(experiments.CompileOptions{Quick: o.quick, Reps: o.reps, Verbose: verbose})
 		if err != nil {
 			return err
 		}
@@ -278,13 +243,7 @@ func run(o options) error {
 		}
 	}
 	if o.fig == "overhead" {
-		opts := experiments.OverheadOptions{Quick: o.quick, Reps: o.reps}
-		if o.verbose {
-			opts.Verbose = func(format string, args ...interface{}) {
-				fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
-			}
-		}
-		rep, err := experiments.Overhead(opts)
+		rep, err := experiments.Overhead(experiments.OverheadOptions{Quick: o.quick, Reps: o.reps, Verbose: verbose})
 		if err != nil {
 			return err
 		}
@@ -295,13 +254,7 @@ func run(o options) error {
 		}
 	}
 	if o.fig == "invert" {
-		opts := experiments.InvertOptions{Quick: o.quick, Reps: o.reps}
-		if o.verbose {
-			opts.Verbose = func(format string, args ...interface{}) {
-				fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
-			}
-		}
-		rep, err := experiments.Invert(opts)
+		rep, err := experiments.Invert(experiments.InvertOptions{Quick: o.quick, Reps: o.reps, Verbose: verbose})
 		if err != nil {
 			return err
 		}
@@ -312,13 +265,7 @@ func run(o options) error {
 		}
 	}
 	if o.fig == "autotune" {
-		opts := experiments.AutotuneOptions{Quick: o.quick, Reps: o.reps, Threads: o.threads}
-		if o.verbose {
-			opts.Verbose = func(format string, args ...interface{}) {
-				fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
-			}
-		}
-		rep, err := experiments.Autotune(opts)
+		rep, err := experiments.Autotune(experiments.AutotuneOptions{Quick: o.quick, Reps: o.reps, Threads: o.threads, Verbose: verbose})
 		if err != nil {
 			return err
 		}
@@ -352,22 +299,4 @@ func writeDoc(path string, d experiments.BenchDoc) error {
 	}
 	fmt.Fprintf(os.Stderr, "%s report written to %s\n", d.Suite, path)
 	return nil
-}
-
-// parseSrc reads and parses an annotated C file, reporting parse
-// failures compiler style (file:line:col).
-func parseSrc(path string) (*cparse.Program, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := cparse.Parse(string(data))
-	if err != nil {
-		var se *cparse.SyntaxError
-		if errors.As(err, &se) {
-			return nil, fmt.Errorf("%s:%d:%d: %s", path, se.Line, se.Col, se.Msg)
-		}
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return prog, nil
 }

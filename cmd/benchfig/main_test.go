@@ -84,6 +84,24 @@ func TestBenchfigFig10Quick(t *testing.T) {
 	}
 }
 
+// TestBenchfigScalingQuick checks that -fig scaling is Fig. 9 with one
+// row per kernel and thread count of scalingThreads.
+func TestBenchfigScalingQuick(t *testing.T) {
+	out, err := captureRun(t, quickOptions("scaling"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 9 && strings.HasSuffix(f[8], "x") {
+			rows++
+		}
+	}
+	if want := 11 * len(scalingThreads); rows != want || !strings.Contains(out, "Fig. 9") {
+		t.Errorf("-fig scaling printed %d rows, want %d:\n%s", rows, want, out)
+	}
+}
+
 func TestBenchfigImbalanceQuick(t *testing.T) {
 	o := quickOptions("imbalance")
 	o.threads = 4
@@ -158,47 +176,10 @@ func TestBenchfigDistQuick(t *testing.T) {
 }
 
 func TestBenchfigUnknownFig(t *testing.T) {
-	_, err := captureRun(t, quickOptions("7"))
-	if err == nil || !strings.Contains(err.Error(), "unknown figure") {
-		t.Fatalf("unknown -fig not rejected: %v", err)
-	}
-}
-
-// TestBenchfigSrcImbalance runs the imbalance experiment on a parsed
-// source file instead of a named kernel.
-func TestBenchfigSrcImbalance(t *testing.T) {
-	o := quickOptions("imbalance")
-	o.threads = 4
-	o.src = "../../testdata/correlation.c"
-	o.srcN = 40
-	out, err := captureRun(t, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, frag := range []string{"correlation.c (collapse 2, params=40)", "static", "guided"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("-src imbalance output missing %q:\n%s", frag, out)
+	for _, fig := range []string{"7", "ablation"} {
+		_, err := captureRun(t, quickOptions(fig))
+		if err == nil || !strings.Contains(err.Error(), "unknown figure") {
+			t.Fatalf("-fig %s not rejected: %v", fig, err)
 		}
-	}
-}
-
-// TestBenchfigSrcMalformed checks that malformed inputs are rejected
-// with a located, compiler-style diagnostic rather than a panic.
-func TestBenchfigSrcMalformed(t *testing.T) {
-	o := quickOptions("imbalance")
-	o.src = "../../testdata/malformed/stride.c"
-	_, err := captureRun(t, o)
-	if err == nil {
-		t.Fatal("malformed -src accepted")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "stride.c:5:") || !strings.Contains(msg, "unit stride") {
-		t.Errorf("diagnostic not located (want file:5:col + cause): %v", err)
-	}
-
-	o.src = "../../testdata/malformed/nonaffine.c"
-	_, err = captureRun(t, o)
-	if err == nil || !strings.Contains(err.Error(), "not affine") {
-		t.Errorf("non-affine -src diagnostic: %v", err)
 	}
 }

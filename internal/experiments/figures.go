@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/autotune"
+	"repro/internal/core"
 	"repro/internal/ehrhart"
 	"repro/internal/kernels"
 	"repro/internal/nest"
@@ -121,16 +122,77 @@ func RenderFig8(curves []Fig8Curve) string {
 }
 
 // ---------------------------------------------------------------------
+// The kernel measurement behind Figs. 9 and 10 (§VII derives both from
+// one comparison): the serial program against the §V collapsed serial
+// program, one recovery at the start of each of its chunks.
+// ---------------------------------------------------------------------
+
+// Timing protocol of that measurement: timingRounds alternated rounds,
+// each sample repeated until timingMinTime accumulates (quickMinTime at
+// Quick sizes). recoveries is the paper's chunk count, one per thread
+// of its 12-core host.
+const (
+	recoveries    = 12
+	timingRounds  = 3
+	timingMinTime = 25 * time.Millisecond
+	quickMinTime  = 2 * time.Millisecond
+)
+
+// kernelTiming is one kernel's measurement at its Fig. 9/10 size.
+type kernelTiming struct {
+	params map[string]int64 // the kernel's problem size
+	inst   kernels.Instance
+	res    *core.Result
+	// Fastest sample of each program, in seconds per run, and the median
+	// within-round ratio collapsed/serial.
+	serial, collapsed, ratio float64
+}
+
+// measureKernel times kernels.RunSeq against the §V collapsed serial run
+// with chunks recoveries in alternation, so a slow spell of the host
+// cannot land on one side of the comparison. Samples repeat without
+// Reset: every kernel's body is timing-idempotent (same operation count
+// on every run).
+func measureKernel(k *kernels.Kernel, chunks int, quick bool) (*kernelTiming, error) {
+	t := &kernelTiming{params: k.BenchParams}
+	minTime := timingMinTime
+	if quick {
+		t.params, minTime = k.TestParams, quickMinTime
+	}
+	t.inst = k.New(t.params)
+	var err error
+	if t.res, err = buildResult(k); err != nil {
+		return nil, err
+	}
+	var runErr error
+	secs := autotune.Alternate(timingRounds, minTime, nil,
+		func() { kernels.RunSeq(t.inst) },
+		func() {
+			if err := kernels.RunCollapsedSerialChunks(k, t.inst, t.res, t.params, chunks); err != nil && runErr == nil {
+				runErr = err
+			}
+		})
+	if runErr != nil {
+		return nil, runErr
+	}
+	t.serial, t.collapsed = autotune.Best(secs, 0), autotune.Best(secs, 1)
+	t.ratio = autotune.MedianRatio(secs, 1, 0)
+	return t, nil
+}
+
+// ---------------------------------------------------------------------
 // Figure 9 — gains of collapsing vs outer-static and outer-dynamic.
 // ---------------------------------------------------------------------
 
-// Fig9Row is one kernel's entry.
+// Fig9Row is one kernel's entry at one thread count.
 type Fig9Row struct {
-	Kernel string
+	Kernel  string
+	Threads int
 	// Simulated makespans for Threads virtual threads (seconds).
 	SerialSec, StaticSec, DynamicSec, CollapsedSec float64
 	// Gains as defined in §VII: (without - with) / without.
 	GainVsStatic, GainVsDynamic float64
+	SpeedupCollapsed            float64 // serial / collapsed
 	// Real wall-clock seconds of the goroutine runtime (only populated
 	// in Real mode).
 	RealStaticSec, RealDynamicSec, RealCollapsedSec float64
@@ -138,159 +200,163 @@ type Fig9Row struct {
 
 // Fig9Options configure the experiment.
 type Fig9Options struct {
-	Threads int  // simulated thread count; paper uses 12
-	Quick   bool // use small test sizes (CI) instead of bench sizes
-	Real    bool // additionally run the goroutine runtime and record wall times
+	Threads []int // simulated thread counts; the paper uses 12 (default)
+	Quick   bool  // use small test sizes (CI) instead of bench sizes
+	Real    bool  // additionally run the goroutine runtime and record wall times
 	Verbose func(format string, args ...interface{})
 }
 
 func (o *Fig9Options) fill() {
-	if o.Threads <= 0 {
-		o.Threads = 12
+	if len(o.Threads) == 0 {
+		o.Threads = []int{recoveries}
 	}
 	if o.Verbose == nil {
 		o.Verbose = func(string, ...interface{}) {}
 	}
 }
 
-// Fig9 runs the gain experiment for every kernel.
+// Fig9 runs the gain experiment for every kernel: one row per kernel
+// and thread count, kernel-major. Each kernel is measured once and
+// simulated at every thread count, so the thread axis shows the §II
+// scalability argument — outer-static saturates at the heaviest outer
+// iteration, while the collapsed-static makespan keeps shrinking as 1/P
+// until the per-thread recovery cost dominates.
 func Fig9(opts Fig9Options) ([]Fig9Row, error) {
 	opts.fill()
 	var rows []Fig9Row
 	for _, k := range kernels.All() {
-		row, err := fig9Kernel(k, opts)
+		kr, err := fig9Kernel(k, opts)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
+		}
+		rows = append(rows, kr...)
+	}
+	return rows, nil
+}
+
+func fig9Kernel(k *kernels.Kernel, opts Fig9Options) ([]Fig9Row, error) {
+	t, err := measureKernel(k, recoveries, opts.Quick)
+	if err != nil {
+		return nil, err
+	}
+	m, err := newMakespanModel(k, t)
+	if err != nil {
+		return nil, err
+	}
+	opts.Verbose("%s: serial %.3fs, collapsed/serial %.3f, dequeue %.1fns, recovery %.0fns, increment %.1fns",
+		k.Name, t.serial, t.ratio, m.cal.Dequeue*1e9, m.cal.Recovery*1e9, m.cal.Increment*1e9)
+	rows := make([]Fig9Row, 0, len(opts.Threads))
+	for _, P := range opts.Threads {
+		row := m.simulate(P)
+		row.Kernel = k.Name
+		if opts.Real {
+			if err := realRuns(k, t, &row); err != nil {
+				return nil, err
+			}
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-func fig9Kernel(k *kernels.Kernel, opts Fig9Options) (Fig9Row, error) {
-	row := Fig9Row{Kernel: k.Name}
-	p := k.BenchParams
-	if opts.Quick {
-		p = k.TestParams
-	}
-	inst := k.New(p)
-	res, err := buildResult(k)
-	if err != nil {
-		return row, err
-	}
-	nestParams := k.NestParams(p)
+// makespanModel spreads one kernel's measured serial and collapsed
+// times over its outer iterations and collapsed tuples by the exact
+// work model, with the host's calibrated overheads.
+type makespanModel struct {
+	serial    float64
+	outerWork []float64 // seconds per outer iteration
+	// The collapsed run's time without its recoveries, and its spread
+	// per tuple (collWork, nil when every tuple does identical work).
+	bodySec  float64
+	total    int64
+	collWork []float64
+	cal      Calibration
+}
 
-	// 1. Serial reference and the §V collapsed serial run (recover once
-	// per chunk, fused body+increment — the paper's Fig. 10 protocol),
-	// timed in alternation for fig9Rounds rounds, each sample repeated
-	// until fig9MinTime accumulates (2 ms at Quick sizes). Repetition runs without Reset —
-	// every kernel's body is timing-idempotent (same operation count on
-	// every run). The collapsed run is judged against the serial one
-	// within a round, so a slow spell of the host cannot land on one
-	// side of the comparison.
-	P := opts.Threads
-	minTime := fig9MinTime
-	if opts.Quick {
-		minTime = 2 * time.Millisecond // the other suites' quick floor
+// newMakespanModel builds the model from a measurement taken with
+// recoveries chunks.
+func newMakespanModel(k *kernels.Kernel, t *kernelTiming) (*makespanModel, error) {
+	nestParams := k.NestParams(t.params)
+	cal, err := Calibrate(t.res, nestParams)
+	if err != nil {
+		return nil, err
 	}
-	inst.Reset()
-	var collErr error
-	secs := autotune.Alternate(fig9Rounds, minTime, nil,
-		func() { kernels.RunSeq(inst) },
-		func() {
-			if err := kernels.RunCollapsedSerialChunks(k, inst, res, p, P); err != nil && collErr == nil {
-				collErr = err
-			}
-		})
-	if collErr != nil {
-		return row, collErr
+	b, err := t.res.Unranker.Bind(nestParams)
+	if err != nil {
+		return nil, err
 	}
-	serial := autotune.Best(secs, 0)
-	collapsedSerial := serial * autotune.MedianRatio(secs, 1, 0)
-	row.SerialSec = serial
-	lo, hi := inst.OuterRange()
-	outerWork := make([]float64, hi-lo)
-	var totalUnits float64
+	m := &makespanModel{serial: t.serial, total: b.Total(), cal: cal}
+	lo, hi := t.inst.OuterRange()
+	m.outerWork = make([]float64, hi-lo)
+	var units float64
 	for i := lo; i < hi; i++ {
-		outerWork[i-lo] = inst.WorkPerOuter(i)
-		totalUnits += outerWork[i-lo]
+		m.outerWork[i-lo] = t.inst.WorkPerOuter(i)
+		units += m.outerWork[i-lo]
 	}
-	perUnit := serial / totalUnits
-	for i := range outerWork {
-		outerWork[i] *= perUnit
+	for i := range m.outerWork {
+		m.outerWork[i] *= t.serial / units
 	}
-
-	// 2. Calibrated overheads.
-	cal, err := Calibrate(res, nestParams)
-	if err != nil {
-		return row, err
+	m.bodySec = t.serial*t.ratio - recoveries*cal.Recovery
+	if m.bodySec < 0 {
+		m.bodySec = t.serial * t.ratio
 	}
-	opts.Verbose("%s: serial %.3fs, unit %.2fns, dequeue %.1fns, recovery %.0fns, increment %.1fns",
-		k.Name, serial, perUnit*1e9, cal.Dequeue*1e9, cal.Recovery*1e9, cal.Increment*1e9)
-
-	// 3. Simulated makespans for the three Fig. 9 configurations. The
-	// collapsed static makespan distributes the measured collapsed
-	// serial work over P threads, with one recovery per thread chunk.
-	row.StaticSec = schedsim.Static(outerWork, P, 0)
-	row.DynamicSec = schedsim.Dynamic(outerWork, P, 1, cal.Dequeue)
-	b, err := res.Unranker.Bind(nestParams)
-	if err != nil {
-		return row, err
-	}
-	total := b.Total()
-	bodyTime := collapsedSerial - float64(P)*cal.Recovery
-	if bodyTime < 0 {
-		bodyTime = collapsedSerial
-	}
-	if kernelHasUniformCollapsedWork(k) {
-		w := bodyTime / float64(total)
-		row.CollapsedSec = schedsim.UniformStatic(total, w, P, cal.Recovery)
-	} else {
-		// Distribute the measured time over tuples proportionally to the
-		// exact work model, then simulate the static split.
-		var collUnits float64
-		collWork := make([]float64, 0, total)
+	if !kernelHasUniformCollapsedWork(k) {
+		units = 0
+		m.collWork = make([]float64, 0, m.total)
 		b.Instance().Enumerate(func(idx []int64) bool {
-			wu := inst.WorkPerCollapsed(idx)
-			collUnits += wu
-			collWork = append(collWork, wu)
+			wu := t.inst.WorkPerCollapsed(idx)
+			units += wu
+			m.collWork = append(m.collWork, wu)
 			return true
 		})
-		scale := bodyTime / collUnits
-		for i := range collWork {
-			collWork[i] *= scale
+		for i := range m.collWork {
+			m.collWork[i] *= m.bodySec / units
 		}
-		row.CollapsedSec = schedsim.Static(collWork, P, cal.Recovery)
+	}
+	return m, nil
+}
+
+// simulate returns the Fig. 9 makespans at P simulated threads:
+// outer-static, outer-dynamic (one dequeue per outer iteration) and
+// collapsed static, which pays one recovery per thread chunk.
+func (m *makespanModel) simulate(P int) Fig9Row {
+	row := Fig9Row{
+		Threads:    P,
+		SerialSec:  m.serial,
+		StaticSec:  schedsim.Static(m.outerWork, P, 0),
+		DynamicSec: schedsim.Dynamic(m.outerWork, P, 1, m.cal.Dequeue),
+	}
+	if m.collWork == nil {
+		row.CollapsedSec = schedsim.UniformStatic(m.total, m.bodySec/float64(m.total), P, m.cal.Recovery)
+	} else {
+		row.CollapsedSec = schedsim.Static(m.collWork, P, m.cal.Recovery)
 	}
 	row.GainVsStatic = schedsim.Gain(row.StaticSec, row.CollapsedSec)
 	row.GainVsDynamic = schedsim.Gain(row.DynamicSec, row.CollapsedSec)
-
-	// 4. Optional real goroutine runs.
-	if opts.Real {
-		inst.Reset()
-		start := time.Now()
-		kernels.RunOuterParallel(inst, P, omp.Schedule{Kind: omp.Static})
-		row.RealStaticSec = time.Since(start).Seconds()
-		inst.Reset()
-		start = time.Now()
-		kernels.RunOuterParallel(inst, P, omp.Schedule{Kind: omp.Dynamic})
-		row.RealDynamicSec = time.Since(start).Seconds()
-		inst.Reset()
-		start = time.Now()
-		if err := kernels.RunCollapsedParallel(k, inst, res, p, P, omp.Schedule{Kind: omp.Static}); err != nil {
-			return row, err
-		}
-		row.RealCollapsedSec = time.Since(start).Seconds()
-	}
-	return row, nil
+	row.SpeedupCollapsed = m.serial / row.CollapsedSec
+	return row
 }
 
-// Fig. 9 timing: rounds of alternated serial and collapsed samples,
-// each accumulating at least fig9MinTime at bench sizes.
-const (
-	fig9Rounds  = 3
-	fig9MinTime = 25 * time.Millisecond
-)
+// realRuns times the three configurations on the goroutine runtime at
+// row.Threads threads.
+func realRuns(k *kernels.Kernel, t *kernelTiming, row *Fig9Row) error {
+	P := row.Threads
+	t.inst.Reset()
+	start := time.Now()
+	kernels.RunOuterParallel(t.inst, P, omp.Schedule{Kind: omp.Static})
+	row.RealStaticSec = time.Since(start).Seconds()
+	t.inst.Reset()
+	start = time.Now()
+	kernels.RunOuterParallel(t.inst, P, omp.Schedule{Kind: omp.Dynamic})
+	row.RealDynamicSec = time.Since(start).Seconds()
+	t.inst.Reset()
+	start = time.Now()
+	if err := kernels.RunCollapsedParallel(k, t.inst, t.res, t.params, P, omp.Schedule{Kind: omp.Static}); err != nil {
+		return err
+	}
+	row.RealCollapsedSec = time.Since(start).Seconds()
+	return nil
+}
 
 // kernelHasUniformCollapsedWork reports whether every collapsed
 // iteration performs identical work (so the simulator can use the closed
@@ -303,23 +369,24 @@ func kernelHasUniformCollapsedWork(k *kernels.Kernel) bool {
 	return true
 }
 
-// RenderFig9 prints the rows as the paper's two bar groups.
-func RenderFig9(rows []Fig9Row, threads int, real bool) string {
+// RenderFig9 prints the rows as the paper's two bar groups, one line
+// per kernel and thread count.
+func RenderFig9(rows []Fig9Row, real bool) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 9 — gains from collapsing non-rectangular loops (%d threads, simulated makespans)\n", threads)
-	fmt.Fprintf(&b, "%-18s %10s %10s %10s %10s %13s %14s\n",
-		"kernel", "serial(s)", "static(s)", "dynamic(s)", "collapsed(s)", "gain vs stat", "gain vs dyn")
+	fmt.Fprintf(&b, "Fig. 9 — gains from collapsing non-rectangular loops (simulated makespans)\n")
+	fmt.Fprintf(&b, "%-18s %7s %10s %10s %10s %12s %13s %12s %8s\n",
+		"kernel", "threads", "serial(s)", "static(s)", "dynamic(s)", "collapsed(s)", "gain vs stat", "gain vs dyn", "speedup")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-18s %10.4f %10.4f %10.4f %10.4f %13.3f %14.3f\n",
-			r.Kernel, r.SerialSec, r.StaticSec, r.DynamicSec, r.CollapsedSec,
-			r.GainVsStatic, r.GainVsDynamic)
+		fmt.Fprintf(&b, "%-18s %7d %10.4f %10.4f %10.4f %12.4f %13.3f %12.3f %7.1fx\n",
+			r.Kernel, r.Threads, r.SerialSec, r.StaticSec, r.DynamicSec, r.CollapsedSec,
+			r.GainVsStatic, r.GainVsDynamic, r.SpeedupCollapsed)
 	}
 	if real {
-		fmt.Fprintf(&b, "\nreal goroutine wall times (GOMAXPROCS-bound; equals makespans only with >= %d cores)\n", threads)
-		fmt.Fprintf(&b, "%-18s %12s %12s %12s\n", "kernel", "static(s)", "dynamic(s)", "collapsed(s)")
+		fmt.Fprintf(&b, "\nreal goroutine wall times (GOMAXPROCS-bound; equal makespans only with >= threads cores)\n")
+		fmt.Fprintf(&b, "%-18s %7s %12s %12s %12s\n", "kernel", "threads", "static(s)", "dynamic(s)", "collapsed(s)")
 		for _, r := range rows {
-			fmt.Fprintf(&b, "%-18s %12.4f %12.4f %12.4f\n",
-				r.Kernel, r.RealStaticSec, r.RealDynamicSec, r.RealCollapsedSec)
+			fmt.Fprintf(&b, "%-18s %7d %12.4f %12.4f %12.4f\n",
+				r.Kernel, r.Threads, r.RealStaticSec, r.RealDynamicSec, r.RealCollapsedSec)
 		}
 	}
 	return b.String()
@@ -343,70 +410,36 @@ type Fig10Row struct {
 type Fig10Options struct {
 	Chunks int  // number of serial chunks, each with one recovery; paper uses 12
 	Quick  bool // use small test sizes
-	Reps   int  // alternated timing rounds (default 3)
-}
-
-func (o *Fig10Options) fill() {
-	if o.Chunks <= 0 {
-		o.Chunks = 12
-	}
-	if o.Reps <= 0 {
-		o.Reps = 3
-	}
 }
 
 // Fig10 measures serial original vs serial collapsed (with Chunks
 // recoveries) for every kernel, plus the fully collapsed covariance and
-// symm variants the paper calls out.
+// symm variants the paper calls out. The overhead is the median
+// within-round ratio of collapsed to original.
 func Fig10(opts Fig10Options) ([]Fig10Row, error) {
-	opts.fill()
-	list := kernels.All()
-	list = append(list, kernels.CovarianceFull, kernels.SymmFull)
+	if opts.Chunks <= 0 {
+		opts.Chunks = recoveries
+	}
 	var rows []Fig10Row
-	for _, k := range list {
-		row, err := fig10Kernel(k, opts)
+	for _, k := range append(kernels.All(), kernels.CovarianceFull, kernels.SymmFull) {
+		t, err := measureKernel(k, opts.Chunks, opts.Quick)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
-		rows = append(rows, row)
+		rows = append(rows, Fig10Row{
+			Kernel: k.Name,
+			// "All loops collapsed" in the paper's sense: the recovery
+			// control runs at the innermost statement rate (one work unit
+			// per collapsed iteration), which is where Fig. 10 shows the
+			// largest overheads.
+			AllCollapsed: k.Collapse == k.Nest.Depth() &&
+				t.inst.WorkPerCollapsed(make([]int64, k.Collapse)) == 1,
+			SerialSec:    t.serial,
+			CollapsedSec: t.collapsed,
+			OverheadPct:  (t.ratio - 1) * 100,
+		})
 	}
 	return rows, nil
-}
-
-func fig10Kernel(k *kernels.Kernel, opts Fig10Options) (Fig10Row, error) {
-	p := k.BenchParams
-	if opts.Quick {
-		p = k.TestParams
-	}
-	inst := k.New(p)
-	// "All loops collapsed" in the paper's sense: the recovery control
-	// runs at the innermost statement rate (one work unit per collapsed
-	// iteration), which is where Fig. 10 shows the largest overheads.
-	row := Fig10Row{
-		Kernel: k.Name,
-		AllCollapsed: k.Collapse == k.Nest.Depth() &&
-			inst.WorkPerCollapsed(make([]int64, k.Collapse)) == 1,
-	}
-	res, err := buildResult(k)
-	if err != nil {
-		return row, err
-	}
-	// One untimed Reset before every single-run sample; the overhead is
-	// the median within-round ratio of collapsed to original.
-	var runErr error
-	secs := autotune.Alternate(opts.Reps, 0, func(int) { inst.Reset() },
-		func() { kernels.RunSeq(inst) },
-		func() {
-			if err := kernels.RunCollapsedSerialChunks(k, inst, res, p, opts.Chunks); err != nil && runErr == nil {
-				runErr = err
-			}
-		})
-	if runErr != nil {
-		return row, runErr
-	}
-	row.SerialSec, row.CollapsedSec = autotune.Best(secs, 0), autotune.Best(secs, 1)
-	row.OverheadPct = (autotune.MedianRatio(secs, 1, 0) - 1) * 100
-	return row, nil
 }
 
 // RenderFig10 prints the overhead table.

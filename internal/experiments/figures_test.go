@@ -55,24 +55,28 @@ func TestFig8CurvesAreParallel(t *testing.T) {
 	}
 }
 
-// TestFig9QuickShape runs the full Fig. 9 pipeline at test sizes and
-// checks the paper's qualitative results:
-//   - collapsing beats outer-static on every kernel except possibly the
-//     inner-dependence one (ltmp);
-//   - dynamic beats collapsing on ltmp (the paper's anomaly).
+// TestFig9QuickShape runs the full Fig. 9 pipeline at test sizes over
+// several thread counts and checks the mechanics and the row layout:
+// one row per kernel and thread count, kernel-major, each kernel's
+// makespans non-increasing in the thread count.
 func TestFig9QuickShape(t *testing.T) {
-	rows, err := Fig9(Fig9Options{Threads: 12, Quick: true})
+	threads := []int{12, 24, 48}
+	rows, err := Fig9(Fig9Options{Threads: threads, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 11 {
+	if len(rows) != 11*len(threads) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	// Quick mode runs sub-millisecond kernels, where shared-machine
 	// timing noise dwarfs scheduling effects, so this test only checks
 	// the mechanics; the paper-shape assertions (positive gains, ltmp
 	// anomaly) run at bench sizes in TestFig9BenchShape.
-	for _, r := range rows {
+	for i, r := range rows {
+		first, want := rows[i-i%len(threads)], threads[i%len(threads)]
+		if r.Kernel != first.Kernel || r.Threads != want {
+			t.Errorf("row %d = %s at %d threads, want %s at %d", i, r.Kernel, r.Threads, first.Kernel, want)
+		}
 		if r.SerialSec <= 0 || r.StaticSec <= 0 || r.CollapsedSec <= 0 || r.DynamicSec <= 0 {
 			t.Errorf("%s: non-positive times %+v", r.Kernel, r)
 		}
@@ -83,10 +87,26 @@ func TestFig9QuickShape(t *testing.T) {
 		if r.DynamicSec > r.SerialSec*1.01 {
 			t.Errorf("%s: dynamic %g > serial %g", r.Kernel, r.DynamicSec, r.SerialSec)
 		}
+		if r.SpeedupCollapsed != r.SerialSec/r.CollapsedSec {
+			t.Errorf("%s: speedup %g != serial/collapsed", r.Kernel, r.SpeedupCollapsed)
+		}
+		// Makespans must be non-increasing in P for every strategy.
+		if i%len(threads) == 0 {
+			continue
+		}
+		prev := rows[i-1]
+		if r.CollapsedSec > prev.CollapsedSec*1.0001 {
+			t.Errorf("collapsed makespan increased with threads: %+v -> %+v", prev, r)
+		}
+		if r.StaticSec > prev.StaticSec*1.0001 {
+			t.Errorf("static makespan increased with threads: %+v -> %+v", prev, r)
+		}
 	}
-	out := RenderFig9(rows, 12, false)
-	if !strings.Contains(out, "correlation_tiled") || !strings.Contains(out, "gain vs dyn") {
-		t.Errorf("render missing columns:\n%s", out)
+	out := RenderFig9(rows, false)
+	for _, col := range []string{"correlation_tiled", "gain vs dyn", "threads", "speedup"} {
+		if !strings.Contains(out, col) {
+			t.Errorf("render missing %q:\n%s", col, out)
+		}
 	}
 }
 
@@ -94,18 +114,36 @@ func TestFig9QuickShape(t *testing.T) {
 // at the evaluation problem sizes:
 //   - collapsing beats outer-static on every kernel;
 //   - collapsing beats or ties outer-dynamic on most kernels;
-//   - dynamic beats collapsing on ltmp (inner-dependence anomaly, §VII).
+//   - dynamic beats collapsing on ltmp (inner-dependence anomaly, §VII);
 //
-// It times each kernel's serial and collapsed runs in three alternated
-// rounds and judges collapsed against serial by the median within-round
-// ratio (a few seconds total), so it is skipped under -short.
+// and the §II scalability claim: for the triangular correlation kernel,
+// outer-static saturates (bounded below by the heaviest outer row) while
+// collapsed-static keeps scaling, so the gain grows with the thread
+// count.
+//
+// It times each kernel's serial and collapsed runs once, in three
+// alternated rounds, judges collapsed against serial by the median
+// within-round ratio and simulates 4, 12 and 48 threads from that one
+// measurement (a few seconds total), so it is skipped under -short.
 func TestFig9BenchShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench-size experiment skipped in -short mode")
 	}
-	rows, err := Fig9(Fig9Options{Threads: 12})
+	all, err := Fig9(Fig9Options{Threads: []int{4, 12, 48}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(all) != 33 {
+		t.Fatalf("rows = %d", len(all))
+	}
+	var rows []Fig9Row // the paper's 12 threads
+	at := map[int]map[string]Fig9Row{4: {}, 48: {}}
+	for _, r := range all {
+		if r.Threads == 12 {
+			rows = append(rows, r)
+		} else {
+			at[r.Threads][r.Kernel] = r
+		}
 	}
 	// Notes on the dynamic comparison: our goroutine dynamic baseline has
 	// a dequeue cost measured on a two-thread team through the
@@ -153,10 +191,21 @@ func TestFig9BenchShape(t *testing.T) {
 	if closeOrWin < 5 {
 		t.Errorf("collapsing close-to-or-better than dynamic on only %d/10 kernels", closeOrWin)
 	}
+
+	p4, p48 := at[4]["correlation"], at[48]["correlation"]
+	if p48.GainVsStatic <= p4.GainVsStatic {
+		t.Errorf("gain did not grow with threads: P=4 %.3f vs P=48 %.3f",
+			p4.GainVsStatic, p48.GainVsStatic)
+	}
+	// At P=48 static is limited by the heaviest row: speedup(static)
+	// stays far below 48 while collapsed exceeds it substantially.
+	if p48.SpeedupCollapsed < 24 {
+		t.Errorf("collapsed speedup at P=48 only %.1fx", p48.SpeedupCollapsed)
+	}
 }
 
 func TestFig10QuickShape(t *testing.T) {
-	rows, err := Fig10(Fig10Options{Chunks: 12, Quick: true, Reps: 2})
+	rows, err := Fig10(Fig10Options{Chunks: 12, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}

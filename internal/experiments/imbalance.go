@@ -5,12 +5,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/kernels"
-	"repro/internal/nest"
 	"repro/internal/omp"
 	"repro/internal/telemetry"
-	"repro/internal/unrank"
 )
 
 // ImbalanceOptions configure the per-schedule load-balance experiment.
@@ -25,15 +22,6 @@ type ImbalanceOptions struct {
 	// Telemetry, when non-nil, receives the chunk timelines of every
 	// schedule run on one shared timebase (for Chrome trace export).
 	Telemetry *telemetry.Registry
-
-	// Nest, when non-nil, replaces the named kernel: the Collapse
-	// outermost loops of the nest run with an empty body under each
-	// schedule, so arbitrary parsed sources (benchfig -src) can have
-	// their chunk distribution measured. Params binds the nest's
-	// parameters.
-	Nest     *nest.Nest
-	Collapse int
-	Params   map[string]int64
 }
 
 // ImbalanceRow is one schedule's measured load distribution.
@@ -74,43 +62,29 @@ func Imbalance(opts ImbalanceOptions) ([]ImbalanceRow, error) {
 	if opts.Threads <= 0 {
 		opts.Threads = 8
 	}
-	var res *core.Result
-	var params map[string]int64
-	reset := func() {}
-	body := func(tid int, idx []int64) {}
-	if opts.Nest != nil {
-		r, err := core.Collapse(opts.Nest, opts.Collapse, unrank.Options{})
-		if err != nil {
-			return nil, err
-		}
-		res, params = r, opts.Params
-	} else {
-		if opts.Kernel == "" {
-			opts.Kernel = "correlation"
-		}
-		k, err := kernels.ByName(opts.Kernel)
-		if err != nil {
-			return nil, err
-		}
-		p := k.BenchParams
-		if opts.Quick {
-			p = k.TestParams
-		}
-		inst := k.New(p)
-		res, err = k.Collapsed()
-		if err != nil {
-			return nil, err
-		}
-		params = k.NestParams(p)
-		reset = inst.Reset
-		body = func(tid int, idx []int64) { inst.RunCollapsed(idx) }
+	if opts.Kernel == "" {
+		opts.Kernel = "correlation"
 	}
+	k, err := kernels.ByName(opts.Kernel)
+	if err != nil {
+		return nil, err
+	}
+	p := k.BenchParams
+	if opts.Quick {
+		p = k.TestParams
+	}
+	inst := k.New(p)
+	res, err := k.Collapsed()
+	if err != nil {
+		return nil, err
+	}
+	params := k.NestParams(p)
 	var rows []ImbalanceRow
 	for _, sched := range imbalanceSchedules() {
-		reset()
+		inst.Reset()
 		start := time.Now()
 		cs, err := omp.CollapsedForChunkTelemetryCtx(nil, res, params, opts.Threads, sched,
-			opts.Telemetry, body)
+			opts.Telemetry, func(tid int, idx []int64) { inst.RunCollapsed(idx) })
 		if err != nil {
 			return nil, fmt.Errorf("schedule %s: %w", scheduleLabel(sched), err)
 		}

@@ -8,9 +8,11 @@
 //	          parallelization, for all kernels;
 //	Fig. 10 — serial control overhead of 12 index recoveries.
 //
-// Fig. 10 is measured directly (serial runs). Fig. 9 combines measured
-// per-unit costs with the discrete-event schedule simulator: the paper's
-// 12 hardware threads are replaced by 12 simulated threads whose per-unit
+// Figs. 9 and 10 read one serial measurement per kernel (the original
+// program against the §V collapsed one). Fig. 10 reports it directly;
+// Fig. 9 combines it with the discrete-event schedule simulator: the
+// paper's 12 hardware threads are replaced by simulated threads (12, or
+// any list of counts) whose per-unit
 // work is exact (computed from the kernels' work models) and whose unit
 // cost, dynamic-dequeue overhead and recovery cost are calibrated on the
 // host. An optional "real" mode also runs the goroutine runtime and

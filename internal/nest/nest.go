@@ -242,37 +242,31 @@ func (f *affineFn) specialize() {
 	}
 }
 
-// compileAffine folds params into the constant term of an affine bound
-// and shape-specializes the evaluator.
-func compileAffine(p *poly.Poly, params map[string]int64, levelOf map[string]int) (*affineFn, error) {
-	f := &affineFn{}
-	for _, t := range p.Terms() {
-		c, ok := t.Coeff.Num(), t.Coeff.IsInt()
-		if !ok || !c.IsInt64() {
-			return nil, fmt.Errorf("nest: non-integer coefficient %s in bound %s", t.Coeff, p)
+// bindAffine reads the affine bound p over names (the parameters, then
+// the iterators) into row, folds the parameter values vals into its
+// constant term with checked arithmetic and shape-specializes the
+// evaluator. ok is false when a coefficient or the folded constant
+// leaves int64.
+func bindAffine(p *poly.Poly, names []string, vals, row []int64) (f *affineFn, ok bool) {
+	ok = p.AffineInt64(names, row)
+	c := row[len(names)]
+	for q := 0; ok && q < len(vals); q++ {
+		var s int64
+		if s, ok = numeric.MulInt64(row[q], vals[q]); ok {
+			c, ok = numeric.AddInt64(c, s)
 		}
-		coeff := c.Int64()
-		switch len(t.Vars) {
-		case 0:
-			f.c0 += coeff
-		case 1:
-			v := t.Vars[0]
-			if v.Pow != 1 {
-				return nil, fmt.Errorf("nest: non-affine bound %s", p)
-			}
-			if pv, isParam := params[v.Name]; isParam {
-				f.c0 += coeff * pv
-			} else if lvl, isIter := levelOf[v.Name]; isIter {
-				f.terms = append(f.terms, affTerm{level: lvl, coeff: coeff})
-			} else {
-				return nil, fmt.Errorf("nest: unknown variable %q in bound %s", v.Name, p)
-			}
-		default:
-			return nil, fmt.Errorf("nest: non-affine bound %s", p)
+	}
+	if !ok {
+		return nil, false
+	}
+	f = &affineFn{c0: c}
+	for q := len(vals); q < len(names); q++ {
+		if row[q] != 0 {
+			f.terms = append(f.terms, affTerm{level: q - len(vals), coeff: row[q]})
 		}
 	}
 	f.specialize()
-	return f, nil
+	return f, true
 }
 
 // Instance is a nest bound to concrete parameter values, ready for
@@ -300,25 +294,22 @@ func (n *Nest) Bind(params map[string]int64) (*Instance, error) {
 		np:     len(n.Params),
 		params: make(map[string]int64, len(params)),
 	}
-	for _, p := range n.Params {
+	vals := make([]int64, len(n.Params))
+	for q, p := range n.Params {
 		v, ok := params[p]
 		if !ok {
 			return nil, fmt.Errorf("nest: missing value for parameter %q", p)
 		}
 		inst.params[p] = v
+		vals[q] = v
 	}
-	levelOf := make(map[string]int, n.Depth())
-	for q, name := range n.Indices() {
-		levelOf[name] = q
-	}
+	names := append(append(make([]string, 0, len(vals)+n.Depth()), n.Params...), n.Indices()...)
+	row := make([]int64, len(names)+1)
 	for _, l := range n.Loops {
-		lo, err := compileAffine(l.Lower, inst.params, levelOf)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := compileAffine(l.Upper, inst.params, levelOf)
-		if err != nil {
-			return nil, err
+		lo, okLo := bindAffine(l.Lower, names, vals, row)
+		hi, okHi := bindAffine(l.Upper, names, vals, row)
+		if !okLo || !okHi {
+			return nil, fmt.Errorf("nest: bounds of loop %q leave int64 at %v: %w", l.Index, params, faults.ErrOverflow)
 		}
 		inst.lower = append(inst.lower, lo)
 		inst.upper = append(inst.upper, hi)

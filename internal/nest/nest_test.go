@@ -1,9 +1,11 @@
 package nest
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/poly"
 )
 
@@ -206,6 +208,34 @@ func TestBindErrors(t *testing.T) {
 	}
 	if _, err := n.Bind(map[string]int64{"N": 5, "M": 1}); err == nil {
 		t.Error("Bind with extra param succeeded")
+	}
+}
+
+// TestBindOverflow checks that folding parameter values into a bound
+// past int64 fails with faults.ErrOverflow instead of binding a wrapped
+// constant, for an overflowing product, sum and coefficient.
+func TestBindOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		lower, upper string
+		n            int64
+	}{
+		{"4611686018427387904*N", "4611686018427387904*N+5", 4}, // 2^64
+		{"0", "9223372036854775807+N", 1},
+		{"0", "18446744073709551616*N", 0}, // coefficient beyond int64
+	} {
+		n := MustNew([]string{"N"}, L("i", "0", "10"), L("j", tc.lower, tc.upper))
+		if _, err := n.Bind(map[string]int64{"N": tc.n}); !errors.Is(err, faults.ErrOverflow) {
+			t.Errorf("j=%s:%s at N=%d: err = %v, want ErrOverflow", tc.lower, tc.upper, tc.n, err)
+		}
+	}
+	// The same bounds bind where they fit.
+	n := MustNew([]string{"N"}, L("i", "0", "10"), L("j", "4611686018427387904*N", "4611686018427387904*N+5"))
+	inst, err := n.Bind(map[string]int64{"N": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := inst.BoundsAt(1, []int64{0, 0}); lo != 1<<62 || hi != 1<<62+5 {
+		t.Errorf("bounds at N=1 = [%d, %d), want [2^62, 2^62+5)", lo, hi)
 	}
 }
 

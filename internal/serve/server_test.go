@@ -554,3 +554,23 @@ func TestCountBeyondInt64AnswersBig(t *testing.T) {
 		}
 	}
 }
+
+// TestUnrankBoundOverflowClassifies422 checks that a nest whose bound
+// leaves int64 once its parameters are folded in is refused as 422
+// overflow rather than answered with wrapped indices.
+func TestUnrankBoundOverflowClassifies422(t *testing.T) {
+	_, c := startServer(t, Config{})
+	req := &Request{
+		Nest: &NestSpec{Loops: []LoopSpec{
+			{Index: "i", Lower: "0", Upper: "10"},
+			{Index: "j", Lower: "4611686018427387904*N", Upper: "4611686018427387904*N + 5"},
+		}},
+		Params: map[string]int64{"N": 4},
+		Pc:     1,
+	}
+	_, err := c.Unrank(context.Background(), req)
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusUnprocessableEntity || ae.Class != "overflow" {
+		t.Fatalf("err = %v, want 422 overflow", err)
+	}
+}
