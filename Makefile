@@ -34,8 +34,8 @@ tier1-soak:
 
 # Race-detector packages: everything concurrent (telemetry counters, the
 # omp runtime, kernels, the public API) plus the fault-tolerance layers
-# (fault injection registry, verified recovery) whose tests exercise
-# panic capture, cancellation and escalation under load, the core
+# (fault injection registry, domain-checked recovery) whose tests exercise
+# panic capture, cancellation and search fallback under load, the core
 # package whose cache-contention test hammers the one-lock
 # CollapseCache from concurrent goroutines, the daemon whose
 # request-table test ranks and unranks one warm entry from 8

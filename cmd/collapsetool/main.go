@@ -109,7 +109,6 @@ type options struct {
 	report     bool
 	check      int64
 	stats      bool
-	verify     bool
 	sched      string
 	statsN     int64
 	threads    int
@@ -139,7 +138,6 @@ func main() {
 	flag.BoolVar(&o.report, "report", false, "print ranking polynomial, count and root analysis")
 	flag.Int64Var(&o.check, "check", 0, "self-check the bijection for this parameter value")
 	flag.BoolVar(&o.stats, "stats", false, "run the collapsed nest and print telemetry (per-thread loads, recovery counters, imbalance)")
-	flag.BoolVar(&o.verify, "verify", false, "re-rank every recovered tuple exactly during -check/-stats runs (escalates to binary search on mismatch)")
 	flag.StringVar(&o.sched, "sched", "", "schedule for the -stats run, overriding the pragma clause: static|static,N|dynamic[,N]|guided[,N]|auto (auto lets the autotuner pick schedule, chunk and team size)")
 	flag.Int64Var(&o.statsN, "n", 300, "parameter value for the -stats run")
 	flag.IntVar(&o.threads, "threads", omp.DefaultThreads(), "team size for the -stats run")
@@ -262,7 +260,7 @@ func run(o options) error {
 	if o.stats {
 		cache = core.NewCollapseCache(8)
 	}
-	uopts := unrank.Options{Telemetry: tel, Verify: o.verify}
+	uopts := unrank.Options{Telemetry: tel}
 	start := time.Now()
 	res, err := core.CollapseCached(cache, prog.Nest, prog.CollapseCount, uopts)
 	coldCompile = time.Since(start)
@@ -381,6 +379,8 @@ func run(o options) error {
 
 // selfCheck verifies the rank/unrank bijection by enumeration for the
 // given parameter value and reports the recovery statistics of the run.
+// An irregular binding, which no ranking polynomial counts, is reported
+// by loop and prefix before the walk.
 func selfCheck(res *core.Result, prog *cparse.Program, check int64) error {
 	params := map[string]int64{}
 	for _, p := range prog.Nest.Params {
@@ -389,6 +389,9 @@ func selfCheck(res *core.Result, prog *cparse.Program, check int64) error {
 	b, err := res.Unranker.Bind(params)
 	if err != nil {
 		return err
+	}
+	if err := b.Instance().CheckRegular(); err != nil {
+		return fmt.Errorf("self-check: binding %v is not regular: %w", params, err)
 	}
 	idx := make([]int64, res.C)
 	var pc int64

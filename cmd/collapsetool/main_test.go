@@ -317,18 +317,30 @@ func TestRunStatsDowngrade(t *testing.T) {
 	}
 }
 
-// TestRunStatsVerify runs -stats with exact per-recovery verification
-// enabled and checks the verify counter surfaces in the report.
-func TestRunStatsVerify(t *testing.T) {
-	o := base(writeInput(t))
-	o.stats = true
-	o.verify = true
-	out, err := capture(t, func() error { return run(o) })
-	if err != nil {
+// TestRunCheckIrregular self-checks a nest that is irregular at N=2
+// (j's range 1:N-i+2 is negative from i=4 on): -check reports the loop
+// and prefix that break regularity instead of a tuple mismatch.
+func TestRunCheckIrregular(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "irregular.c")
+	src := `#pragma omp parallel for collapse(3)
+for (i = 0; i < 3 * N; i++)
+  for (j = 1; j < N - i + 2; j++)
+    for (k = -2 * N + i - j + 1; k < N + j; k++)
+      S(i, j, k);
+`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "unrank.verifies") || !strings.Contains(out, "verifies") {
-		t.Errorf("verify counters missing from -stats output:\n%s", out)
+	o := base(path)
+	o.check = 2
+	_, err := capture(t, func() error { return run(o) })
+	if err == nil {
+		t.Fatal("-check accepted an irregular binding")
+	}
+	for _, frag := range []string{"not regular", `loop "j" has negative trip count`, "prefix [4]"} {
+		if !strings.Contains(err.Error(), frag) {
+			t.Errorf("-check error missing %q: %v", frag, err)
+		}
 	}
 }
 

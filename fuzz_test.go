@@ -1,20 +1,24 @@
 package nonrect
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 // FuzzRankUnrank feeds arbitrary annotated C sources and a parameter
-// value through the whole pipeline — parse, collapse, bind, then a
-// rank/unrank round trip over the enumerated iteration space — and
-// requires the bijection to hold exactly wherever the pipeline accepts
-// the input. Nothing may panic: every rejection must be an error (the
-// typed taxonomy), every acceptance must recover exact tuples.
+// value through the whole pipeline — parse, collapse, bind, then Unrank
+// at every pc — and checks two things wherever the pipeline accepts the
+// input. On every binding, irregular ones included, Unrank either
+// returns a tuple inside the domain or an error wrapping
+// ErrRecoveryDiverged or ErrOverflow. On regular bindings the rank/unrank
+// round trip over the enumerated iteration space holds exactly. Nothing
+// may panic: every rejection must be an error (the typed taxonomy).
 //
 // Seeds are the five sample nests shipped in testdata/ (triangular,
-// tetrahedral, rhomboidal, trapezoid and the quartic §IV.B limit case).
+// tetrahedral, rhomboidal, trapezoid and the quartic §IV.B limit case)
+// plus irregularSeed.
 func FuzzRankUnrank(f *testing.F) {
 	seeds, err := filepath.Glob("testdata/*.c")
 	if err != nil || len(seeds) < 5 {
@@ -27,6 +31,7 @@ func FuzzRankUnrank(f *testing.F) {
 		}
 		f.Add(string(src), int64(6))
 	}
+	f.Add(irregularSeed, int64(0))
 	f.Fuzz(func(t *testing.T, src string, n int64) {
 		// Small positive parameter values keep enumeration cheap while
 		// still exercising every recovery level.
@@ -35,7 +40,7 @@ func FuzzRankUnrank(f *testing.F) {
 		if err != nil {
 			return
 		}
-		res, err := Collapse(prog.Nest, prog.CollapseCount, WithVerify())
+		res, err := Collapse(prog.Nest, prog.CollapseCount)
 		if err != nil {
 			return
 		}
@@ -50,25 +55,35 @@ func FuzzRankUnrank(f *testing.F) {
 		if b.Total() > 20_000 {
 			return
 		}
-		// Nests with empty inner ranges for some prefixes ("irregular"
-		// nests, e.g. j in [i+1, 2) once i > 1) are outside the Fig. 5
-		// model: the counting polynomial sums negative range lengths and
-		// the ranking is not a bijection. The pipeline cannot detect this
-		// statically, so detect it here by comparing the polynomial count
-		// with true enumeration and require the round trip only when they
-		// agree.
+		inst := b.Instance()
+		idx := make([]int64, inst.Depth())
+		for pc := int64(1); pc <= b.Total(); pc++ {
+			err := b.Unrank(pc, idx)
+			switch {
+			case errors.Is(err, ErrRecoveryDiverged), errors.Is(err, ErrOverflow):
+			case err != nil:
+				t.Fatalf("Unrank(%d): untyped error %v\nsource:\n%s", pc, err, src)
+			case !inst.Contains(idx):
+				t.Fatalf("Unrank(%d) = %v, outside the domain\nsource:\n%s", pc, idx, src)
+			}
+		}
+		// Bindings with negative inner ranges for some prefixes
+		// ("irregular", e.g. j in [i+1, 2) once i > 1) are outside the
+		// Fig. 5 model: the counting polynomial sums negative range
+		// lengths and the ranking is not a bijection. The pipeline cannot
+		// detect this statically, so require the round trip only on
+		// regular bindings. The bounded count comparison catches most
+		// irregular ones before CheckRegular walks the prefixes.
 		var trueCount int64
-		b.Instance().Enumerate(func([]int64) bool {
+		inst.Enumerate(func([]int64) bool {
 			trueCount++
 			return trueCount <= 20_000
 		})
-		if trueCount != b.Total() {
+		if trueCount != b.Total() || inst.CheckRegular() != nil {
 			return
 		}
-		depth := b.Instance().Depth()
-		idx := make([]int64, depth)
 		var pc int64
-		b.Instance().Enumerate(func(truth []int64) bool {
+		inst.Enumerate(func(truth []int64) bool {
 			pc++
 			if r := b.Rank(truth); r != pc {
 				t.Fatalf("Rank(%v) = %d, want %d\nsource:\n%s", truth, r, pc, src)
@@ -88,3 +103,13 @@ func FuzzRankUnrank(f *testing.F) {
 		}
 	})
 }
+
+// irregularSeed is irregular at N=2 (parameter seed 0): j's range
+// 1:N-i+2 is negative from i=4 on, and pc=47 recovers i=5, where j has
+// no iteration.
+const irregularSeed = `#pragma omp parallel for collapse(3)
+for (i = 0; i < 3 * N; i++)
+  for (j = 1; j < N - i + 2; j++)
+    for (k = -2 * N + i - j + 1; k < N + j; k++)
+      S(i, j, k);
+`

@@ -10,14 +10,14 @@ import (
 
 // keyVersion leads every key, so a change of encoding never meets keys
 // of the old one (dist journals persist them).
-const keyVersion = 4
+const keyVersion = 5
 
 // Key returns the key of collapsing the c outermost loops of n under
 // opts, and the canonical form it is read from: the band rebased to
 // lower bound 0 wherever a lower bound is constant, in positional
 // integer form (transform.Rebase). The key encodes that form's
 // coefficient rows, the collapse count and the options that shape the
-// compiled artifact (mode, verification, table size cap, after unrank's
+// compiled artifact (mode and table size cap, after unrank's
 // own normalization), each integer as a varint — exact, so equal keys
 // are the same problem, and built without renaming a polynomial or
 // rendering a name. Spellings of one nest that differ only in their
@@ -42,12 +42,8 @@ func Key(n *nest.Nest, c int, opts unrank.Options) (key string, rb transform.Reb
 	}
 	rb.Lower, rb.Upper, rb.Offset = rb.Lower[:c], rb.Upper[:c], rb.Offset[:c]
 	opts = opts.Normalized()
-	verify := int64(0)
-	if opts.Verify {
-		verify = 1
-	}
 	buf := make([]byte, 0, 16+8*c*(rb.NP+c+1))
-	for _, v := range []int64{keyVersion, int64(rb.NP), int64(c), int64(opts.Mode), verify, int64(opts.TableMaxEntries)} {
+	for _, v := range []int64{keyVersion, int64(rb.NP), int64(c), int64(opts.Mode), int64(opts.TableMaxEntries)} {
 		buf = binary.AppendVarint(buf, v)
 	}
 	for k := range rb.Lower {

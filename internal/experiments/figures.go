@@ -146,6 +146,8 @@ type kernelTiming struct {
 	// Fastest sample of each program, in seconds per run, and the median
 	// within-round ratio collapsed/serial.
 	serial, collapsed, ratio float64
+	// rounds[r] is round r's (serial, collapsed) seconds per run.
+	rounds [][]float64
 }
 
 // measureKernel times kernels.RunSeq against the §V collapsed serial run
@@ -177,6 +179,7 @@ func measureKernel(k *kernels.Kernel, chunks int, quick bool) (*kernelTiming, er
 	}
 	t.serial, t.collapsed = autotune.Best(secs, 0), autotune.Best(secs, 1)
 	t.ratio = autotune.MedianRatio(secs, 1, 0)
+	t.rounds = secs
 	return t, nil
 }
 
@@ -243,8 +246,8 @@ func fig9Kernel(k *kernels.Kernel, opts Fig9Options) ([]Fig9Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts.Verbose("%s: serial %.3fs, collapsed/serial %.3f, dequeue %.1fns, recovery %.0fns, increment %.1fns",
-		k.Name, t.serial, t.ratio, m.cal.Dequeue*1e9, m.cal.Recovery*1e9, m.cal.Increment*1e9)
+	opts.Verbose("%s: serial %.3fs, collapsed/serial %.3f, dequeue %.1fns, recovery %.0fns, increment %.1fns, rounds [serial collapsed] s %.4g",
+		k.Name, t.serial, t.ratio, m.cal.Dequeue*1e9, m.cal.Recovery*1e9, m.cal.Increment*1e9, t.rounds)
 	rows := make([]Fig9Row, 0, len(opts.Threads))
 	for _, P := range opts.Threads {
 		row := m.simulate(P)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -129,7 +130,14 @@ func TestFig9BenchShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench-size experiment skipped in -short mode")
 	}
-	all, err := Fig9(Fig9Options{Threads: []int{4, 12, 48}})
+	// Each kernel's verbose line carries its round samples, so a failing
+	// timed check shows what it was judged on.
+	lines := map[string]string{}
+	all, err := Fig9(Fig9Options{Threads: []int{4, 12, 48},
+		Verbose: func(format string, args ...interface{}) {
+			line := fmt.Sprintf(format, args...)
+			lines[line[:strings.Index(line, ":")]] = line
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +170,7 @@ func TestFig9BenchShape(t *testing.T) {
 		byName[r.Kernel] = r
 		if r.Kernel == "ltmp" {
 			if r.GainVsDynamic >= 0 {
-				t.Errorf("ltmp: collapsing should lose to dynamic (gain %.3f)", r.GainVsDynamic)
+				t.Errorf("ltmp: collapsing should lose to dynamic (gain %.3f)\n%s", r.GainVsDynamic, lines["ltmp"])
 			}
 			continue
 		}
@@ -170,7 +178,7 @@ func TestFig9BenchShape(t *testing.T) {
 		// noise (gain > -0.1), but require a strict majority of clear
 		// wins below.
 		if r.GainVsStatic <= -0.1 {
-			t.Errorf("%s: gain vs static %.3f not positive", r.Kernel, r.GainVsStatic)
+			t.Errorf("%s: gain vs static %.3f not positive\n%s", r.Kernel, r.GainVsStatic, lines[r.Kernel])
 		}
 		if r.GainVsStatic > 0.1 {
 			strictWins++
@@ -184,8 +192,8 @@ func TestFig9BenchShape(t *testing.T) {
 	}
 	for _, tiled := range []string{"correlation_tiled", "covariance_tiled"} {
 		if r := byName[tiled]; r.GainVsDynamic <= 0 {
-			t.Errorf("%s: collapsing should beat dynamic on incomplete tiles (gain %.3f)",
-				tiled, r.GainVsDynamic)
+			t.Errorf("%s: collapsing should beat dynamic on incomplete tiles (gain %.3f)\n%s",
+				tiled, r.GainVsDynamic, lines[tiled])
 		}
 	}
 	if closeOrWin < 5 {

@@ -46,9 +46,9 @@ var (
 	// (paper §IV.A root selection failed).
 	ErrNoConvenientRoot = errors.New("no convenient root")
 
-	// ErrRecoveryDiverged reports that index recovery produced a tuple
-	// whose exact re-rank does not match pc even after escalating to
-	// binary search — the collapsed run cannot be trusted and must stop.
+	// ErrRecoveryDiverged reports that index recovery found no tuple of
+	// rank pc inside the domain, so the binding is not regular (some loop
+	// has a negative trip count): the collapsed run must stop.
 	ErrRecoveryDiverged = errors.New("index recovery diverged")
 
 	// ErrCanceled reports a parallel run stopped cooperatively at a

@@ -10,7 +10,8 @@ import (
 //
 //   - the unranker passes every closed-form root evaluation through
 //     PerturbRoot, so tests can force the exact-correction and
-//     binary-search fallback paths deterministically;
+//     binary-search fallback paths deterministically (both end in an
+//     exact check, so no perturbation yields a wrong tuple);
 //   - the parallel runtime calls OnChunk before executing each schedule
 //     chunk, so tests can inject delays (sleep inside the hook), errors
 //     (return non-nil) or worker panics (panic inside the hook) at exact
@@ -25,13 +26,6 @@ type Plan struct {
 	// root to the value the unranker will see. level is the 0-based
 	// nest level being recovered.
 	PerturbRoot func(level int, x complex128) complex128
-	// PerturbLevel maps a closed-form-recovered index value (after the
-	// exact correction, which would otherwise fix any root
-	// perturbation) to the value the unranker records, so tests can
-	// force a wrong first-pass tuple and exercise the verify-mode
-	// escalation deterministically. The exact binary-search paths do
-	// not consult it.
-	PerturbLevel func(level int, ik int64) int64
 	// OnChunk runs before each schedule chunk [clo, chi) on worker tid.
 	// A non-nil return aborts the run with that error; a panic inside
 	// exercises the worker-panic path; sleeping injects delay.
@@ -97,14 +91,4 @@ func PerturbRoot(level int, x complex128) complex128 {
 		return x
 	}
 	return p.PerturbRoot(level, x)
-}
-
-// PerturbLevel applies the active plan's recovered-index perturbation,
-// if any.
-func PerturbLevel(level int, ik int64) int64 {
-	p := Active()
-	if p == nil || p.PerturbLevel == nil {
-		return ik
-	}
-	return p.PerturbLevel(level, ik)
 }

@@ -92,9 +92,8 @@ func (l *liveTeam) publishRemainder(d unrank.Stats) {
 // unrankCounters holds pre-fetched handles for the recovery counters so
 // per-chunk publication costs only atomic adds.
 type unrankCounters struct {
-	rootEvals, corrections, fallbacks, searches *telemetry.Counter
-	verifies, escalations, bigint               *telemetry.Counter
-	tableLookups, tableCorrections              *telemetry.Counter
+	rootEvals, corrections, fallbacks, searches, bigint *telemetry.Counter
+	tableLookups, tableCorrections                      *telemetry.Counter
 }
 
 func newUnrankCounters(tel *telemetry.Registry) *unrankCounters {
@@ -106,8 +105,6 @@ func newUnrankCounters(tel *telemetry.Registry) *unrankCounters {
 		corrections: tel.Counter("unrank.corrections"),
 		fallbacks:   tel.Counter("unrank.fallbacks"),
 		searches:    tel.Counter("unrank.searches"),
-		verifies:    tel.Counter("unrank.verifies"),
-		escalations: tel.Counter("unrank.verify_escalations"),
 		bigint:      tel.Counter("unrank.bigint_paths"),
 
 		tableLookups:     tel.Counter("unrank.table_lookups"),
@@ -125,8 +122,6 @@ func (u *unrankCounters) publish(d unrank.Stats) {
 	u.corrections.Add(d.Corrections)
 	u.fallbacks.Add(d.Fallbacks)
 	u.searches.Add(d.Searches)
-	u.verifies.Add(d.Verifies)
-	u.escalations.Add(d.Escalations)
 	u.bigint.Add(d.BigIntPaths)
 	u.tableLookups.Add(d.TableLookups)
 	u.tableCorrections.Add(d.TableCorrections)

@@ -19,13 +19,13 @@ type Stats struct {
 	Corrections int64 // exact ±1 correction steps taken
 	Fallbacks   int64 // float64 failures (NaN/Inf or non-convergence)
 	Searches    int64 // binary-search recoveries (fallbacks + binary mode)
-	Verifies    int64 // exact big.Rat re-rank checks (verify mode)
-	Escalations int64 // verify mismatches escalated to binary search
 	BigIntPaths int64 // exact evaluations taking the big.Int slow path
 
-	// EscalationsPrec128 and EscalationsPrec256 are always zero: recovery
-	// has no big.Float tiers. They are kept only because the benchmark
-	// harness still reads them, and are left out of Add, Sub and String.
+	// Escalations and EscalationsPrec128/256 are always zero: recovery
+	// has no re-rank escalation and no big.Float tiers. They are kept only
+	// because the benchmark harness still reads them, and are left out of
+	// Add, Sub and String.
+	Escalations        int64
 	EscalationsPrec128 int64
 	EscalationsPrec256 int64
 
@@ -41,8 +41,6 @@ func (s *Stats) Add(o Stats) {
 	s.Corrections += o.Corrections
 	s.Fallbacks += o.Fallbacks
 	s.Searches += o.Searches
-	s.Verifies += o.Verifies
-	s.Escalations += o.Escalations
 	s.BigIntPaths += o.BigIntPaths
 	s.TableLookups += o.TableLookups
 	s.TableCorrections += o.TableCorrections
@@ -58,8 +56,6 @@ func (s Stats) Sub(o Stats) Stats {
 		Corrections:      s.Corrections - o.Corrections,
 		Fallbacks:        s.Fallbacks - o.Fallbacks,
 		Searches:         s.Searches - o.Searches,
-		Verifies:         s.Verifies - o.Verifies,
-		Escalations:      s.Escalations - o.Escalations,
 		BigIntPaths:      s.BigIntPaths - o.BigIntPaths,
 		TableLookups:     s.TableLookups - o.TableLookups,
 		TableCorrections: s.TableCorrections - o.TableCorrections,
@@ -70,9 +66,6 @@ func (s Stats) Sub(o Stats) Stats {
 func (s Stats) String() string {
 	out := fmt.Sprintf("root evals %d, corrections %d, fallbacks %d, searches %d",
 		s.RootEvals, s.Corrections, s.Fallbacks, s.Searches)
-	if s.Verifies > 0 || s.Escalations > 0 {
-		out += fmt.Sprintf(", verifies %d, escalations %d", s.Verifies, s.Escalations)
-	}
 	if s.BigIntPaths > 0 {
 		out += fmt.Sprintf(", bigint paths %d", s.BigIntPaths)
 	}
@@ -353,11 +346,11 @@ func (b *Bound) searchLevel(k int, pc, lo, hi int64) int64 {
 // Unrank recovers the iteration tuple of rank pc (1-based) into idx,
 // which must have length equal to the nest depth.
 //
-// In verify mode (Options.Verify) the recovered tuple is exactly
-// re-ranked with big.Rat arithmetic; a mismatch escalates every level to
-// exact binary search, and a second mismatch returns an error wrapping
-// faults.ErrRecoveryDiverged. An exact evaluation overflowing int64 is
-// returned as an error wrapping faults.ErrOverflow rather than a panic.
+// Each level is checked against the domain (artifact coordinates): an
+// empty next loop at the recovered prefix, or a last index outside its
+// bounds, means the binding is not regular, and Unrank returns an error
+// wrapping faults.ErrRecoveryDiverged. An exact evaluation overflowing
+// int64 is returned as an error wrapping faults.ErrOverflow, not a panic.
 func (b *Bound) Unrank(pc int64, idx []int64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -374,12 +367,23 @@ func (b *Bound) Unrank(pc int64, idx []int64) (err error) {
 	if pc < 1 || pc > b.total {
 		return fmt.Errorf("unrank: pc = %d out of range 1..%d", pc, b.total)
 	}
-	for k := 0; k < b.depth-1; k++ {
-		b.setLevel(k, b.recoverLevel(k, pc, idx), idx)
+	k := 0
+	for ; k < b.depth-1; k++ {
+		ik, ok := b.recoverLevel(k, pc, idx)
+		if !ok {
+			break
+		}
+		b.setLevel(k, ik, idx)
 	}
-	b.lastLevel(pc, idx)
-	if err := b.maybeVerify(pc, idx); err != nil {
-		return err
+	if k < b.depth-1 || !b.lastLevel(pc, idx) {
+		// Level k has no iteration of rank pc at the recovered prefix,
+		// named in the caller's coordinates (Bind checked these fit).
+		prefix := append([]int64(nil), idx[:k]...)
+		for q, d := range b.u.off[:min(k, len(b.u.off))] {
+			prefix[q] += d
+		}
+		return fmt.Errorf("unrank: pc = %d: loop %q has no iteration of this rank at prefix %v; the binding is not regular: %w",
+			pc, b.u.nest.Loops[k].Index, prefix, faults.ErrRecoveryDiverged)
 	}
 	for k, d := range b.u.off {
 		v, ok := numeric.AddInt64(idx[k], d)
@@ -394,44 +398,26 @@ func (b *Bound) Unrank(pc int64, idx []int64) (err error) {
 // recoverLevel recovers level k of pc in two rungs: the mode's fast
 // path (the float64 radical in closed-form mode, the breakpoint-table
 // lookup in table mode), then exact binary search, which is always
-// available and always exact. Search mode has no fast path.
-func (b *Bound) recoverLevel(k int, pc int64, idx []int64) int64 {
+// available and always exact. Search mode has no fast path. ok is false
+// when level k's range is empty at the recovered prefix.
+func (b *Bound) recoverLevel(k int, pc int64, idx []int64) (int64, bool) {
 	lv := &b.u.levels[k]
 	lo := b.rinst.LowerAt(k, idx)
 	hi := b.rinst.UpperAt(k, idx)
+	if hi <= lo {
+		return 0, false
+	}
 	if lv.rootFn != nil {
 		if ik, ok := b.tryFloat64(lv, k, pc, lo, hi); ok {
-			return ik
+			return ik, true
 		}
 		b.stats.Fallbacks++
 	} else if b.tables != nil {
 		if ik, ok := b.tryTable(k, pc, lo, hi); ok {
-			return ik
+			return ik, true
 		}
 	}
-	return b.searchLevel(k, pc, lo, hi)
-}
-
-// maybeVerify applies verify-mode checking to a freshly recovered tuple:
-// exact big.Rat re-rank, binary-search escalation on mismatch, and a
-// typed error when even the escalation disagrees.
-func (b *Bound) maybeVerify(pc int64, idx []int64) error {
-	if !b.u.verify || b.verifyRank(pc, idx) {
-		return nil
-	}
-	// Escalation rung of the degradation ladder: redo every level
-	// with exact binary search over the monotone ranking polynomial.
-	b.stats.Escalations++
-	for k := 0; k < b.depth-1; k++ {
-		ik := b.searchLevel(k, pc, b.rinst.LowerAt(k, idx), b.rinst.UpperAt(k, idx))
-		b.setLevel(k, ik, idx)
-	}
-	b.lastLevel(pc, idx)
-	if !b.verifyRank(pc, idx) {
-		return fmt.Errorf("unrank: pc = %d: exact re-rank of %v mismatches after binary-search escalation: %w",
-			pc, idx, faults.ErrRecoveryDiverged)
-	}
-	return nil
+	return b.searchLevel(k, pc, lo, hi), true
 }
 
 // tryFloat64 attempts level k's recovery on the float64 fast path:
@@ -448,11 +434,7 @@ func (b *Bound) tryFloat64(lv *level, k int, pc, lo, hi int64) (int64, bool) {
 	if cmplx.IsNaN(x) || cmplx.IsInf(x) || !imagNegligible(x) {
 		return 0, false
 	}
-	ik, ok := b.correct(k, floorReal(x), pc, lo, hi)
-	if !ok {
-		return 0, false
-	}
-	return faults.PerturbLevel(k, ik), true
+	return b.correct(k, floorReal(x), pc, lo, hi)
 }
 
 // correct clamps a candidate index into [lo, hi) and applies the exact
@@ -497,28 +479,14 @@ func (b *Bound) setLevel(k int, ik int64, idx []int64) {
 }
 
 // lastLevel computes the final index directly from the prefix rank:
-// i = lb + (pc - rank of first iteration at this prefix).
-func (b *Bound) lastLevel(pc int64, idx []int64) {
-	base := b.u.lastRank.EvalExact(b.vals[:b.np+b.depth-1])
-	lb := b.rinst.LowerAt(b.depth-1, idx)
-	idx[b.depth-1] = lb + (pc - base)
-}
-
-// verifyRank checks idx is the iteration of rank pc: every index within
-// its (prefix-dependent) bounds, and the exact big.Rat re-rank equal to
-// pc. Both checks are needed — the last level is constructed so its rank
-// is pc for any prefix, so re-ranking alone cannot catch a corrupted
-// prefix; domain membership plus the rank bijection can.
-func (b *Bound) verifyRank(pc int64, idx []int64) bool {
-	b.stats.Verifies++
-	for k := 0; k < b.depth; k++ {
-		if idx[k] < b.rinst.LowerAt(k, idx) || idx[k] >= b.rinst.UpperAt(k, idx) {
-			return false
-		}
-	}
-	copy(b.vals[b.np:], idx)
-	r := b.u.rankComp.EvalBig(b.vals)
-	return r.Cmp(new(big.Rat).SetInt64(pc)) == 0
+// i = lb + (pc - rank of first iteration at this prefix). It reports
+// whether lb <= i < ub at the recovered prefix.
+func (b *Bound) lastLevel(pc int64, idx []int64) bool {
+	k := b.depth - 1
+	base := b.u.lastRank.EvalExact(b.vals[:b.np+k])
+	lb := b.rinst.LowerAt(k, idx)
+	idx[k] = lb + (pc - base)
+	return idx[k] >= lb && idx[k] < b.rinst.UpperAt(k, idx)
 }
 
 // Rank exactly evaluates the ranking polynomial at idx. The result is

@@ -21,6 +21,7 @@
 package unrank
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -134,14 +135,6 @@ type Options struct {
 	// root by validation against ground truth (a stronger version of the
 	// paper's ⌊x(1)⌋ = lexmin test). When nil, small defaults are used.
 	SampleParams []map[string]int64
-	// Verify enables verified recovery: after each Unrank the recovered
-	// tuple is exactly re-ranked with big.Rat arithmetic and compared to
-	// pc; on mismatch every level is recomputed by exact binary search,
-	// and a second mismatch aborts with faults.ErrRecoveryDiverged. This
-	// turns the floating-point radical path into a checked computation at
-	// the cost of one exact polynomial evaluation per recovery (per
-	// chunk under the §V scheme, not per iteration).
-	Verify bool
 	// TableMaxEntries caps the per-level breakpoint-table size. Levels
 	// whose index range fits under the cap get a dense (stride-1) table
 	// — recovery is then a pure int64 binary search over the table with
@@ -207,7 +200,6 @@ type artifact struct {
 	ranking  *poly.Poly
 	count    *poly.Poly
 	mode     Mode
-	verify   bool
 	tableMax int
 
 	order    []string // params..., all indices...
@@ -259,7 +251,6 @@ func New(n *nest.Nest, opts Options) (*Unranker, error) {
 		ranking:  ranking,
 		count:    count,
 		mode:     opts.Mode,
-		verify:   opts.Verify,
 		tableMax: opts.TableMaxEntries,
 	}
 	a.order = append(append([]string(nil), n.Params...), n.Indices()...)
@@ -543,13 +534,15 @@ func (u *Unranker) spellRoot(e roots.Expr) roots.Expr {
 	})
 }
 
-// defaultSamples builds small parameter bindings for root selection.
+// defaultSamples builds small parameter bindings for root selection:
+// every parameter set to 4, 7 and 11, then 3, 2 and 1, which selectRoots
+// binds only when none of the first three does.
 func (a *artifact) defaultSamples() []map[string]int64 {
 	if len(a.base.Params) == 0 {
 		return []map[string]int64{{}}
 	}
 	var out []map[string]int64
-	for _, v := range []int64{4, 7, 11} {
+	for _, v := range []int64{4, 7, 11, 3, 2, 1} {
 		m := map[string]int64{}
 		for _, p := range a.base.Params {
 			m[p] = v
@@ -580,11 +573,20 @@ func (a *artifact) selectRoots(opts Options) error {
 		mismatch[k] = make([]int64, len(a.levels[k].candidates))
 		scratch[k] = make([]float64, np+k+1)
 	}
-	for _, sp := range samples {
+	// A default sample whose bounds overflow int64 is skipped; the
+	// overflow is returned only when no sample binds.
+	bound := 0
+	for i, sp := range samples {
+		if i == 3 && bound > 0 && opts.SampleParams == nil {
+			break
+		}
 		inst, err := a.base.Bind(sp)
-		if err != nil {
+		if errors.Is(err, faults.ErrOverflow) && opts.SampleParams == nil && (bound > 0 || i < len(samples)-1) {
+			continue
+		} else if err != nil {
 			return fmt.Errorf("unrank: sample binding: %w", err)
 		}
+		bound++
 		for k := range a.levels {
 			for pi, p := range a.base.Params {
 				scratch[k][pi] = float64(sp[p])

@@ -1,10 +1,12 @@
 package unrank
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/nest"
 	"repro/internal/nest/nesttest"
 )
@@ -386,5 +388,34 @@ func TestExtremeScaleTetra(t *testing.T) {
 		s.RootEvals, s.Corrections, s.Fallbacks, s.Searches)
 	if s.Corrections == 0 && s.Fallbacks == 0 {
 		t.Log("note: radicals stayed exact at this scale (no repairs needed)")
+	}
+}
+
+// TestDefaultSamplesSkipOverflow collapses a nest whose bounds fit int64
+// only at N=1: root selection must skip the default samples whose
+// binding overflows (N = 4, 7, 11, 3, 2) and select on N=1 instead of
+// refusing the nest.
+func TestDefaultSamplesSkipOverflow(t *testing.T) {
+	n := nest.MustNew([]string{"N"},
+		nest.L("i", "0", "10"), nest.L("j", "4611686018427387904*N", "4611686018427387904*N+5"))
+	u, err := New(n, Options{Mode: ModeClosedForm})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	b := u.MustBind(map[string]int64{"N": 1})
+	idx := make([]int64, 2)
+	for _, c := range []struct {
+		pc   int64
+		want [2]int64
+	}{{1, [2]int64{0, 1 << 62}}, {50, [2]int64{9, 1<<62 + 4}}} {
+		if err := b.Unrank(c.pc, idx); err != nil || idx[0] != c.want[0] || idx[1] != c.want[1] {
+			t.Errorf("Unrank(%d) = %v, %v; want %v", c.pc, idx, err, c.want)
+		}
+	}
+	// With no default binding in range the overflow is reported.
+	huge := nest.MustNew([]string{"N"},
+		nest.L("i", "0", "10"), nest.L("j", "9223372036854775807*N", "9223372036854775807*N+5"))
+	if _, err := New(huge, Options{Mode: ModeClosedForm}); !errors.Is(err, faults.ErrOverflow) {
+		t.Errorf("New on a nest no sample binds: err %v, want ErrOverflow", err)
 	}
 }

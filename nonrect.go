@@ -85,8 +85,8 @@ var (
 	ErrOverflow = faults.ErrOverflow
 	// ErrNoConvenientRoot: symbolic root selection failed (§IV.A).
 	ErrNoConvenientRoot = faults.ErrNoConvenientRoot
-	// ErrRecoveryDiverged: index recovery cannot be trusted even after
-	// binary-search escalation.
+	// ErrRecoveryDiverged: index recovery found no tuple of the rank
+	// inside the domain; the binding is not regular.
 	ErrRecoveryDiverged = faults.ErrRecoveryDiverged
 	// ErrCanceled: a context-aware run stopped at a chunk boundary.
 	ErrCanceled = faults.ErrCanceled
@@ -127,9 +127,8 @@ type ThreadStats = omp.ThreadStats
 type Option func(*config)
 
 type config struct {
-	tel    *telemetry.Registry
-	verify bool
-	cache  *core.CollapseCache
+	tel   *telemetry.Registry
+	cache *core.CollapseCache
 }
 
 func buildConfig(opts []Option) config {
@@ -147,16 +146,6 @@ func buildConfig(opts []Option) config {
 // every hot path uninstrumented.
 func WithTelemetry(t *Telemetry) Option {
 	return func(c *config) { c.tel = t }
-}
-
-// WithVerify makes every per-chunk index recovery re-rank the recovered
-// tuple with exact rational arithmetic and escalate to binary search on
-// mismatch (returning ErrRecoveryDiverged if even that disagrees): a
-// paranoid mode guaranteeing a collapsed run never silently executes a
-// wrong tuple, at the cost of one exact polynomial evaluation per
-// recovery. Pass it to Collapse/CollapseAt/CollapsedForAuto.
-func WithVerify() Option {
-	return func(c *config) { c.verify = true }
 }
 
 // CollapseCache memoizes compile outcomes across Collapse calls, keyed
@@ -238,7 +227,7 @@ func MustNewNest(params []string, loops ...Loop) *Nest { return nest.MustNew(par
 // WithTelemetry records per-phase compile spans.
 func Collapse(n *Nest, c int, opts ...Option) (*Result, error) {
 	cfg := buildConfig(opts)
-	return core.CollapseCached(cfg.cache, n, c, unrank.Options{Telemetry: cfg.tel, Verify: cfg.verify})
+	return core.CollapseCached(cfg.cache, n, c, unrank.Options{Telemetry: cfg.tel})
 }
 
 // CollapseBinarySearch is Collapse with the closed-form recovery
@@ -258,7 +247,7 @@ func CollapseBinarySearch(n *Nest, c int) (*Result, error) {
 func CollapseTable(n *Nest, c int, opts ...Option) (*Result, error) {
 	cfg := buildConfig(opts)
 	return core.CollapseCached(cfg.cache, n, c,
-		unrank.Options{Mode: unrank.ModeTable, Telemetry: cfg.tel, Verify: cfg.verify})
+		unrank.Options{Mode: unrank.ModeTable, Telemetry: cfg.tel})
 }
 
 // CollapseAt collapses c successive loops starting at level from
@@ -266,7 +255,7 @@ func CollapseTable(n *Nest, c int, opts ...Option) (*Result, error) {
 // ranking polynomial, bound per outer iteration via res.Unranker.Bind.
 func CollapseAt(n *Nest, from, c int, opts ...Option) (*Result, error) {
 	cfg := buildConfig(opts)
-	return core.CollapseAt(n, from, c, unrank.Options{Telemetry: cfg.tel, Verify: cfg.verify})
+	return core.CollapseAt(n, from, c, unrank.Options{Telemetry: cfg.tel})
 }
 
 // CollapsedFor executes the collapsed iteration space on a goroutine
@@ -315,7 +304,7 @@ func CollapsedForAuto(ctx context.Context, n *Nest, c int, params map[string]int
 	if c < 1 || c > len(n.Loops) {
 		return false, fmt.Errorf("nonrect: collapse depth %d out of range [1,%d]", c, len(n.Loops))
 	}
-	res, cerr := core.CollapseCached(cfg.cache, n, c, unrank.Options{Telemetry: cfg.tel, Verify: cfg.verify})
+	res, cerr := core.CollapseCached(cfg.cache, n, c, unrank.Options{Telemetry: cfg.tel})
 	if cerr == nil {
 		return true, CollapsedForCtx(ctx, res, params, threads, sched, body, opts...)
 	}
@@ -328,7 +317,7 @@ func CollapsedForAuto(ctx context.Context, n *Nest, c int, params map[string]int
 	// second chance before the balance guarantee is surrendered.
 	if errors.Is(cerr, faults.ErrDegreeTooHigh) || errors.Is(cerr, faults.ErrNoConvenientRoot) {
 		res, terr := core.CollapseCached(cfg.cache, n, c,
-			unrank.Options{Mode: unrank.ModeTable, Telemetry: cfg.tel, Verify: cfg.verify})
+			unrank.Options{Mode: unrank.ModeTable, Telemetry: cfg.tel})
 		if terr == nil {
 			if cfg.tel != nil {
 				cfg.tel.Counter("omp.table_retries").Inc()
